@@ -104,9 +104,15 @@ def generate_population(cfg: PopulationConfig, rng: random.Random | None = None)
 
 
 def decay_renewal_prob(profile: AgentProfile) -> None:
-    """One more renewal happened; damp the appetite for the next one."""
+    """One more renewal happened; damp the appetite for the next one.
+
+    Near the bottom of the float range the power law can round back up to
+    the previous value (5e-324 * 0.75 == 5e-324); such a result flushes to
+    0.0 so that the probability strictly decreases until it is zero.
+    """
     profile.renewals += 1
-    profile.current_prob = profile.base_prob * profile.decay**profile.renewals
+    prob = profile.base_prob * profile.decay**profile.renewals
+    profile.current_prob = prob if prob < profile.current_prob else 0.0
 
 
 def population_csv(profiles: list[AgentProfile]) -> str:

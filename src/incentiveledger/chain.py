@@ -54,6 +54,12 @@ class Address:
 
     id: str
 
+    # Addresses key most of the simulator's dicts; hashing the id directly
+    # skips the one-field tuple the generated hash builds. Equality still
+    # compares ids, so equal addresses hash equal.
+    def __hash__(self) -> int:
+        return hash(self.id)
+
     def __str__(self) -> str:
         return self.id
 

@@ -27,11 +27,29 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
-from .chain import Address, ChainState, GasSchedule, PriceModel, WEI_PER_ETH, default_gas_schedule
+from .chain import (
+    Address,
+    ChainState,
+    GasSchedule,
+    NEW_DATA_PROVIDER,
+    PriceModel,
+    REGISTER_NEW_USER,
+    REGISTRY_DEPLOYMENT,
+    WEI_PER_ETH,
+    default_gas_schedule,
+)
 from .dataset import DatasetContract, Scenario
 from .errors import ConfigError, EngineError, LedgerError
 from .registry import DEFAULT_LICENSE, Registry
-from .tokens import ACCESS_PERIODS, TokenStore, confirm_compliance, quote_payment, renew_access_time, request_access
+from .tokens import (
+    ACCESS_PERIODS,
+    AccessToken,
+    TokenStore,
+    confirm_compliance,
+    quote_payment,
+    renew_access_time,
+    request_access,
+)
 
 log = logging.getLogger(__name__)
 
@@ -122,6 +140,19 @@ class SimConfig:
         if self.scenario is not Scenario.PROFIT and margin != 100:
             raise ConfigError("scenarios 1 and 2 track pure costs; margin must be 100")
         self.population.validate()
+        # The authority is funded with the same prefund as every agent and
+        # pays the whole registry bootstrap before the first period.
+        providers = self.population.max_providers
+        bootstrap_fee = self.price.fee_wei(
+            self.schedule.gas_for(REGISTRY_DEPLOYMENT)
+            + providers * self.schedule.gas_for(NEW_DATA_PROVIDER)
+            + (self.population.n_accounts - providers) * self.schedule.gas_for(REGISTER_NEW_USER)
+        )
+        if self.prefund_wei < bootstrap_fee:
+            raise ConfigError(
+                f"prefund of {self.prefund_wei} wei cannot pay the registry bootstrap "
+                f"of {bootstrap_fee} wei for {self.population.n_accounts} accounts"
+            )
 
 
 @dataclass
@@ -187,9 +218,12 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     store = TokenStore()
     providers = [p for p in population if p.role is Role.PROVIDER]
     requesters = [p for p in population if p.role is Role.REQUESTER]
-    by_address = {p.address: p for p in population}
     datasets: list[DatasetContract] = []
     dataset_owner: dict[Address, AgentProfile] = {}
+    # Every token the run mints, with its holder and contract, in mint
+    # order, which is token-id order. The engine never burns, but burned
+    # tokens would stay listed and be skipped.
+    roster: list[tuple[AccessToken, AgentProfile, DatasetContract]] = []
 
     records: list[ActionRecord] = []
     series: list[PeriodStats] = []
@@ -263,7 +297,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                     if open_sets:
                         contract = open_sets[rng.randrange(len(open_sets))]
                         payment = quote_payment(contract, "access").current_expected_cost_wei
-                        request_access(requester.address, contract, payment)
+                        token = request_access(requester.address, contract, payment)
+                        roster.append((token, requester, contract))
                         receipt = chain.receipts[-1]
                         requester.last_action_period = period
                         requester.datasets_held.add(contract.contract_address)
@@ -272,18 +307,14 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
             # Renew: each holder of an expired token rolls, subject to the
             # cool-down of ACCESS_PERIODS periods since their last action.
+            # The checks only skip, so their order is free and the cheapest
+            # goes first; every token that passes them draws exactly one roll.
             if actions < cfg.action_ticker:
-                by_contract = {c.contract_address: c for c in datasets}
-                for token in list(store.live_tokens()):
-                    if actions >= cfg.action_ticker:
-                        break
-                    contract = by_contract[token.dataset_address]
-                    if contract.destroyed:
+                for token, holder, contract in roster:
+                    if token.access_until > period or contract.destroyed or token.burned:
                         continue
-                    holder = by_address[token.user]
-                    if token.access_until > period:
-                        continue
-                    if holder.last_action_period is not None and period - holder.last_action_period < ACCESS_PERIODS:
+                    last_action = holder.last_action_period
+                    if last_action is not None and period - last_action < ACCESS_PERIODS:
                         continue
                     if rng.random() < holder.current_prob:
                         if not token.compliance:
@@ -294,11 +325,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                         decay_renewal_prob(holder)
                         holder.last_action_period = period
                         record(ActionKind.RENEW, holder.address, contract, receipt.gas_fee_wei, payment)
+                        if actions >= cfg.action_ticker:
+                            break
 
             current_cost = sum(c.current_cost_wei for c in datasets)
             cost = sum(c.provider_cost_wei for c in datasets)
             earnings = sum(c.provider_earnings_wei for c in datasets)
-            holders = len({t.user for t in store.live_tokens()})
+            holders = store.holder_count()
             series.append(
                 PeriodStats(
                     period=period,
@@ -366,7 +399,11 @@ def sweep(configs: list[SimConfig], jobs: int = 1) -> list["SimResult | None"]:
         try:
             return run_simulation(cfg)
         except LedgerError as exc:
-            log.error("run with seed %d failed: %s", cfg.seed, exc)
+            log.error(
+                "run failed (scenario %d, margin %d, access fraction %d, renew fraction %d, seed %d): %s",
+                cfg.scenario.value, cfg.resolved_margin_pct, cfg.access_fraction_pct,
+                cfg.renew_fraction_pct, cfg.seed, exc,
+            )
             return None
 
     if jobs == 1 or len(configs) <= 1:

@@ -15,7 +15,7 @@ conservation stays trivial to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
@@ -66,9 +66,15 @@ class PaymentQuote:
     next_expected_cost_wei: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TokenEvent:
-    """Audit-trail entry: mint, renewal, compliance and burn history."""
+    """Audit-trail entry: mint, renewal, compliance and burn history.
+
+    Not frozen: an update logs one event per holder, and a frozen
+    dataclass builds through object.__setattr__ at about four times the
+    cost. A NamedTuple would build at twice the cost and take 16 bytes more
+    per event. Nothing changes an event once it is recorded.
+    """
 
     kind: str
     period: int
@@ -82,7 +88,10 @@ class TokenStore:
     def __init__(self) -> None:
         self.tokens: dict[int, AccessToken] = {}
         self.events: list[TokenEvent] = []
+        # Insertion order is id order: ids only grow, and a re-mint after a
+        # burn inserts a fresh, larger id at the end.
         self._live: dict[tuple[Address, Address], int] = {}
+        self._live_per_user: dict[Address, int] = {}
         self._next_id = 1
 
     def mint(
@@ -108,6 +117,7 @@ class TokenStore:
         self._next_id += 1
         self.tokens[token.token_id] = token
         self._live[key] = token.token_id
+        self._live_per_user[user] = self._live_per_user.get(user, 0) + 1
         self.record("minted", period, token.token_id, user)
         return token
 
@@ -116,13 +126,22 @@ class TokenStore:
         return self.tokens[token_id] if token_id is not None else None
 
     def live_tokens(self) -> Iterator[AccessToken]:
-        # Mint order equals id order; deterministic iteration matters for
-        # reproducible engine runs.
-        for token_id in sorted(self._live.values()):
+        """Live tokens in ascending id order."""
+        for token_id in self._live.values():
             yield self.tokens[token_id]
 
+    def holder_count(self) -> int:
+        """Number of distinct users holding at least one live token."""
+        return len(self._live_per_user)
+
     def drop_live(self, token: AccessToken) -> None:
-        self._live.pop((token.dataset_address, token.user), None)
+        if self._live.pop((token.dataset_address, token.user), None) is None:
+            return
+        left = self._live_per_user[token.user] - 1
+        if left:
+            self._live_per_user[token.user] = left
+        else:
+            del self._live_per_user[token.user]
 
     def record(self, kind: str, period: int, token_id: int, user: Address) -> None:
         self.events.append(TokenEvent(kind, period, token_id, user))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incentiveledger import (
@@ -102,6 +102,7 @@ def test_decay_follows_power_law_exactly():
 @given(base=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
        decay=st.floats(min_value=0.01, max_value=0.99),
        n=st.integers(min_value=1, max_value=50))
+@example(base=5e-324, decay=0.75, n=1)
 def test_decay_is_strictly_decreasing_while_positive(base, decay, n):
     profile = AgentProfile(
         address=account_address(0), role=Role.REQUESTER,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,39 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     code = run_cli("run", *SMALL, "--gas-price-gwei", "20000", "--out", str(tmp_path))
     assert code == 1
     assert "period 0, action 0" in capsys.readouterr().err
+
+
+def test_unfunded_registry_bootstrap_exits_2_before_simulating(tmp_path, capsys):
+    # At 5,000 gwei the authority's 100 ETH pays the registry deployment, one
+    # provider and exactly 423 users, so 424 accounts run and 425 do not.
+    tight = ["--gas-price-gwei", "5000", "--actions", "5", "--quiet"]
+    assert run_cli("run", *tight, "--accounts", "424", "--out", str(tmp_path)) == 0
+    assert run_cli("run", *tight, "--accounts", "425", "--out", str(tmp_path / "b")) == 2
+    assert "cannot pay the registry bootstrap" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    assert run_cli("run", "--accounts", "31000", "--out", str(tmp_path / "c")) == 2
+    assert not (tmp_path / "c").exists()
+
+
+# sha256 of three report files of one renewal-heavy run (2,615 of its 3,000
+# actions are renewals), computed before the renew phase moved to a
+# mint-ordered roster. They pin the renewal draw order: one roll per
+# eligible token, in token-id order.
+GOLDEN_RENEWAL_HEAVY = {
+    "actions.csv": "83baefc9095099bfdbe1eea8dfbb3817a1aed0dea06420fbd446f940fcb25324",
+    "periods.csv": "efa02bc2a620698028c4fdb63b0032ca227637cdd802eefc1e30caee1f5323ff",
+    "tokens.csv": "225abbf23f3f6940d36cc97fc8f814d3c67874f764ef2a07fa362dec8bfc3e89",
+}
+
+
+def test_renewal_heavy_run_matches_golden_digests(tmp_path):
+    assert run_cli("run", "--actions", "3000", "--accounts", "3000", "--max-providers", "2",
+                   "--seed", "0", "--out", str(tmp_path), "--quiet") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "run-0" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_RENEWAL_HEAVY
+    }
+    assert digests == GOLDEN_RENEWAL_HEAVY
 
 
 def test_sweep_lays_out_grid_cells(tmp_path, capsys):

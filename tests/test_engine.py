@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from incentiveledger import (
     sweep,
     with_seed,
 )
-from incentiveledger.chain import WEI_PER_ETH
+from incentiveledger.chain import GWEI, WEI_PER_ETH, PriceModel
 from incentiveledger.errors import ConfigError, EngineError
 
 
@@ -204,6 +205,22 @@ def test_sweep_preserves_order_and_isolates_failures():
     assert sweep([]) == []
     with pytest.raises(ConfigError):
         sweep(cfgs, jobs=0)
+
+
+def test_sweep_logs_the_grid_cell_of_a_failed_run(caplog):
+    # At twenty thousand gwei the provider cannot pay for its deployment.
+    failing = with_seed(
+        small_cfg(scenario=Scenario.PROFIT, profit_margin_pct=150, access_fraction_pct=10,
+                  renew_fraction_pct=7, price=PriceModel(gas_price_wei=20_000 * GWEI)),
+        4,
+    )
+    with caplog.at_level(logging.ERROR, logger="incentiveledger.engine"):
+        assert sweep([failing]) == [None]
+    [entry] = caplog.records
+    message = entry.getMessage()
+    for part in ("scenario 3", "margin 150", "access fraction 10", "renew fraction 7", "seed 4",
+                 "period 0, action 0"):
+        assert part in message
 
 
 def test_sweep_parallel_matches_serial():

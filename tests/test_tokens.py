@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from incentiveledger import (
     ACCESS_PERIODS,
     BurnCause,
+    ChainState,
     DatasetContract,
+    DEFAULT_LICENSE,
+    Registry,
     Scenario,
     burn_token,
     confirm_compliance,
@@ -230,6 +233,47 @@ def test_store_tracks_live_tokens_in_id_order(published):
     lines = store.table_csv().splitlines()
     assert lines[0] == "tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"
     assert len(lines) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["request", "burn", "license-change"]),
+              st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=1)),
+    max_size=40,
+))
+def test_store_counts_holders_and_orders_live_tokens_under_any_history(ops):
+    # Requests mint (and re-mint after a burn); burns come from the holder
+    # or from a license change that evicts every holder of one dataset.
+    chain = ChainState()
+    authority = chain.create_named_account("authority", 10**21)
+    provider, *users = chain.create_accounts(5, 10**21)
+    registry = Registry.deploy(chain, authority)
+    registry.new_data_provider(authority, provider)
+    for user in users:
+        registry.register_new_user(authority, user, DEFAULT_LICENSE)
+    store = TokenStore()
+    contracts = [
+        DatasetContract.deploy_and_publish(
+            chain, registry, provider, link=f"data://store/{i}", required_license=DEFAULT_LICENSE,
+            scenario=Scenario.NO_COMPENSATION, token_store=store,
+        )
+        for i in range(2)
+    ]
+    for period, (op, user_index, contract_index) in enumerate(ops):
+        chain.period = period
+        user, contract = users[user_index], contracts[contract_index]
+        held = store.live_token(contract.contract_address, user)
+        if op == "request" and held is None:
+            request_access(user, contract, 0)
+        elif op == "burn" and held is not None:
+            burn_token(contract, held, BurnCause.REQUESTER)
+        elif op == "license-change":
+            contract.set_license(provider, DEFAULT_LICENSE + 1)
+            contract.set_license(provider, DEFAULT_LICENSE)
+        live = list(store.live_tokens())
+        assert store.holder_count() == len({t.user for t in live})
+        assert [t.token_id for t in live] == sorted(i for i, t in store.tokens.items() if not t.burned)
 
 
 @settings(max_examples=40, deadline=None)
