@@ -29,7 +29,6 @@ from .engine import (
     SimResult,
     break_even_period,
     run_simulation,
-    sweep,
     with_seed,
 )
 from .errors import (
@@ -102,7 +101,6 @@ __all__ = [
     "request_access",
     "run_simulation",
     "summarize",
-    "sweep",
     "with_seed",
     "write_run_reports",
 ]

@@ -1,6 +1,6 @@
 """Stochastic agent population.
 
-Draws per-account action probabilities from a normal distribution and
+Draws per-account action probabilities from N(0, 0.1) and min-max
 rescales them into [0, 1]; the first few accounts become data providers
 with a much lower, uniformly drawn publication probability. A requester's
 appetite for renewals decays geometrically with every renewal they make.
@@ -24,13 +24,10 @@ class Role(Enum):
 @dataclass(frozen=True)
 class PopulationConfig:
     n_accounts: int = 1000
-    mu: float = 0.0
-    sigma: float = 0.1
     decay: float = 0.75
     max_providers: int = 1
     provider_prob_min: float = 0.01
     provider_prob_max: float = 0.05
-    normalization: str = "minmax"  # minmax | clamp | affine-sigma
     seed: int = 0
 
     def validate(self) -> None:
@@ -38,14 +35,10 @@ class PopulationConfig:
             raise BadConfigError("need at least two accounts")
         if self.max_providers < 1 or self.max_providers >= self.n_accounts:
             raise BadConfigError("provider count must leave at least one requester")
-        if self.sigma <= 0:
-            raise BadConfigError("sigma must be positive")
         if not 0 < self.decay < 1:
             raise BadConfigError("decay must lie strictly between 0 and 1")
         if not 0 <= self.provider_prob_min <= self.provider_prob_max <= 1:
             raise BadConfigError("provider probability bounds must satisfy 0 <= min <= max <= 1")
-        if self.normalization not in ("minmax", "clamp", "affine-sigma"):
-            raise BadConfigError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass
@@ -60,18 +53,6 @@ class AgentProfile:
     datasets_held: set[Address] = field(default_factory=set)
 
 
-def _normalize(samples: list[float], mode: str, cfg: PopulationConfig) -> list[float]:
-    if mode == "minmax":
-        lo, hi = min(samples), max(samples)
-        if hi == lo:
-            return [0.5] * len(samples)
-        return [(x - lo) / (hi - lo) for x in samples]
-    if mode == "clamp":
-        return [min(1.0, max(0.0, 0.5 + x - cfg.mu)) for x in samples]
-    # affine-sigma: place mu at 0.5 and mu +- 3 sigma at the interval edges
-    return [min(1.0, max(0.0, 0.5 + (x - cfg.mu) / (6 * cfg.sigma))) for x in samples]
-
-
 def generate_population(cfg: PopulationConfig, rng: random.Random | None = None) -> list[AgentProfile]:
     """Create one profile per account, providers first.
 
@@ -81,8 +62,9 @@ def generate_population(cfg: PopulationConfig, rng: random.Random | None = None)
     cfg.validate()
     if rng is None:
         rng = random.Random(cfg.seed)
-    samples = [rng.gauss(cfg.mu, cfg.sigma) for _ in range(cfg.n_accounts)]
-    probs = _normalize(samples, cfg.normalization, cfg)
+    samples = [rng.gauss(0.0, 0.1) for _ in range(cfg.n_accounts)]
+    lo, hi = min(samples), max(samples)
+    probs = [0.5] * len(samples) if hi == lo else [(x - lo) / (hi - lo) for x in samples]
     profiles = []
     for i in range(cfg.n_accounts):
         if i < cfg.max_providers:

@@ -22,11 +22,13 @@ from . import __version__
 from .agents import PopulationConfig
 from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
-from .engine import SimConfig, run_simulation, sweep, with_seed
-from .errors import BadConfigError, ConfigError, LedgerError
+from .engine import SimConfig, run_simulation, with_seed
+from .errors import BadConfigError, ConfigError, EngineError, LedgerError
 from .reporting import summary_csv, summary_text, write_run_reports
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
+
+log = logging.getLogger(__name__)
 
 _BASE = SimConfig()
 
@@ -219,53 +221,61 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     schedule = load_gas_table(args.gas_table) if args.gas_table else default_gas_schedule()
     values = _resolve_values(args)
     scenarios = args.scenarios if args.scenarios else [values["scenario"]]
     fractions = args.access_fractions if args.access_fractions else [values["access-fraction"]]
-    margins: list = args.margins if args.margins else [values["profit-margin"]]
+    if args.margins and len(scenarios) > 1:
+        raise ConfigError("--margins needs a single scenario")
+    # A margin pinned for one scenario cannot hold across others (1 and 2
+    # demand 100, 3 demands more), so cross-scenario sweeps fall back to
+    # the per-scenario default.
+    margins = args.margins or [values["profit-margin"] if len(scenarios) == 1 else None]
+    # Every cell is validated before the first run, so a bad grid exits 2
+    # without writing anything.
+    cells = [
+        build_sim_config(
+            {**values, "scenario": scenario, "access-fraction": fraction, "profit-margin": margin},
+            schedule,
+        )
+        for scenario in scenarios
+        for fraction in fractions
+        for margin in margins
+    ]
     out = _resolve_out(args)
 
     failures = 0
     summary_rows: list[str] = []
     header = ""
     even_lines = ["scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod"]
-    for scenario in scenarios:
-        for fraction in fractions:
-            for margin in margins:
-                # A margin pinned for one scenario cannot hold across others
-                # (1 and 2 demand 100, 3 demands more), so cross-scenario
-                # sweeps fall back to the per-scenario default.
-                cell_margin = margin if len(scenarios) == 1 else None
-                base = build_sim_config(
-                    {**values, "scenario": scenario, "access-fraction": fraction,
-                     "profit-margin": cell_margin},
-                    schedule,
+    for base in cells:
+        scenario, fraction, margin = base.scenario.value, base.access_fraction_pct, base.resolved_margin_pct
+        cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{margin}"
+        evens: list[float] = []
+        # Each run's reports are written as soon as it finishes and its result
+        # is dropped, so memory does not grow with the grid.
+        for seed in range(args.seeds):
+            cfg = with_seed(base, seed)
+            try:
+                result = run_simulation(cfg)
+            except EngineError as exc:
+                failures += 1
+                log.error(
+                    "run failed (scenario %d, margin %d, access fraction %d, renew fraction %d, seed %d): %s",
+                    scenario, margin, fraction, cfg.renew_fraction_pct, cfg.seed, exc,
                 )
-                cfgs = [with_seed(base, seed) for seed in range(args.seeds)]
-                results = sweep(cfgs, jobs=args.jobs)
-                cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{base.resolved_margin_pct}"
-                evens: list[float] = []
-                for cfg, result in zip(cfgs, results):
-                    if result is None:
-                        failures += 1
-                        continue
-                    summary = write_run_reports(result, cell / f"run-{cfg.seed}")
-                    header, _, row = summary_csv(summary).partition("\n")
-                    summary_rows.append(row.rstrip("\n"))
-                    evens.append(
-                        float("inf") if summary.break_even_period is None
-                        else summary.break_even_period
-                    )
-                attained = sum(1 for e in evens if e != float("inf"))
-                median = statistics.median(evens) if evens else float("inf")
-                median_text = "" if median == float("inf") else f"{median:g}"
-                even_lines.append(
-                    f"{scenario},{fraction},{base.resolved_margin_pct},"
-                    f"{len(evens)},{attained},{median_text}"
-                )
+                continue
+            summary = write_run_reports(result, cell / f"run-{cfg.seed}")
+            header, _, row = summary_csv(summary).partition("\n")
+            summary_rows.append(row.rstrip("\n"))
+            evens.append(
+                float("inf") if summary.break_even_period is None
+                else summary.break_even_period
+            )
+        attained = sum(1 for e in evens if e != float("inf"))
+        median = statistics.median(evens) if evens else float("inf")
+        median_text = "" if median == float("inf") else f"{median:g}"
+        even_lines.append(f"{scenario},{fraction},{margin},{len(evens)},{attained},{median_text}")
 
     out.mkdir(parents=True, exist_ok=True)
     if summary_rows:
@@ -304,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated access fractions, e.g. 1,5,10,25")
     sweep_parser.add_argument("--margins", type=_grid_list, default=None, metavar="LIST",
                               help="comma-separated profit margins (single-scenario sweeps)")
-    sweep_parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="parallel runs (default 1)")
     sweep_parser.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -20,9 +20,7 @@ their entire action stream across those settings.
 
 from __future__ import annotations
 
-import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -50,8 +48,6 @@ from .tokens import (
     renew_access_time,
     request_access,
 )
-
-log = logging.getLogger(__name__)
 
 # Safety valve only; real runs finish in a few hundred periods.
 MAX_PERIODS = 1_000_000
@@ -385,28 +381,3 @@ def break_even_period(result: SimResult) -> int | None:
 
 def with_seed(cfg: SimConfig, seed: int) -> SimConfig:
     return replace(cfg, seed=seed, population=replace(cfg.population, seed=seed))
-
-
-def sweep(configs: list[SimConfig], jobs: int = 1) -> list["SimResult | None"]:
-    """Run several independent simulations, preserving input order.
-
-    A failed run is reported and yields None; the others continue.
-    """
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
-
-    def one(cfg: SimConfig) -> "SimResult | None":
-        try:
-            return run_simulation(cfg)
-        except LedgerError as exc:
-            log.error(
-                "run failed (scenario %d, margin %d, access fraction %d, renew fraction %d, seed %d): %s",
-                cfg.scenario.value, cfg.resolved_margin_pct, cfg.access_fraction_pct,
-                cfg.renew_fraction_pct, cfg.seed, exc,
-            )
-            return None
-
-    if jobs == 1 or len(configs) <= 1:
-        return [one(cfg) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, configs))

@@ -173,22 +173,27 @@ class RunSummary:
     top_requesters: tuple[tuple[str, float], ...]  # (address, total USD), best first
 
 
-def _requester_totals(result: SimResult) -> dict[Address, tuple[int, int, int]]:
-    """Per requester: (action count, gas fees, payments), request+renew only."""
-    totals: dict[Address, list[int]] = {}
+def _requester_kind_totals(result: SimResult) -> dict[tuple[str, str], list[int]]:
+    """Per (requester, action kind): [actions, gas fees, payments], request+renew only."""
+    rows: dict[tuple[str, str], list[int]] = {}
     for r in result.records:
         if r.kind not in (ActionKind.REQUEST, ActionKind.RENEW):
             continue
-        row = totals.setdefault(r.actor, [0, 0, 0])
+        row = rows.setdefault((r.actor.id, r.kind.value), [0, 0, 0])
         row[0] += 1
         row[1] += r.tx_gas_fee_wei
         row[2] += r.payment_wei
-    return {addr: tuple(v) for addr, v in totals.items()}
+    return rows
 
 
-def _ranked_requesters(result: SimResult) -> list[tuple[Address, tuple[int, int, int]]]:
-    totals = _requester_totals(result)
-    return sorted(totals.items(), key=lambda kv: (-(kv[1][1] + kv[1][2]), kv[0].id))
+def _ranked_requesters(result: SimResult) -> list[tuple[str, int, int]]:
+    """(requester, actions, total wei spent), highest spend first."""
+    totals: dict[str, list[int]] = {}
+    for (address, _), (n, fees, paid) in _requester_kind_totals(result).items():
+        row = totals.setdefault(address, [0, 0])
+        row[0] += n
+        row[1] += fees + paid
+    return sorted(((a, n, total) for a, (n, total) in totals.items()), key=lambda t: (-t[2], t[0]))
 
 
 def summarize(result: SimResult, k: int = 3) -> RunSummary:
@@ -201,10 +206,7 @@ def summarize(result: SimResult, k: int = 3) -> RunSummary:
     per_period = max(1, periods)  # an empty run still gets zero frequencies
     cost = sum(c.provider_cost_wei for c in result.datasets)
     earnings = sum(c.provider_earnings_wei for c in result.datasets)
-    top = tuple(
-        (addr.id, price.wei_to_usd(fees + paid))
-        for addr, (_, fees, paid) in _ranked_requesters(result)[:k]
-    )
+    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in _ranked_requesters(result)[:k])
     return RunSummary(
         seed=result.config.seed,
         scenario=result.config.scenario.value,
@@ -314,16 +316,8 @@ def cost_overlay_csv(result: SimResult) -> str:
 def requester_costs_csv(result: SimResult) -> str:
     """Base gas cost vs additional compensation payment, per requester and kind."""
     price = result.chain.price
-    rows: dict[tuple[str, str], list[int]] = {}
-    for r in result.records:
-        if r.kind not in (ActionKind.REQUEST, ActionKind.RENEW):
-            continue
-        row = rows.setdefault((r.actor.id, r.kind.value), [0, 0, 0])
-        row[0] += 1
-        row[1] += r.tx_gas_fee_wei
-        row[2] += r.payment_wei
     lines = ["address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd"]
-    for (address, kind), (n, fees, paid) in sorted(rows.items()):
+    for (address, kind), (n, fees, paid) in sorted(_requester_kind_totals(result).items()):
         lines.append(
             f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},"
             f"{price.wei_to_usd(paid):.2f},{price.wei_to_usd(fees + paid):.2f}"
@@ -348,9 +342,8 @@ def top_requesters_csv(result: SimResult, k: int = 3) -> str:
             f"provider,{addr.id},{provider_actions.get(addr, 0)},{total},"
             f"{price.wei_to_usd(total):.2f}"
         )
-    for addr, (n, fees, paid) in _ranked_requesters(result)[:k]:
-        total = fees + paid
-        lines.append(f"requester,{addr.id},{n},{total},{price.wei_to_usd(total):.2f}")
+    for addr, n, total in _ranked_requesters(result)[:k]:
+        lines.append(f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}")
     return "\n".join(lines) + "\n"
 
 

@@ -44,12 +44,6 @@ def test_provider_probability_drawn_within_bounds():
             assert 0.01 <= p.base_prob <= 0.05
 
 
-@pytest.mark.parametrize("mode", ["clamp", "affine-sigma"])
-def test_alternative_normalizations_stay_in_unit_interval(mode):
-    pop = generate_population(PopulationConfig(n_accounts=300, normalization=mode))
-    assert all(0.0 <= p.base_prob <= 1.0 for p in pop)
-
-
 def test_generation_is_deterministic_per_seed():
     cfg = PopulationConfig(n_accounts=64, seed=7)
     a = generate_population(cfg)
@@ -72,13 +66,11 @@ def test_external_rng_overrides_seed():
     {"n_accounts": 1},
     {"max_providers": 0},
     {"max_providers": 10, "n_accounts": 10},
-    {"sigma": 0.0},
     {"decay": 0.0},
     {"decay": 1.0},
     {"provider_prob_min": -0.1},
     {"provider_prob_min": 0.6, "provider_prob_max": 0.5},
     {"provider_prob_max": 1.5},
-    {"normalization": "zscore"},
 ])
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(BadConfigError):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 
 import pytest
 
+from incentiveledger import cli
 from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
-from incentiveledger.errors import ConfigError
+from incentiveledger.errors import ConfigError, EngineError
 
 SMALL = ["--accounts", "30", "--actions", "25"]
 
@@ -205,8 +207,78 @@ def test_sweep_margins_grid_within_one_scenario(tmp_path):
 
 
 def test_sweep_parameter_validation(tmp_path, capsys):
-    assert run_cli("sweep", *SMALL, "--seeds", "0", "--out", str(tmp_path)) == 2
-    assert run_cli("sweep", *SMALL, "--jobs", "0", "--out", str(tmp_path)) == 2
+    # Each exits 2 before any run writes: no seeds, --margins across
+    # scenarios, and a grid whose second cell (margin 100 in scenario 3) is
+    # invalid.
+    out = tmp_path / "out"
+    for bad, message in (
+        (["--seeds", "0"], "--seeds"),
+        (["--scenarios", "2,3", "--margins", "150,200"], "--margins"),
+        (["--scenario", "3", "--margins", "150,100"], "profit margin"),
+    ):
+        assert run_cli("sweep", *SMALL, *bad, "--out", str(out), "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
+    code = run_cli("sweep", *SMALL, "--seeds", "1", "--scenarios", "2,3",
+                   "--profit-margin", "150", "--out", str(tmp_path), "--quiet")
+    assert code == 0
+    assert (tmp_path / "scenario-2_fraction-5_margin-100" / "run-0").is_dir()
+    assert (tmp_path / "scenario-3_fraction-5_margin-200" / "run-0").is_dir()
+
+
+def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
+    real = cli.run_simulation
+
+    def fail_seed_1(cfg):
+        if cfg.seed == 1:
+            raise EngineError("period 2, action 5: injected")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_simulation", fail_seed_1)
+    code = run_cli("sweep", *SMALL, "--seeds", "3", "--out", str(tmp_path), "--quiet")
+    assert code == 1
+    cell = tmp_path / "scenario-2_fraction-5_margin-100"
+    assert sorted(p.name for p in cell.iterdir()) == ["run-0", "run-2"]
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    seeds = [dict(zip(rows[0].split(","), row.split(",")))["seed"] for row in rows[1:]]
+    assert seeds == ["0", "2"]
+    even = (tmp_path / "break_even.csv").read_text().splitlines()
+    assert even[1].startswith("2,5,100,2,")
+
+
+def test_sweep_logs_the_grid_cell_of_a_failed_run(tmp_path, caplog):
+    # At twenty thousand gwei the provider cannot pay for its deployment.
+    with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
+        code = run_cli("sweep", *SMALL, "--seeds", "1", "--scenario", "3", "--margins", "150",
+                       "--access-fraction", "10", "--renew-fraction", "7",
+                       "--gas-price-gwei", "20000", "--out", str(tmp_path), "--quiet")
+    assert code == 1
+    [entry] = caplog.records
+    assert entry.levelno == logging.ERROR
+    message = entry.getMessage()
+    for part in ("scenario 3", "margin 150", "access fraction 10", "renew fraction 7", "seed 0",
+                 "period 0, action 0"):
+        assert part in message
+    assert not (tmp_path / "scenario-3_fraction-10_margin-150").exists()
+
+
+def tree_digest(root) -> str:
+    """sha256 over every file's relative path and bytes, in sorted path order."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        h.update(rel.encode() + b"\0" + (root / rel).read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_sweep_tree_matches_golden_digest(tmp_path):
+    # Computed while the sweep still collected each cell's results before
+    # writing them; the streaming loop must write the same 182 files.
+    assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10",
+                   "--seeds", "3", "--out", str(tmp_path), "--quiet") == 0
+    assert tree_digest(tmp_path) == "d006d347ebbeba59089f28ac9a09f99f68fea94f355829d637e9de5aeeef2cef"
 
 
 def test_build_sim_config_round_trips_parse(tmp_path):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -17,10 +15,9 @@ from incentiveledger import (
     SimConfig,
     break_even_period,
     run_simulation,
-    sweep,
     with_seed,
 )
-from incentiveledger.chain import GWEI, WEI_PER_ETH, PriceModel
+from incentiveledger.chain import WEI_PER_ETH
 from incentiveledger.errors import ConfigError, EngineError
 
 
@@ -191,40 +188,3 @@ def test_with_seed_rewires_engine_and_population_seeds():
     assert reseeded.seed == 42 and reseeded.population.seed == 42
     assert cfg.seed == 3 and cfg.population.seed == 3  # original untouched
 
-
-def test_sweep_preserves_order_and_isolates_failures():
-    cfgs = [
-        with_seed(small_cfg(action_ticker=20), 0),
-        replace(small_cfg(action_ticker=20), prefund_wei=1),  # cannot publish
-        with_seed(small_cfg(action_ticker=20), 2),
-    ]
-    results = sweep(cfgs)
-    assert results[1] is None
-    assert results[0] is not None and results[2] is not None
-    assert results[0].config.seed == 0 and results[2].config.seed == 2
-    assert sweep([]) == []
-    with pytest.raises(ConfigError):
-        sweep(cfgs, jobs=0)
-
-
-def test_sweep_logs_the_grid_cell_of_a_failed_run(caplog):
-    # At twenty thousand gwei the provider cannot pay for its deployment.
-    failing = with_seed(
-        small_cfg(scenario=Scenario.PROFIT, profit_margin_pct=150, access_fraction_pct=10,
-                  renew_fraction_pct=7, price=PriceModel(gas_price_wei=20_000 * GWEI)),
-        4,
-    )
-    with caplog.at_level(logging.ERROR, logger="incentiveledger.engine"):
-        assert sweep([failing]) == [None]
-    [entry] = caplog.records
-    message = entry.getMessage()
-    for part in ("scenario 3", "margin 150", "access fraction 10", "renew fraction 7", "seed 4",
-                 "period 0, action 0"):
-        assert part in message
-
-
-def test_sweep_parallel_matches_serial():
-    cfgs = [with_seed(small_cfg(action_ticker=25), s) for s in range(4)]
-    serial = sweep(cfgs, jobs=1)
-    parallel = sweep(cfgs, jobs=3)
-    assert [stream(r) for r in serial] == [stream(r) for r in parallel]
