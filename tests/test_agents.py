@@ -66,6 +66,7 @@ def test_external_rng_overrides_seed():
     {"n_accounts": 1},
     {"max_providers": 0},
     {"max_providers": 10, "n_accounts": 10},
+    {"max_providers": -1},
     {"decay": 0.0},
     {"decay": 1.0},
     {"provider_prob_min": -0.1},
