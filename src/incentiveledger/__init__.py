@@ -32,7 +32,6 @@ from .engine import (
     with_seed,
 )
 from .errors import (
-    BadConfigError,
     ConfigError,
     EngineError,
     LedgerError,
@@ -63,7 +62,6 @@ __all__ = [
     "ActionRecord",
     "Address",
     "AgentProfile",
-    "BadConfigError",
     "BurnCause",
     "ChainState",
     "ConfigError",

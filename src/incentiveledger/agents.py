@@ -9,11 +9,11 @@ appetite for renewals decays geometrically with every renewal they make.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .chain import Address, account_address
-from .errors import BadConfigError
+from .errors import ConfigError
 
 
 class Role(Enum):
@@ -32,13 +32,13 @@ class PopulationConfig:
 
     def validate(self) -> None:
         if self.n_accounts < 2:
-            raise BadConfigError("need at least two accounts")
+            raise ConfigError("need at least two accounts")
         if self.max_providers < 1 or self.max_providers >= self.n_accounts:
-            raise BadConfigError("provider count must leave at least one requester")
+            raise ConfigError("provider count must leave at least one requester")
         if not 0 < self.decay < 1:
-            raise BadConfigError("decay must lie strictly between 0 and 1")
+            raise ConfigError("decay must lie strictly between 0 and 1")
         if not 0 <= self.provider_prob_min <= self.provider_prob_max <= 1:
-            raise BadConfigError("provider probability bounds must satisfy 0 <= min <= max <= 1")
+            raise ConfigError("provider probability bounds must satisfy 0 <= min <= max <= 1")
 
 
 @dataclass
@@ -50,7 +50,6 @@ class AgentProfile:
     decay: float
     renewals: int = 0
     last_action_period: int | None = None
-    datasets_held: set[Address] = field(default_factory=set)
 
 
 def generate_population(cfg: PopulationConfig, rng: random.Random | None = None) -> list[AgentProfile]:

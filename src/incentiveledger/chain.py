@@ -12,10 +12,13 @@ never feed back into balances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .errors import (
+    ConfigError,
     InsufficientFundsError,
     UnknownAccountError,
     UnknownFunctionError,
@@ -68,37 +71,36 @@ NULL_ADDRESS = Address("0x0")
 MINER_ADDRESS = Address("miner")
 
 
+# One shared object per account: the population and the chain key their
+# dicts by the same Address, so lookups match by identity and skip __eq__.
+# The cache holds one Address per account index the process has used.
+@cache
 def account_address(index: int) -> Address:
     return Address(f"acct-{index:04d}")
 
 
-# Measured cost of each contract function: (transaction gas, execution gas).
-# Transaction gas is what a caller is billed for; execution gas is kept as
-# metadata because the two differ by the fixed intrinsic transaction cost.
-_CORE_GAS: dict[str, tuple[int, int]] = {
-    DEPLOYMENT: (6_724_230, 5_118_378),
-    PUBLISH_DATA: (95_560, 72_560),
-    UPDATE_DATA: (43_799, 20_863),
-    ADD_DATA_REQUESTER: (475_067, 453_411),
-    RENEW_TOKEN: (45_211, 23_747),
-    SET_LICENSE: (39_339, 37_075),
-    SET_REGISTRY_ADDRESS: (37_131, 14_515),
-    SET_PROFIT_MARGIN: (35_091, 13_627),
-    SET_PRICE: (31_062, 9_406),
+# Measured transaction gas of each contract function: what a caller is
+# billed for, intrinsic transaction cost included.
+_CORE_GAS: dict[str, int] = {
+    DEPLOYMENT: 6_724_230,
+    PUBLISH_DATA: 95_560,
+    UPDATE_DATA: 43_799,
+    ADD_DATA_REQUESTER: 475_067,
+    RENEW_TOKEN: 45_211,
+    SET_LICENSE: 39_339,
+    SET_REGISTRY_ADDRESS: 37_131,
+    SET_PROFIT_MARGIN: 35_091,
+    SET_PRICE: 31_062,
 }
 
-_REGISTRY_GAS: dict[str, tuple[int, int]] = {
-    REGISTRY_DEPLOYMENT: (621_087, 432_315),
-    NEW_DATA_PROVIDER: (44_855, 22_175),
-    REGISTER_NEW_USER: (45_669, 22_797),
-    UPDATE_USER_LICENSE: (27_732, 6_268),
-    CHECK_PROVIDER: (23_991, 1_311),
-    CHECK_USER: (23_877, 1_197),
+_REGISTRY_GAS: dict[str, int] = {
+    REGISTRY_DEPLOYMENT: 621_087,
+    NEW_DATA_PROVIDER: 44_855,
+    REGISTER_NEW_USER: 45_669,
+    UPDATE_USER_LICENSE: 27_732,
+    CHECK_PROVIDER: 23_991,
+    CHECK_USER: 23_877,
 }
-
-# setMultis has no measured row; it is a one-word setter like
-# setProfitMargin, so it borrows that measurement by default.
-_SET_MULTIS_GAS = _CORE_GAS[SET_PROFIT_MARGIN]
 
 # Marginal gas an update pays per active access token, calibrated so a
 # dataset with 60 requesters prices an update near $64.30 while an empty
@@ -111,15 +113,14 @@ class GasSchedule:
     """Per-function transaction gas, plus the per-requester update premium."""
 
     transaction_gas: Mapping[str, int]
-    execution_gas: Mapping[str, int]
     per_requester_update_gas: int = PER_REQUESTER_UPDATE_GAS
 
     def __post_init__(self) -> None:
-        for name, gas in self.transaction_gas.items():
-            if gas <= 0:
-                raise ValueError(f"gas for {name} must be positive, got {gas}")
-        if self.per_requester_update_gas <= 0:
-            raise ValueError("per-requester update gas must be positive")
+        per_requester = ("the per-requester update", self.per_requester_update_gas)
+        for name, gas in (*self.transaction_gas.items(), per_requester):
+            # bool is an int subclass; a JSON true must not pass as 1 gas.
+            if type(gas) is not int or gas <= 0:
+                raise ConfigError(f"gas for {name} must be a positive integer, got {gas!r}")
 
     def gas_for(self, function: str) -> int:
         try:
@@ -129,25 +130,29 @@ class GasSchedule:
 
 
 def default_gas_schedule() -> GasSchedule:
-    txn = {name: pair[0] for name, pair in (_CORE_GAS | _REGISTRY_GAS).items()}
-    exe = {name: pair[1] for name, pair in (_CORE_GAS | _REGISTRY_GAS).items()}
-    txn[SET_MULTIS] = _SET_MULTIS_GAS[0]
-    exe[SET_MULTIS] = _SET_MULTIS_GAS[1]
-    return GasSchedule(transaction_gas=txn, execution_gas=exe)
+    # setMultis has no measured row; it is a one-word setter like
+    # setProfitMargin, so it borrows that measurement by default.
+    return GasSchedule(transaction_gas=_CORE_GAS | _REGISTRY_GAS | {SET_MULTIS: _CORE_GAS[SET_PROFIT_MARGIN]})
 
 
 @dataclass(frozen=True)
 class PriceModel:
-    """Fixed gas price and exchange rate for a whole run."""
+    """Fixed gas price and exchange rate for a whole run.
+
+    A fractional gas price (the CLI passes gwei * GWEI as a float) rounds
+    to whole wei, because fees are integer wei.
+    """
 
     gas_price_wei: int = 72 * GWEI
     eth_usd: float = 1716.52
 
     def __post_init__(self) -> None:
-        if self.gas_price_wei <= 0:
-            raise ValueError("gas price must be positive")
-        if self.eth_usd <= 0:
-            raise ValueError("exchange rate must be positive")
+        if 0 < self.gas_price_wei < math.inf:
+            object.__setattr__(self, "gas_price_wei", round(self.gas_price_wei))
+        if not 0 < self.gas_price_wei < math.inf:
+            raise ConfigError(f"gas price must be finite and at least 1 wei, got {self.gas_price_wei!r} wei")
+        if not 0 < self.eth_usd < math.inf:
+            raise ConfigError(f"exchange rate must be positive and finite, got {self.eth_usd!r}")
 
     def fee_wei(self, gas: int) -> int:
         return gas * self.gas_price_wei
@@ -191,10 +196,6 @@ class ChainState:
         self._account_seq = 0
         self._contract_seq = 0
 
-    @property
-    def miner(self) -> Address:
-        return MINER_ADDRESS
-
     def create_accounts(self, n: int, prefund_wei: int) -> list[Address]:
         if n < 1:
             raise ValueError("need at least one account")
@@ -202,14 +203,16 @@ class ChainState:
             raise ValueError("prefund cannot be negative")
         created = []
         for _ in range(n):
-            created.append(self.create_named_account(account_address(self._account_seq).id, prefund_wei))
+            created.append(self._open_account(account_address(self._account_seq), prefund_wei))
             self._account_seq += 1
         return created
 
     def create_named_account(self, name: str, prefund_wei: int = 0) -> Address:
-        addr = Address(name)
+        return self._open_account(Address(name), prefund_wei)
+
+    def _open_account(self, addr: Address, prefund_wei: int) -> Address:
         if addr in self.accounts:
-            raise ValueError(f"account {name} already exists")
+            raise ValueError(f"account {addr} already exists")
         self.accounts[addr] = prefund_wei
         self.funding[addr] = prefund_wei
         self.minted_wei += prefund_wei

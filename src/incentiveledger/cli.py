@@ -22,43 +22,33 @@ from . import __version__
 from .agents import PopulationConfig
 from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
-from .engine import SimConfig, run_simulation, with_seed
-from .errors import BadConfigError, ConfigError, EngineError, LedgerError
+from .engine import SimConfig, run_simulation, settings, with_seed
+from .errors import ConfigError, EngineError, LedgerError
 from .reporting import summary_csv, summary_text, write_run_reports
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
 
 log = logging.getLogger(__name__)
 
-_BASE = SimConfig()
+# Flags, config-file keys, value types and defaults all come from the
+# settings of the default config. An unset profit margin resolves per
+# scenario, so its default is None.
+_BASE = settings(SimConfig())
+_TYPES = {flag: type(value) for flag, value in _BASE.items()}
+_DEFAULTS = {**_BASE, "profit-margin": None}
 
-# Config-file keys are the flag names; flags use the same strings as
-# argparse dest, so file values and flag values merge into one dict.
-_KEYS: dict[str, tuple] = {
-    "scenario": (int, _BASE.scenario.value),
-    "actions": (int, _BASE.action_ticker),
-    "access-fraction": (int, _BASE.access_fraction_pct),
-    "renew-fraction": (int, _BASE.renew_fraction_pct),
-    "profit-margin": (int, None),
-    "update-multiplier": (int, _BASE.update_multiplier),
-    "accounts": (int, _BASE.population.n_accounts),
-    "max-providers": (int, _BASE.population.max_providers),
-    "decay": (float, _BASE.population.decay),
-    "provider-prob-max": (float, _BASE.population.provider_prob_max),
-    "gas-price-gwei": (float, _BASE.price.gas_price_wei / GWEI),
-    "eth-usd": (float, _BASE.price.eth_usd),
-    "seed": (int, _BASE.seed),
-}
+
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def parse_config_file(path: Path) -> dict:
     """Flat key=value lines; blank lines and # comments allowed."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -66,11 +56,10 @@ def parse_config_file(path: Path) -> dict:
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        coerce = _KEYS[key][0]
         try:
-            values[key] = coerce(value.strip())
+            values[key] = _TYPES[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -79,53 +68,42 @@ def parse_config_file(path: Path) -> dict:
 def load_gas_table(path: Path) -> GasSchedule:
     """Override parts of the default gas schedule from a JSON file.
 
-    Shape: {"transactionGas": {tag: gas}, "executionGas": {tag: gas},
-    "perRequesterUpdateGas": gas}; every section is optional and unknown
-    tags are rejected.
+    Shape: {"transactionGas": {tag: gas}, "perRequesterUpdateGas": gas};
+    both sections are optional, and unknown sections and tags are rejected.
+    GasSchedule checks the gas values themselves.
     """
     base = default_gas_schedule()
+    text = _read_text(path, "gas table")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read gas table {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    unknown = set(data) - {"transactionGas", "executionGas", "perRequesterUpdateGas"}
+    unknown = set(data) - {"transactionGas", "perRequesterUpdateGas"}
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
-    txn = dict(base.transaction_gas)
-    exe = dict(base.execution_gas)
-    for section, table in (("transactionGas", txn), ("executionGas", exe)):
-        for tag, gas in data.get(section, {}).items():
-            if tag not in table:
-                raise ConfigError(f"{path}: unknown function tag {tag!r} in {section}")
-            if not isinstance(gas, int) or gas <= 0:
-                raise ConfigError(f"{path}: gas for {tag!r} must be a positive integer")
-            table[tag] = gas
-    per_requester = data.get("perRequesterUpdateGas", base.per_requester_update_gas)
-    if not isinstance(per_requester, int) or per_requester < 0:
-        raise ConfigError(f"{path}: perRequesterUpdateGas must be a non-negative integer")
-    return GasSchedule(transaction_gas=txn, execution_gas=exe, per_requester_update_gas=per_requester)
+    overrides = data.get("transactionGas", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: transactionGas must be a JSON object")
+    unknown = set(overrides) - set(base.transaction_gas)
+    if unknown:
+        raise ConfigError(f"{path}: unknown function tag(s) {sorted(unknown)} in transactionGas")
+    try:
+        return GasSchedule(
+            transaction_gas={**base.transaction_gas, **overrides},
+            per_requester_update_gas=data.get("perRequesterUpdateGas", base.per_requester_update_gas),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_sim_config(values: dict, schedule: GasSchedule) -> SimConfig:
+    """The inverse of engine.settings: a validated SimConfig from flag-keyed values."""
     try:
         scenario = Scenario(values["scenario"])
     except ValueError:
         raise ConfigError(f"scenario must be 1, 2 or 3, got {values['scenario']}") from None
-    population = PopulationConfig(
-        n_accounts=values["accounts"],
-        decay=values["decay"],
-        max_providers=values["max-providers"],
-        provider_prob_max=values["provider-prob-max"],
-        seed=values["seed"],
-    )
-    price = PriceModel(
-        gas_price_wei=int(round(values["gas-price-gwei"] * GWEI)),
-        eth_usd=values["eth-usd"],
-    )
     cfg = SimConfig(
         scenario=scenario,
         action_ticker=values["actions"],
@@ -134,8 +112,14 @@ def build_sim_config(values: dict, schedule: GasSchedule) -> SimConfig:
         profit_margin_pct=values["profit-margin"],
         update_multiplier=values["update-multiplier"],
         seed=values["seed"],
-        population=population,
-        price=price,
+        population=PopulationConfig(
+            n_accounts=values["accounts"],
+            max_providers=values["max-providers"],
+            decay=values["decay"],
+            provider_prob_max=values["provider-prob-max"],
+            seed=values["seed"],
+        ),
+        price=PriceModel(gas_price_wei=values["gas-price-gwei"] * GWEI, eth_usd=values["eth-usd"]),
         schedule=schedule,
     )
     cfg.validate()
@@ -153,34 +137,20 @@ def _grid_list(text: str) -> list[int]:
 
 
 def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
-    sup = argparse.SUPPRESS
-    s = parser.add_argument_group("simulation settings")
-    s.add_argument("--scenario", dest="scenario", type=int, choices=(1, 2, 3), default=sup,
-                   help="compensation scenario (default 2)")
-    s.add_argument("--seed", dest="seed", type=int, default=sup,
-                   help="master random seed (default 0)")
-    s.add_argument("--actions", dest="actions", type=int, default=sup,
-                   help="stop after this many actions (default 500)")
-    s.add_argument("--accounts", dest="accounts", type=int, default=sup,
-                   help="number of agent accounts (default 1000)")
-    s.add_argument("--access-fraction", dest="access-fraction", type=int, default=sup,
-                   metavar="PCT", help="percent of open cost charged on access (default 5)")
-    s.add_argument("--renew-fraction", dest="renew-fraction", type=int, default=sup,
-                   metavar="PCT", help="percent of open cost charged on renewal (default 5)")
-    s.add_argument("--profit-margin", dest="profit-margin", type=int, default=sup,
-                   metavar="PCT", help="margin percent >= 100 (default 100; 200 in scenario 3)")
-    s.add_argument("--gas-price-gwei", dest="gas-price-gwei", type=float, default=sup,
-                   metavar="G", help="gas price in gwei (default 72)")
-    s.add_argument("--eth-usd", dest="eth-usd", type=float, default=sup,
-                   metavar="X", help="exchange rate for display figures (default 1716.52)")
-    s.add_argument("--max-providers", dest="max-providers", type=int, default=sup,
-                   metavar="N", help="number of provider agents (default 1)")
-    s.add_argument("--provider-prob-max", dest="provider-prob-max", type=float, default=sup,
-                   metavar="P", help="provider publish probability upper bound (default 0.05)")
-    s.add_argument("--update-multiplier", dest="update-multiplier", type=int, default=sup,
-                   metavar="M", help="update probability multiplier (default 5)")
-    s.add_argument("--decay", dest="decay", type=float, default=sup,
-                   metavar="D", help="per-renewal probability decay factor (default 0.75)")
+    s = parser.add_argument_group(
+        "simulation settings", "each is also a --config key under the same name; see README"
+    )
+    margins = ", ".join(
+        f"{settings(SimConfig(scenario=scenario))['profit-margin']} in scenario {scenario.value}"
+        for scenario in Scenario
+    )
+    for flag, default in _DEFAULTS.items():
+        choices = [scenario.value for scenario in Scenario] if flag == "scenario" else None
+        s.add_argument(
+            f"--{flag}", dest=flag, type=_TYPES[flag], choices=choices, default=argparse.SUPPRESS,
+            metavar=None if choices else _TYPES[flag].__name__.upper(),
+            help=f"default {margins if default is None else default}",
+        )
     g = parser.add_argument_group("inputs and outputs")
     g.add_argument("--config", type=Path, default=None, metavar="FILE",
                    help="key=value settings file, overridden by explicit flags")
@@ -192,10 +162,10 @@ def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_values(args: argparse.Namespace) -> dict:
-    values = {key: default for key, (_, default) in _KEYS.items()}
+    values = dict(_DEFAULTS)
     if args.config is not None:
         values.update(parse_config_file(args.config))
-    values.update({k: v for k, v in vars(args).items() if k in _KEYS})
+    values.update({k: v for k, v in vars(args).items() if k in _DEFAULTS})
     return values
 
 
@@ -324,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BadConfigError as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except LedgerError as exc:

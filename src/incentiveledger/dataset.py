@@ -53,9 +53,15 @@ class Scenario(Enum):
     PROFIT = 3
 
 
-def _check_pct(name: str, value: int, minimum: int, maximum: int) -> None:
+# Inclusive bounds the contract puts on its percentage parameters.
+MARGIN_PCT = (100, 10_000)
+FRACTION_PCT = (1, 100)
+
+
+def check_pct(name: str, value: int, bounds: tuple[int, int], error: type[Exception] = OutOfRangeError) -> None:
+    minimum, maximum = bounds
     if not isinstance(value, int) or not minimum <= value <= maximum:
-        raise OutOfRangeError(f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
+        raise error(f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
 
 
 class DatasetContract:
@@ -114,9 +120,9 @@ class DatasetContract:
         """
         if not registry.check_provider(provider):
             raise NotProviderError(f"{provider} is not an approved provider")
-        _check_pct("profit margin", profit_margin_pct, 100, 10_000)
-        _check_pct("access fraction", access_fraction_pct, 1, 100)
-        _check_pct("renew fraction", renew_fraction_pct, 1, 100)
+        check_pct("profit margin", profit_margin_pct, MARGIN_PCT)
+        check_pct("access fraction", access_fraction_pct, FRACTION_PCT)
+        check_pct("renew fraction", renew_fraction_pct, FRACTION_PCT)
         deploy_fee = chain.price.fee_wei(chain.schedule.gas_for(DEPLOYMENT))
         publish_fee = chain.price.fee_wei(chain.schedule.gas_for(PUBLISH_DATA))
         if chain.balance(provider) < deploy_fee + publish_fee:
@@ -195,7 +201,7 @@ class DatasetContract:
 
     def set_profit_margin(self, caller: Address, pct: int) -> TxReceipt:
         self._require_live_owner(caller)
-        _check_pct("profit margin", pct, 100, 10_000)
+        check_pct("profit margin", pct, MARGIN_PCT)
         receipt = self.chain.execute(caller, SET_PROFIT_MARGIN)
         self.accrue_cost(receipt.gas_used)
         self.profit_margin_pct = pct
@@ -203,8 +209,8 @@ class DatasetContract:
 
     def set_multis(self, caller: Address, access_fraction_pct: int, renew_fraction_pct: int) -> TxReceipt:
         self._require_live_owner(caller)
-        _check_pct("access fraction", access_fraction_pct, 1, 100)
-        _check_pct("renew fraction", renew_fraction_pct, 1, 100)
+        check_pct("access fraction", access_fraction_pct, FRACTION_PCT)
+        check_pct("renew fraction", renew_fraction_pct, FRACTION_PCT)
         receipt = self.chain.execute(caller, SET_MULTIS)
         self.accrue_cost(receipt.gas_used)
         self.access_fraction_pct = access_fraction_pct

@@ -26,6 +26,7 @@ from enum import Enum
 
 from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
 from .chain import (
+    GWEI,
     Address,
     ChainState,
     GasSchedule,
@@ -36,7 +37,7 @@ from .chain import (
     WEI_PER_ETH,
     default_gas_schedule,
 )
-from .dataset import DatasetContract, Scenario
+from .dataset import FRACTION_PCT, MARGIN_PCT, DatasetContract, Scenario, check_pct
 from .errors import ConfigError, EngineError, LedgerError
 from .registry import DEFAULT_LICENSE, Registry
 from .tokens import (
@@ -124,13 +125,12 @@ class SimConfig:
             raise ConfigError("update multiplier must be at least 1")
         if self.prefund_wei <= 0:
             raise ConfigError("prefund must be positive")
-        if not isinstance(self.access_fraction_pct, int) or not 1 <= self.access_fraction_pct <= 100:
-            raise ConfigError("access fraction must be an integer percentage in [1, 100]")
-        if not isinstance(self.renew_fraction_pct, int) or not 1 <= self.renew_fraction_pct <= 100:
-            raise ConfigError("renew fraction must be an integer percentage in [1, 100]")
         margin = self.resolved_margin_pct
-        if margin < 100:
-            raise ConfigError("profit margin below 100 would sell at a loss")
+        # The contract's own bounds, checked here so that a run the
+        # contract would refuse at its first publication never starts.
+        check_pct("profit margin", margin, MARGIN_PCT, ConfigError)
+        check_pct("access fraction", self.access_fraction_pct, FRACTION_PCT, ConfigError)
+        check_pct("renew fraction", self.renew_fraction_pct, FRACTION_PCT, ConfigError)
         if self.scenario is Scenario.PROFIT and margin <= 100:
             raise ConfigError("scenario 3 needs a profit margin above 100")
         if self.scenario is not Scenario.PROFIT and margin != 100:
@@ -149,6 +149,38 @@ class SimConfig:
                 f"prefund of {self.prefund_wei} wei cannot pay the registry bootstrap "
                 f"of {bootstrap_fee} wei for {self.population.n_accounts} accounts"
             )
+        # The largest wei figure a report converts to USD is the cost pool:
+        # at most every minted wei (agents plus authority) scaled by the margin.
+        most_wei = self.prefund_wei * (self.population.n_accounts + 1) * margin // 100
+        try:
+            self.price.wei_to_usd(most_wei)
+        except OverflowError:
+            raise ConfigError(
+                f"exchange rate {self.price.eth_usd!r} overflows the USD value of {most_wei} wei"
+            ) from None
+
+
+def settings(cfg: SimConfig) -> dict[str, int | float]:
+    """The CLI-settable values of cfg, keyed by flag name, in config.txt order.
+
+    The CLI takes its flags, config-file keys, value types and defaults from
+    settings(SimConfig()); cli.build_sim_config is the inverse.
+    """
+    return {
+        "scenario": cfg.scenario.value,
+        "actions": cfg.action_ticker,
+        "access-fraction": cfg.access_fraction_pct,
+        "renew-fraction": cfg.renew_fraction_pct,
+        "profit-margin": cfg.resolved_margin_pct,
+        "update-multiplier": cfg.update_multiplier,
+        "accounts": cfg.population.n_accounts,
+        "max-providers": cfg.population.max_providers,
+        "decay": cfg.population.decay,
+        "provider-prob-max": cfg.population.provider_prob_max,
+        "gas-price-gwei": cfg.price.gas_price_wei / GWEI,
+        "eth-usd": cfg.price.eth_usd,
+        "seed": cfg.seed,
+    }
 
 
 @dataclass
@@ -200,7 +232,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     cfg.validate()
     rng = random.Random(cfg.seed)
     chain = ChainState(cfg.schedule, cfg.price)
-    addresses = chain.create_accounts(cfg.population.n_accounts, cfg.prefund_wei)
+    chain.create_accounts(cfg.population.n_accounts, cfg.prefund_wei)
     authority = chain.create_named_account("authority", cfg.prefund_wei)
     population = generate_population(cfg.population, rng)
 
@@ -262,7 +294,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                     contract, fees = _publish_dataset(chain, registry, store, cfg, provider, next_provider + 1)
                     datasets.append(contract)
                     dataset_owner[contract.contract_address] = provider
-                    provider.datasets_held.add(contract.contract_address)
                     provider.last_action_period = period
                     record(ActionKind.PUBLISH, provider.address, contract, fees, 0)
                     next_provider += 1
@@ -297,7 +328,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                         roster.append((token, requester, contract))
                         receipt = chain.receipts[-1]
                         requester.last_action_period = period
-                        requester.datasets_held.add(contract.contract_address)
                         record(ActionKind.REQUEST, requester.address, contract, receipt.gas_fee_wei, payment)
                     next_requester += 1
 
@@ -357,7 +387,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
             raise
         raise EngineError(f"period {period}, action {actions}: {exc}") from exc
 
-    assert len(addresses) == len(population)
     return SimResult(
         config=cfg,
         records=records,

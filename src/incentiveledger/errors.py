@@ -92,12 +92,12 @@ class AlreadyBurnedError(LedgerError):
     """Burn attempted on a token that is already burned."""
 
 
-class BadConfigError(LedgerError):
-    """Population parameters are inconsistent or out of range."""
+class ConfigError(ValueError):
+    """A setting is inconsistent or out of range; raised before any simulation.
 
-
-class ConfigError(BadConfigError):
-    """Simulation configuration is inconsistent or out of range."""
+    Not a LedgerError: a bad configuration is the caller's input, not a
+    simulated-ledger failure, and the CLI exits 2 on it.
+    """
 
 
 class EngineError(LedgerError):

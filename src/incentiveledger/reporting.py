@@ -29,9 +29,8 @@ from .chain import (
     UPDATE_DATA,
     Address,
     ChainState,
-    GWEI,
 )
-from .engine import ActionKind, SimResult, break_even_period
+from .engine import ActionKind, SimResult, break_even_period, settings
 from .errors import ReconciliationFailureError
 
 # Owner calls whose fees feed the requester-compensation pool.
@@ -431,23 +430,7 @@ def summary_csv(summary: RunSummary) -> str:
 
 def config_text(result: SimResult) -> str:
     """Effective settings in config-file form; feeding it back reproduces the run."""
-    cfg = result.config
-    pairs = [
-        ("scenario", cfg.scenario.value),
-        ("actions", cfg.action_ticker),
-        ("access-fraction", cfg.access_fraction_pct),
-        ("renew-fraction", cfg.renew_fraction_pct),
-        ("profit-margin", cfg.resolved_margin_pct),
-        ("update-multiplier", cfg.update_multiplier),
-        ("accounts", cfg.population.n_accounts),
-        ("max-providers", cfg.population.max_providers),
-        ("decay", repr(cfg.population.decay)),
-        ("provider-prob-max", repr(cfg.population.provider_prob_max)),
-        ("gas-price-gwei", repr(cfg.price.gas_price_wei / GWEI)),
-        ("eth-usd", repr(cfg.price.eth_usd)),
-        ("seed", cfg.seed),
-    ]
-    return "\n".join(f"{name}={value}" for name, value in pairs) + "\n"
+    return "".join(f"{flag}={value}\n" for flag, value in settings(result.config).items())
 
 
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:

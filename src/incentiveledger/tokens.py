@@ -48,7 +48,6 @@ class BurnCause(Enum):
 class AccessToken:
     token_id: int
     dataset_address: Address
-    owner: Address
     user: Address
     license_code: int
     minted_period: int
@@ -97,7 +96,6 @@ class TokenStore:
     def mint(
         self,
         dataset_address: Address,
-        owner: Address,
         user: Address,
         license_code: int,
         period: int,
@@ -108,7 +106,6 @@ class TokenStore:
         token = AccessToken(
             token_id=self._next_id,
             dataset_address=dataset_address,
-            owner=owner,
             user=user,
             license_code=license_code,
             minted_period=period,
@@ -213,9 +210,7 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
         value_wei=value_wei,
         recipient=c.contract_address if value_wei > 0 else None,
     )
-    token = c.token_store.mint(
-        c.contract_address, c.owner, requester, c.required_license, c.chain.period
-    )
+    token = c.token_store.mint(c.contract_address, requester, c.required_license, c.chain.period)
     c.active_token_ids.add(token.token_id)
     c.apply_payment(value_wei)
     return token

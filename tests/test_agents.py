@@ -17,7 +17,7 @@ from incentiveledger import (
 )
 from incentiveledger.agents import population_csv
 from incentiveledger.chain import account_address
-from incentiveledger.errors import BadConfigError
+from incentiveledger.errors import ConfigError
 
 
 def test_roles_partition_with_providers_first():
@@ -74,7 +74,7 @@ def test_external_rng_overrides_seed():
     {"provider_prob_max": 1.5},
 ])
 def test_config_validation_rejects_bad_values(overrides):
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         generate_population(PopulationConfig(**overrides))
 
 

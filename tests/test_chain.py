@@ -189,11 +189,11 @@ def test_price_and_schedule_validation():
     with pytest.raises(ValueError):
         PriceModel(eth_usd=0)
     with pytest.raises(ValueError):
-        GasSchedule(transaction_gas={"f": 0}, execution_gas={"f": 0})
+        GasSchedule(transaction_gas={"f": 0})
     with pytest.raises(ValueError):
-        GasSchedule(transaction_gas={"f": 1}, execution_gas={"f": 1}, per_requester_update_gas=0)
+        GasSchedule(transaction_gas={"f": 1}, per_requester_update_gas=0)
     with pytest.raises(UnknownFunctionError):
-        GasSchedule(transaction_gas={"f": 1}, execution_gas={"f": 1}).gas_for("g")
+        GasSchedule(transaction_gas={"f": 1}).gas_for("g")
 
 
 def test_log_csv_shape(chain):

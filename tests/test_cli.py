@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import logging
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incentiveledger import cli
 from incentiveledger.cli import build_sim_config, main, parse_config_file
@@ -71,13 +79,15 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert run_cli("run", "--config", str(config)) == 2
     config.write_text("scenario=two\n")
     assert run_cli("run", "--config", str(config)) == 2
+    config.write_bytes(b"seed=\xff\n")  # not UTF-8
+    assert run_cli("run", "--config", str(config)) == 2
 
 
 def test_margin_scenario_conflict_exits_2(tmp_path, capsys):
     code = run_cli("run", *SMALL, "--scenario", "3", "--profit-margin", "90",
                    "--out", str(tmp_path))
     assert code == 2
-    assert "below 100" in capsys.readouterr().err
+    assert "profit margin must be an integer in [100, 10000], got 90" in capsys.readouterr().err
     assert run_cli("run", *SMALL, "--scenario", "2", "--profit-margin", "150",
                    "--out", str(tmp_path)) == 2
 
@@ -126,6 +136,7 @@ def test_gas_table_overrides_change_fees(tmp_path):
 
 def test_bad_gas_tables_exit_2(tmp_path, capsys):
     table = tmp_path / "gas.json"
+    out = tmp_path / "out"
     for content in (
         json.dumps({"transactionGas": {"mintUnicorn": 5}}),
         json.dumps({"spellingMistake": {}}),
@@ -133,10 +144,39 @@ def test_bad_gas_tables_exit_2(tmp_path, capsys):
         json.dumps({"perRequesterUpdateGas": "lots"}),
         "not json{",
         json.dumps([1, 2]),
+        json.dumps({"perRequesterUpdateGas": 0}),
+        json.dumps({"transactionGas": {"updateData": True}}),
+        json.dumps({"transactionGas": 5}),
+        json.dumps({"executionGas": {"updateData": 20_863}}),
+        "\udcff",  # not UTF-8
+        '{"perRequesterUpdateGas": ' + "9" * 5000 + "}",  # past int()'s digit limit
+        "[" * 100_000,
     ):
-        table.write_text(content)
-        assert run_cli("run", "--gas-table", str(table)) == 2
+        table.write_bytes(content.encode("utf-8", "surrogateescape"))
+        assert run_cli("run", "--gas-table", str(table), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
     assert run_cli("run", "--gas-table", str(tmp_path / "missing.json")) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "3", "--profit-margin", "20000"],
+    ["--gas-price-gwei", "0"],
+    ["--gas-price-gwei", "1e-12"],
+    ["--gas-price-gwei", "nan"],
+    ["--gas-price-gwei", "inf"],
+    ["--eth-usd", "0"],
+    ["--eth-usd", "nan"],
+    ["--eth-usd", "inf"],
+    ["--eth-usd", "1e307"],
+], ids=" ".join)
+def test_bad_settings_exit_2_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run_cli("run", *SMALL, *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -305,3 +345,83 @@ def test_build_sim_config_round_trips_parse(tmp_path):
     assert cfg.seed == 12 and cfg.population.seed == 12
     with pytest.raises(ConfigError, match="scenario must be"):
         build_sim_config({**defaults, **values, "scenario": 7}, default_gas_schedule())
+
+
+REPORT_FILES = {
+    "actions.csv", "periods.csv", "contracts.csv", "profit.csv", "cost_overlay.csv",
+    "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "transactions.csv",
+    "tokens.csv", "population.csv", "registry.csv", "summary.txt", "summary.csv", "config.txt",
+}
+
+
+def _edge_floats(*extra: float) -> st.SearchStrategy:
+    return st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, *extra])
+
+
+_GAS = st.integers(-1, 100_000) | st.sampled_from([True, 1.5])
+
+# Small and boundary values of every setting; unset ones keep their
+# defaults, apart from accounts and actions, which stay small.
+_SETTINGS = st.fixed_dictionaries(
+    {"accounts": st.integers(-1, 60), "actions": st.integers(-1, 60)},
+    optional={
+        "scenario": st.sampled_from([1, 2, 3]),
+        "seed": st.integers(-2, 3),
+        "access-fraction": st.integers(-1, 101),
+        "renew-fraction": st.integers(-1, 101),
+        "profit-margin": st.sampled_from([-1, 0, 99, 100, 101, 200, 10_000, 10_001, 20_000]),
+        "update-multiplier": st.integers(-1, 6),
+        "max-providers": st.integers(-1, 4),
+        "decay": _edge_floats(1.0) | st.floats(0.0, 1.0),
+        "provider-prob-max": _edge_floats(0.01, 1.0) | st.floats(0.0, 1.0),
+        "gas-price-gwei": _edge_floats(1e-12, 20_000.0, 1e300) | st.floats(1e-9, 200.0),
+        "eth-usd": _edge_floats(1e307, 5e-324) | st.floats(1e-6, 1e4),
+    },
+)
+_GAS_TABLES = st.none() | st.fixed_dictionaries({}, optional={
+    "transactionGas": st.dictionaries(st.sampled_from(["updateData", "deployment"]), _GAS),
+    "perRequesterUpdateGas": _GAS,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_SETTINGS, gas_table=_GAS_TABLES)
+@example(values={"accounts": 30, "actions": 25, "scenario": 3, "profit-margin": 20_000}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "gas-price-gwei": 0.0}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "gas-price-gwei": 1e-12}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "gas-price-gwei": math.nan}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "gas-price-gwei": math.inf}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "gas-price-gwei": 20_000.0}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "eth-usd": 0.0}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "eth-usd": math.nan}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "eth-usd": math.inf}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "eth-usd": 1e307}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25}, gas_table={"perRequesterUpdateGas": 0})
+@example(values={"accounts": 30, "actions": 25}, gas_table={"transactionGas": {"updateData": True}})
+def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_table):
+    # Each run either completes with a reconciled report set, fails inside
+    # the simulation with the period and action of the failure, or is
+    # rejected with exit 2 before anything is written.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["run", *(f"--{flag}={value}" for flag, value in values.items()), "--out", str(out), "--quiet"]
+        if gas_table is not None:
+            table = Path(tmp) / "gas.json"
+            table.write_text(json.dumps(gas_table))
+            argv += ["--gas-table", str(table)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+            [run_dir] = out.iterdir()
+            assert {p.name for p in run_dir.iterdir()} == REPORT_FILES
+            summary = (run_dir / "summary.csv").read_text().splitlines()
+            assert dict(zip(summary[0].split(","), summary[1].split(",")))["actions"] == str(values["actions"])
+        elif code == 1:
+            assert re.fullmatch(r"error: period \d+, action \d+: [^\n]*\n", err)
+        else:
+            assert code == 2
+            assert re.fullmatch(r"error: [^\n]*\n", err)
+            assert not out.exists()

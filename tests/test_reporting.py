@@ -247,6 +247,23 @@ def test_top_requesters_lists_provider_rows_first(run):
     assert provider_total == run.datasets[0].provider_cost_wei
 
 
+def test_requester_ranking_breaks_spend_ties_by_lower_address():
+    # Scenario 1 charges gas only, so acct-0001 and acct-0003, with one
+    # request and one renewal each, spend exactly the same.
+    result = run_simulation(SimConfig(
+        scenario=Scenario.NO_COMPENSATION, action_ticker=8,
+        population=PopulationConfig(n_accounts=30, seed=0), seed=0,
+    ))
+    ranked = [
+        ("acct-0001", 37_460_016_000_000_000),
+        ("acct-0003", 37_460_016_000_000_000),
+        ("acct-0002", 34_204_824_000_000_000),
+    ]
+    rows = [line.split(",") for line in top_requesters_csv(result).splitlines()]
+    assert [(row[1], int(row[3])) for row in rows if row[0] == "requester"] == ranked
+    assert [addr for addr, _ in summarize(result).top_requesters] == [addr for addr, _ in ranked]
+
+
 def test_cost_distribution_quartiles_are_ordered(run):
     lines = cost_distribution_csv(run).splitlines()
     assert lines[0] == "kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd"
