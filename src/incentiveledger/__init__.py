@@ -43,7 +43,6 @@ from .tokens import (
     ACCESS_PERIODS,
     AccessToken,
     BurnCause,
-    PaymentQuote,
     TokenStore,
     burn_token,
     confirm_compliance,
@@ -73,7 +72,6 @@ __all__ = [
     "LedgerError",
     "MINER_ADDRESS",
     "NULL_ADDRESS",
-    "PaymentQuote",
     "PeriodStats",
     "PopulationConfig",
     "PriceModel",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Mapping
 
 from .errors import (
@@ -51,32 +50,15 @@ DESTROY = "destroy"
 WITHDRAW = "withdraw"
 
 
-@dataclass(frozen=True, slots=True)
-class Address:
-    """Opaque account identifier; uniqueness is enforced by ChainState."""
+# An account is its id: "acct-0001", "dataset-01", "authority", "miner".
+Address = str
 
-    id: str
-
-    # Addresses key most of the simulator's dicts; hashing the id directly
-    # skips the one-field tuple the generated hash builds. Equality still
-    # compares ids, so equal addresses hash equal.
-    def __hash__(self) -> int:
-        return hash(self.id)
-
-    def __str__(self) -> str:
-        return self.id
+NULL_ADDRESS = "0x0"
+MINER_ADDRESS = "miner"
 
 
-NULL_ADDRESS = Address("0x0")
-MINER_ADDRESS = Address("miner")
-
-
-# One shared object per account: the population and the chain key their
-# dicts by the same Address, so lookups match by identity and skip __eq__.
-# The cache holds one Address per account index the process has used.
-@cache
 def account_address(index: int) -> Address:
-    return Address(f"acct-{index:04d}")
+    return f"acct-{index:04d}"
 
 
 # Measured transaction gas of each contract function: what a caller is
@@ -157,9 +139,6 @@ class PriceModel:
     def fee_wei(self, gas: int) -> int:
         return gas * self.gas_price_wei
 
-    def wei_to_eth(self, wei: int) -> float:
-        return wei / WEI_PER_ETH
-
     def wei_to_usd(self, wei: int) -> float:
         # Half-up to cents, display only; balances stay integer wei.
         raw = wei / WEI_PER_ETH * self.eth_usd
@@ -208,7 +187,7 @@ class ChainState:
         return created
 
     def create_named_account(self, name: str, prefund_wei: int = 0) -> Address:
-        return self._open_account(Address(name), prefund_wei)
+        return self._open_account(name, prefund_wei)
 
     def _open_account(self, addr: Address, prefund_wei: int) -> Address:
         if addr in self.accounts:
@@ -306,9 +285,9 @@ class ChainState:
     def log_csv(self) -> str:
         lines = ["index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"]
         for r in self.receipts:
-            recipient = r.recipient.id if r.recipient is not None else ""
+            recipient = r.recipient if r.recipient is not None else ""
             lines.append(
-                f"{r.index},{r.period},{r.caller.id},{r.function},{r.gas_used},"
+                f"{r.index},{r.period},{r.caller},{r.function},{r.gas_used},"
                 f"{r.gas_fee_wei},{r.value_wei},{recipient},{r.usd_cost:.2f}"
             )
         return "\n".join(lines) + "\n"

@@ -213,7 +213,7 @@ def _publish_dataset(
         chain,
         registry,
         provider.address,
-        link=f"data://{provider.address.id}/{ordinal}",
+        link=f"data://{provider.address}/{ordinal}",
         required_license=DEFAULT_LICENSE,
         scenario=cfg.scenario,
         profit_margin_pct=cfg.resolved_margin_pct,
@@ -323,7 +323,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                     ]
                     if open_sets:
                         contract = open_sets[rng.randrange(len(open_sets))]
-                        payment = quote_payment(contract, "access").current_expected_cost_wei
+                        payment = quote_payment(contract, "access")
                         token = request_access(requester.address, contract, payment)
                         roster.append((token, requester, contract))
                         receipt = chain.receipts[-1]
@@ -345,7 +345,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                     if rng.random() < holder.current_prob:
                         if not token.compliance:
                             confirm_compliance(holder.address, contract)
-                        payment = quote_payment(contract, "renewal").current_expected_cost_wei
+                        payment = quote_payment(contract, "renewal")
                         renew_access_time(holder.address, contract, payment)
                         receipt = chain.receipts[-1]
                         decay_renewal_prob(holder)

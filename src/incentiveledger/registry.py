@@ -74,16 +74,16 @@ class Registry:
         return addr in self.providers
 
     def snapshot_csv(self) -> str:
-        rows: dict[str, tuple[str, str]] = {}
+        rows: dict[Address, tuple[str, str]] = {}
         for addr in self.providers:
-            rows[addr.id] = ("provider", "")
+            rows[addr] = ("provider", "")
         for addr, license_code in self.users.items():
-            if addr.id in rows:
-                rows[addr.id] = ("provider+user", str(license_code))
+            if addr in rows:
+                rows[addr] = ("provider+user", str(license_code))
             else:
-                rows[addr.id] = ("user", str(license_code))
+                rows[addr] = ("user", str(license_code))
         lines = ["address,role,license"]
-        for addr_id in sorted(rows):
-            role, license_code = rows[addr_id]
-            lines.append(f"{addr_id},{role},{license_code}")
+        for addr in sorted(rows):
+            role, license_code = rows[addr]
+            lines.append(f"{addr},{role},{license_code}")
         return "\n".join(lines) + "\n"

@@ -103,8 +103,10 @@ def reconcile(result: SimResult) -> None:
         )
     replayed = replay_balances(chain)
     if replayed != chain.accounts:
-        diff = [a.id for a in chain.accounts if replayed.get(a) != chain.accounts[a]]
-        raise ReconciliationFailureError(f"replayed balances disagree for {diff[:5]}")
+        addr = next(a for a in (*chain.accounts, *replayed) if replayed.get(a) != chain.accounts.get(a))
+        raise ReconciliationFailureError(
+            f"replayed balance of {addr} is {replayed.get(addr)} wei, it holds {chain.accounts.get(addr)}"
+        )
     replayed_ledgers = replay_cost_ledgers(result)
     final_cc = {r.dataset: r.current_cost_after_wei for r in result.records}
     for c in result.datasets:
@@ -178,7 +180,7 @@ def _requester_kind_totals(result: SimResult) -> dict[tuple[str, str], list[int]
     for r in result.records:
         if r.kind not in (ActionKind.REQUEST, ActionKind.RENEW):
             continue
-        row = rows.setdefault((r.actor.id, r.kind.value), [0, 0, 0])
+        row = rows.setdefault((r.actor, r.kind.value), [0, 0, 0])
         row[0] += 1
         row[1] += r.tx_gas_fee_wei
         row[2] += r.payment_wei
@@ -243,7 +245,7 @@ def actions_csv(result: SimResult) -> str:
     lines = ["index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei"]
     for r in result.records:
         lines.append(
-            f"{r.index},{r.period},{r.kind.value},{r.actor.id},{r.dataset.id},"
+            f"{r.index},{r.period},{r.kind.value},{r.actor},{r.dataset},"
             f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
         )
     return "\n".join(lines) + "\n"
@@ -272,7 +274,7 @@ def contracts_csv(result: SimResult) -> str:
     ]
     for s in result.contract_snapshots:
         lines.append(
-            f"{s.period},{s.contract.id},{s.current_cost_wei},{s.provider_cost_wei},"
+            f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
             f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
         )
     return "\n".join(lines) + "\n"
@@ -303,7 +305,7 @@ def cost_overlay_csv(result: SimResult) -> str:
     for s in result.series:
         for r in by_period.get(s.period, ()):
             lines.append(
-                f"action,{r.period},{r.kind.value},{r.dataset.id},{r.usd_total:.2f},"
+                f"action,{r.period},{r.kind.value},{r.dataset},{r.usd_total:.2f},"
                 f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}"
             )
         lines.append(
@@ -335,10 +337,10 @@ def top_requesters_csv(result: SimResult, k: int = 3) -> str:
     for r in result.records:
         if r.kind in (ActionKind.PUBLISH, ActionKind.UPDATE):
             provider_actions[r.actor] = provider_actions.get(r.actor, 0) + 1
-    for addr in sorted(provider_spend, key=lambda a: a.id):
+    for addr in sorted(provider_spend):
         total = provider_spend[addr]
         lines.append(
-            f"provider,{addr.id},{provider_actions.get(addr, 0)},{total},"
+            f"provider,{addr},{provider_actions.get(addr, 0)},{total},"
             f"{price.wei_to_usd(total):.2f}"
         )
     for addr, n, total in _ranked_requesters(result)[:k]:

@@ -57,14 +57,6 @@ class AccessToken:
     remaining_at_burn: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class PaymentQuote:
-    """What a requester owes now, and what the next requester would owe."""
-
-    current_expected_cost_wei: int
-    next_expected_cost_wei: int
-
-
 @dataclass(slots=True)
 class TokenEvent:
     """Audit-trail entry: mint, renewal, compliance and burn history.
@@ -154,7 +146,7 @@ class TokenStore:
         for token_id in sorted(self.tokens):
             t = self.tokens[token_id]
             lines.append(
-                f"{t.token_id},{t.dataset_address.id},{t.user.id},{t.minted_period},"
+                f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
                 f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"
             )
         return "\n".join(lines) + "\n"
@@ -164,8 +156,8 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def quote_payment(c: "DatasetContract", kind: str) -> PaymentQuote:
-    """Quote the cost-sharing payment for an access request or a renewal.
+def quote_payment(c: "DatasetContract", kind: str) -> int:
+    """Quote the cost-sharing payment in wei for an access request or a renewal.
 
     Rounds up to the next wei so that repeated payments against a fixed
     cost always terminate at exactly zero.
@@ -179,10 +171,8 @@ def quote_payment(c: "DatasetContract", kind: str) -> PaymentQuote:
     else:
         raise ValueError(f"unknown quote kind {kind!r}")
     if not c.compensates_requesters:
-        return PaymentQuote(0, 0)
-    payment = _ceil_div(c.current_cost_wei * fraction_pct, 100)
-    next_payment = _ceil_div((c.current_cost_wei - payment) * fraction_pct, 100)
-    return PaymentQuote(payment, next_payment)
+        return 0
+    return _ceil_div(c.current_cost_wei * fraction_pct, 100)
 
 
 def _check_value(quote_wei: int, value_wei: int) -> None:
@@ -202,7 +192,7 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
         raise DuplicateTokenError(f"{requester} already holds a token for {c.contract_address}")
     if not c.registry.check_user(requester, c.required_license):
         raise LicenseMismatchError(f"{requester} lacks license {c.required_license}")
-    quote = quote_payment(c, "access").current_expected_cost_wei
+    quote = quote_payment(c, "access")
     _check_value(quote, value_wei)
     c.chain.execute(
         requester,
@@ -225,7 +215,7 @@ def renew_access_time(requester: Address, c: "DatasetContract", value_wei: int) 
         raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
     if not token.compliance:
         raise ComplianceRequiredError(f"{requester} must confirm compliance before renewing")
-    quote = quote_payment(c, "renewal").current_expected_cost_wei
+    quote = quote_payment(c, "renewal")
     _check_value(quote, value_wei)
     c.chain.execute(
         requester,

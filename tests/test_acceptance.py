@@ -134,7 +134,7 @@ def publish(chain, registry, provider, scenario=Scenario.COST_RECOVERY, **kwargs
 
 
 def paid_access(contract, user):
-    return request_access(user, contract, quote_payment(contract, "access").current_expected_cost_wei)
+    return request_access(user, contract, quote_payment(contract, "access"))
 
 
 def test_criterion_1_gas_and_usd_golden_tables():
@@ -315,9 +315,9 @@ def test_criterion_7_property_suites(batch30):
         paid_access(contract, users[0])
     contract.update_data(provider)
     with pytest.raises(ComplianceRequiredError):
-        renew_access_time(users[0], contract, quote_payment(contract, "renewal").current_expected_cost_wei)
+        renew_access_time(users[0], contract, quote_payment(contract, "renewal"))
     confirm_compliance(users[0], contract)
-    renew_access_time(users[0], contract, quote_payment(contract, "renewal").current_expected_cost_wei)
+    renew_access_time(users[0], contract, quote_payment(contract, "renewal"))
 
     registry.update_user_license(authority, users[1], 2)
     paid_access(contract, users[2])
@@ -328,7 +328,7 @@ def test_criterion_7_property_suites(batch30):
     survivor = contract.token_store.live_token(contract.contract_address, users[1])
     if survivor is None:
         survivor_token = request_access(users[1], contract,
-                                        quote_payment(contract, "access").current_expected_cost_wei)
+                                        quote_payment(contract, "access"))
     else:
         survivor_token = survivor
     burn_token(contract, survivor_token, BurnCause.REQUESTER)

@@ -198,14 +198,28 @@ def test_unfunded_registry_bootstrap_exits_2_before_simulating(tmp_path, capsys)
     assert not (tmp_path / "c").exists()
 
 
-# sha256 of three report files of one renewal-heavy run (2,615 of its 3,000
-# actions are renewals), computed before the renew phase moved to a
-# mint-ordered roster. They pin the renewal draw order: one roll per
-# eligible token, in token-id order.
+# sha256 of all 15 report files of one renewal-heavy run (2,615 of its 3,000
+# actions are renewals). actions.csv, periods.csv and tokens.csv were
+# computed before the renew phase moved to a mint-ordered roster; they pin
+# the renewal draw order: one roll per eligible token, in token-id order.
+# The other twelve were computed before accounts became plain strings and
+# quotes plain wei; they pin how accounts and payments are formatted.
 GOLDEN_RENEWAL_HEAVY = {
     "actions.csv": "83baefc9095099bfdbe1eea8dfbb3817a1aed0dea06420fbd446f940fcb25324",
+    "config.txt": "46cd9097a31d9ef0547ccb4117a7292d83fc74e3d5e47441e03a821eb256dd10",
+    "contracts.csv": "bfff2644e08df8bebf42e43d4574a663ab5368103a20398d5c8e9543ec0850c4",
+    "cost_distribution.csv": "c5303a70429b7418ad8bf7bd82f85fb5f433e0e1db8b74713e4b8db2a9cdce30",
+    "cost_overlay.csv": "991d6dcc32059d13b71bd3022bea4841a634ec8c0a46fca934905dd904b839a0",
     "periods.csv": "efa02bc2a620698028c4fdb63b0032ca227637cdd802eefc1e30caee1f5323ff",
+    "population.csv": "e62b2c50ffcbe76fd952465a995c11f905bd88662b8005a5ddbd853c19d88ac8",
+    "profit.csv": "17930a6a42cb160e2177e5cd503b4309223d7a1f92fef3bd86ae3a9b2a93d8c1",
+    "registry.csv": "75534430a9f47a696ae8a451ec6a8866ef196346109b542b8640a6afce97ace3",
+    "requester_costs.csv": "2a0dffd897c5b3d341c1efbb97e3d2eef02c90ba496a39dba67263f3996f4fde",
+    "summary.csv": "d8696fb1b9a4accaf1b01c2d8b011d32a69fb993abd7372bb2c97f9b2750155c",
+    "summary.txt": "d50b5c47ed717def91eae16505c325a10304927e5f926d563702aca7dc2a56b1",
     "tokens.csv": "225abbf23f3f6940d36cc97fc8f814d3c67874f764ef2a07fa362dec8bfc3e89",
+    "top_requesters.csv": "daa29dd0efac8771516654a0862649d0e4f1cd5a2d0d75aed533ed0bdc2014b3",
+    "transactions.csv": "e224f3f7ea4a3d4bcc72cc820050dda379ca69fcc006024512931c7597e4e647",
 }
 
 

@@ -36,7 +36,7 @@ PUBLICATION_POOL_WEI = 491_024_880_000_000_000
 
 
 def paid_request(contract, user):
-    quote = quote_payment(contract, "access").current_expected_cost_wei
+    quote = quote_payment(contract, "access")
     return request_access(user, contract, quote)
 
 
@@ -229,7 +229,7 @@ def test_quote_scales_with_margin_exactly(market):
     high = publish(market, scenario=Scenario.PROFIT, profit_margin_pct=200)
     q_low = quote_payment(low, "access")
     q_high = quote_payment(high, "access")
-    assert q_high.current_expected_cost_wei == 2 * q_low.current_expected_cost_wei
+    assert q_high == 2 * q_low
 
 
 @settings(max_examples=80, deadline=None)

@@ -135,7 +135,7 @@ def test_renewals_respect_cooldown_and_expiry():
 
 def test_requesters_enter_in_account_order_providers_publish_once():
     result = run_simulation(small_cfg(action_ticker=100, population=PopulationConfig(n_accounts=120, seed=9), seed=9))
-    requesters = [r.actor.id for r in result.records if r.kind is ActionKind.REQUEST]
+    requesters = [r.actor for r in result.records if r.kind is ActionKind.REQUEST]
     assert requesters == sorted(requesters)
     assert len(set(requesters)) == len(requesters)
     publishers = [r.actor for r in result.records if r.kind is ActionKind.PUBLISH]

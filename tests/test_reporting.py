@@ -96,6 +96,23 @@ def test_reconcile_catches_conjured_wei(run):
     reconcile(run)
 
 
+def test_reconcile_names_first_diverging_balance(run):
+    # Moving 1 wei between two agents keeps conservation, so the balance
+    # replay catches it, at the first account in creation order.
+    source, sink = run.population[5].address, run.population[6].address
+    held = run.chain.accounts[source]
+    run.chain.accounts[source] -= 1
+    run.chain.accounts[sink] += 1
+    try:
+        with pytest.raises(ReconciliationFailureError) as excinfo:
+            reconcile(run)
+    finally:
+        run.chain.accounts[source] += 1
+        run.chain.accounts[sink] -= 1
+    assert str(excinfo.value) == f"replayed balance of {source} is {held} wei, it holds {held - 1}"
+    reconcile(run)
+
+
 def test_reconcile_catches_tampered_payment(run):
     paid = [r for r in run.records if r.payment_wei > 0][0]
     paid.payment_wei += 1
@@ -183,7 +200,7 @@ def test_actions_csv_mirrors_records(run):
     assert len(lines) == len(run.records) + 1
     first = run.records[0]
     assert lines[1].split(",")[:4] == [
-        str(first.index), str(first.period), first.kind.value, first.actor.id,
+        str(first.index), str(first.period), first.kind.value, first.actor,
     ]
 
 

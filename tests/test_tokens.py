@@ -44,16 +44,14 @@ SECOND_ACCESS_QUOTE_WEI = 23_323_681_800_000_000
 
 
 def pay_access(contract, user):
-    return request_access(user, contract, quote_payment(contract, "access").current_expected_cost_wei)
+    return request_access(user, contract, quote_payment(contract, "access"))
 
 
 def test_first_two_quotes_match_hand_derivation(published):
     contract = published.contract
-    quote = quote_payment(contract, "access")
-    assert quote.current_expected_cost_wei == FIRST_ACCESS_QUOTE_WEI
-    assert quote.next_expected_cost_wei == SECOND_ACCESS_QUOTE_WEI
+    assert quote_payment(contract, "access") == FIRST_ACCESS_QUOTE_WEI
     pay_access(contract, published.users[0])
-    assert quote_payment(contract, "access").current_expected_cost_wei == SECOND_ACCESS_QUOTE_WEI
+    assert quote_payment(contract, "access") == SECOND_ACCESS_QUOTE_WEI
 
 
 def test_each_payment_drains_five_percent(published):
@@ -61,7 +59,7 @@ def test_each_payment_drains_five_percent(published):
     pool = contract.current_cost_wei
     for user in published.users:
         expected = _ceil_div(pool * 5, 100)
-        assert quote_payment(contract, "access").current_expected_cost_wei == expected
+        assert quote_payment(contract, "access") == expected
         pay_access(contract, user)
         pool -= expected
         assert contract.current_cost_wei == pool
@@ -69,7 +67,7 @@ def test_each_payment_drains_five_percent(published):
 
 def test_payment_must_match_quote_exactly(published):
     contract = published.contract
-    quote = quote_payment(contract, "access").current_expected_cost_wei
+    quote = quote_payment(contract, "access")
     with pytest.raises(InsufficientPaymentError):
         request_access(published.users[0], contract, quote - 1)
     with pytest.raises(ExcessPaymentError):
@@ -85,7 +83,7 @@ def test_non_compensating_scenario_quotes_zero(market):
         link="x", required_license=1, scenario=Scenario.NO_COMPENSATION,
     )
     assert quote_payment(contract, "access") == quote_payment(contract, "renewal")
-    assert quote_payment(contract, "access").current_expected_cost_wei == 0
+    assert quote_payment(contract, "access") == 0
     token = request_access(market.users[0], contract, 0)
     # The gas-only request leaves the pool untouched and pays the contract nothing.
     assert contract.current_cost_wei > 0
@@ -103,7 +101,7 @@ def test_request_guards(published):
     contract = published.contract
     stranger = published.chain.create_named_account("stranger", 10**18)
     with pytest.raises(LicenseMismatchError):
-        request_access(stranger, contract, quote_payment(contract, "access").current_expected_cost_wei)
+        request_access(stranger, contract, quote_payment(contract, "access"))
     pay_access(contract, published.users[0])
     with pytest.raises(DuplicateTokenError):
         pay_access(contract, published.users[0])
@@ -126,7 +124,7 @@ def test_request_pays_gas_plus_quote(published):
     contract, chain = published.contract, published.chain
     user = published.users[0]
     balance_before = chain.balance(user)
-    quote = quote_payment(contract, "access").current_expected_cost_wei
+    quote = quote_payment(contract, "access")
     gas_fee = chain.price.fee_wei(chain.schedule.gas_for(ADD_DATA_REQUESTER))
     pay_access(contract, user)
     assert chain.balance(user) == balance_before - gas_fee - quote
@@ -161,11 +159,11 @@ def test_renewal_stacks_unexpired_and_restarts_expired(published):
     token = pay_access(contract, user)
     # Unexpired: extends on top of the current window.
     until = token.access_until
-    renew_access_time(user, contract, quote_payment(contract, "renewal").current_expected_cost_wei)
+    renew_access_time(user, contract, quote_payment(contract, "renewal"))
     assert token.access_until == until + ACCESS_PERIODS
     # Expired: restarts from the current period instead.
     chain.period = token.access_until + 7
-    renew_access_time(user, contract, quote_payment(contract, "renewal").current_expected_cost_wei)
+    renew_access_time(user, contract, quote_payment(contract, "renewal"))
     assert token.access_until == chain.period + ACCESS_PERIODS
 
 
@@ -176,11 +174,11 @@ def test_renewal_requires_token_and_compliance(published):
         renew_access_time(user, contract, 0)
     pay_access(contract, user)
     contract.update_data(published.provider)
-    quote = quote_payment(contract, "renewal").current_expected_cost_wei
+    quote = quote_payment(contract, "renewal")
     with pytest.raises(ComplianceRequiredError):
         renew_access_time(user, contract, quote)
     confirm_compliance(user, contract)
-    token = renew_access_time(user, contract, quote_payment(contract, "renewal").current_expected_cost_wei)
+    token = renew_access_time(user, contract, quote_payment(contract, "renewal"))
     assert token.compliance
 
 
