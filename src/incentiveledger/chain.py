@@ -12,6 +12,7 @@ never feed back into balances.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -174,6 +175,18 @@ class ChainState:
         self.minted_wei = 0
         self._account_seq = 0
         self._contract_seq = 0
+        # A prefix of the receipt log and its transactions.csv text, less the
+        # final newline.
+        self._formatted: tuple[list[TxReceipt], str] = ([], "")
+
+    def fork(self) -> ChainState:
+        """A copy to run on independently. It shares the receipt objects,
+        which are never mutated, and their transactions.csv text."""
+        if len(self._formatted[0]) != len(self.receipts):
+            self._formatted = (self.receipts[:], self.log_csv()[:-1])
+        other = copy.copy(self)
+        other.accounts, other.funding, other.receipts = dict(self.accounts), dict(self.funding), self.receipts[:]
+        return other
 
     def create_accounts(self, n: int, prefund_wei: int) -> list[Address]:
         if n < 1:
@@ -283,8 +296,11 @@ class ChainState:
         return receipt
 
     def log_csv(self) -> str:
-        lines = ["index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"]
-        for r in self.receipts:
+        done, head = self._formatted
+        if not done or self.receipts[: len(done)] != done:
+            done, head = [], "index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"
+        lines = [head]
+        for r in self.receipts[len(done):]:
             recipient = r.recipient if r.recipient is not None else ""
             lines.append(
                 f"{r.index},{r.period},{r.caller},{r.function},{r.gas_used},"

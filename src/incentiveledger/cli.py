@@ -22,9 +22,9 @@ from . import __version__
 from .agents import PopulationConfig
 from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
-from .engine import SimConfig, run_simulation, settings, with_seed
+from .engine import SharedStart, SimConfig, run_simulation, settings, with_seed
 from .errors import ConfigError, EngineError, LedgerError
-from .reporting import summary_csv, summary_text, write_run_reports
+from .reporting import RunSummary, summary_csv, summary_text, write_run_reports
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
 
@@ -133,6 +133,8 @@ def _grid_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not items:
         raise argparse.ArgumentTypeError("grid must not be empty")
+    if len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError(f"grid repeats a value: {text!r}")
     return items
 
 
@@ -215,19 +217,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _resolve_out(args)
 
     failures = 0
-    summary_rows: list[str] = []
-    header = ""
-    even_lines = ["scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod"]
-    for base in cells:
-        scenario, fraction, margin = base.scenario.value, base.access_fraction_pct, base.resolved_margin_pct
-        cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{margin}"
-        evens: list[float] = []
-        # Each run's reports are written as soon as it finishes and its result
-        # is dropped, so memory does not grow with the grid.
-        for seed in range(args.seeds):
+    shared = SharedStart()
+    by_cell: list[list[RunSummary]] = [[] for _ in cells]
+    # Seed-major, so that each seed's population is drawn once. Each run's
+    # reports are written as soon as it finishes and its result is dropped.
+    for seed in range(args.seeds):
+        for base, summaries in zip(cells, by_cell):
             cfg = with_seed(base, seed)
+            scenario, fraction, margin = cfg.scenario.value, cfg.access_fraction_pct, cfg.resolved_margin_pct
             try:
-                result = run_simulation(cfg)
+                result = run_simulation(cfg, shared)
             except EngineError as exc:
                 failures += 1
                 log.error(
@@ -235,21 +234,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     scenario, margin, fraction, cfg.renew_fraction_pct, cfg.seed, exc,
                 )
                 continue
-            summary = write_run_reports(result, cell / f"run-{cfg.seed}")
-            header, _, row = summary_csv(summary).partition("\n")
-            summary_rows.append(row.rstrip("\n"))
-            evens.append(
-                float("inf") if summary.break_even_period is None
-                else summary.break_even_period
-            )
+            cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{margin}"
+            summaries.append(write_run_reports(result, cell / f"run-{cfg.seed}"))
+
+    even_lines = ["scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod"]
+    for base, summaries in zip(cells, by_cell):
+        scenario, fraction, margin = base.scenario.value, base.access_fraction_pct, base.resolved_margin_pct
+        evens = [float("inf") if s.break_even_period is None else s.break_even_period for s in summaries]
         attained = sum(1 for e in evens if e != float("inf"))
         median = statistics.median(evens) if evens else float("inf")
         median_text = "" if median == float("inf") else f"{median:g}"
         even_lines.append(f"{scenario},{fraction},{margin},{len(evens)},{attained},{median_text}")
 
     out.mkdir(parents=True, exist_ok=True)
-    if summary_rows:
-        (out / "sweep.csv").write_text(header + "\n" + "\n".join(summary_rows) + "\n",
+    rows = [summary_csv(summary).partition("\n") for summaries in by_cell for summary in summaries]
+    if rows:
+        (out / "sweep.csv").write_text(rows[0][0] + "\n" + "".join(row for _, _, row in rows),
                                        encoding="utf-8", newline="\n")
     (out / "break_even.csv").write_text("\n".join(even_lines) + "\n",
                                         encoding="utf-8", newline="\n")

@@ -16,6 +16,12 @@ per published provider, the request roll, the target-dataset choice, and
 one renewal roll per eligible token in token-id order. No draw depends on
 scenario, margin or fraction parameters, so runs that share a seed share
 their entire action stream across those settings.
+
+Sharing: the registry bootstrap depends on no seed and the population
+draw on the seed alone, so a sweep builds each once in a SharedStart and
+starts every run from copies, with the generator restored to its state
+after the draw. Every run writes the same bytes as a direct run, which
+builds its start state fresh and uses it in place.
 """
 
 from __future__ import annotations
@@ -228,20 +234,51 @@ def _publish_dataset(
     return contract, fees
 
 
-def run_simulation(cfg: SimConfig) -> SimResult:
-    cfg.validate()
-    rng = random.Random(cfg.seed)
+def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
+    """Funded accounts and the registry bootstrap: providers first, then users."""
     chain = ChainState(cfg.schedule, cfg.price)
-    chain.create_accounts(cfg.population.n_accounts, cfg.prefund_wei)
+    accounts = chain.create_accounts(cfg.population.n_accounts, cfg.prefund_wei)
     authority = chain.create_named_account("authority", cfg.prefund_wei)
-    population = generate_population(cfg.population, rng)
-
     registry = Registry.deploy(chain, authority)
-    for profile in population:
-        if profile.role is Role.PROVIDER:
-            registry.new_data_provider(authority, profile.address)
-        else:
-            registry.register_new_user(authority, profile.address, DEFAULT_LICENSE)
+    for address in accounts[: cfg.population.max_providers]:
+        registry.new_data_provider(authority, address)
+    for address in accounts[cfg.population.max_providers:]:
+        registry.register_new_user(authority, address, DEFAULT_LICENSE)
+    return chain, registry
+
+
+class SharedStart:
+    """The start state of a sweep's runs: one bootstrap and one seed's draw."""
+
+    bootstrap: tuple = (None, None, None)  # (settings, chain, registry)
+    draw: tuple = (None, (), None)  # ((seed, population), profiles, generator state)
+
+    def start(self, cfg: SimConfig) -> tuple[ChainState, Registry, list[AgentProfile], random.Random]:
+        # A GasSchedule holds a dict, so the settings are compared, not hashed.
+        key = (cfg.population.n_accounts, cfg.population.max_providers, cfg.prefund_wei, cfg.price, cfg.schedule)
+        if self.bootstrap[0] != key:
+            self.bootstrap = (key, *build_start(cfg))
+        if self.draw[0] != (cfg.seed, cfg.population):
+            rng = random.Random(cfg.seed)
+            self.draw = ((cfg.seed, cfg.population), generate_population(cfg.population, rng), rng.getstate())
+        (_, chain, registry), (_, profiles, state) = self.bootstrap, self.draw
+        rng = random.Random()
+        rng.setstate(state)
+        chain = chain.fork()
+        # current_prob, renewals and last_action_period change during a run.
+        population = [AgentProfile(p.address, p.role, p.base_prob, p.current_prob, p.decay) for p in profiles]
+        return chain, registry.fork(chain), population, rng
+
+
+def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
+    """Run cfg from the start state of shared, or from a fresh one."""
+    cfg.validate()
+    if shared is None:
+        chain, registry = build_start(cfg)
+        rng = random.Random(cfg.seed)
+        population = generate_population(cfg.population, rng)
+    else:
+        chain, registry, population, rng = shared.start(cfg)
 
     store = TokenStore()
     providers = [p for p in population if p.role is Role.PROVIDER]

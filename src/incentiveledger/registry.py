@@ -31,6 +31,16 @@ class Registry:
         self.authority = authority
         self.users: dict[Address, int] = {}
         self.providers: set[Address] = set()
+        # Members and registry.csv text as of the first fork.
+        self._formatted: tuple[dict[Address, int], set[Address], str] | None = None
+
+    def fork(self, chain: ChainState) -> Registry:
+        """A copy on a fork of this registry's chain, to run on independently."""
+        if self._formatted is None:
+            self._formatted = (dict(self.users), set(self.providers), self.snapshot_csv())
+        other = Registry(chain, self.authority)
+        other.users, other.providers, other._formatted = dict(self.users), set(self.providers), self._formatted
+        return other
 
     @classmethod
     def deploy(cls, chain: ChainState, authority: Address) -> "Registry":
@@ -74,6 +84,8 @@ class Registry:
         return addr in self.providers
 
     def snapshot_csv(self) -> str:
+        if self._formatted and self._formatted[:2] == (self.users, self.providers):
+            return self._formatted[2]
         rows: dict[Address, tuple[str, str]] = {}
         for addr in self.providers:
             rows[addr] = ("provider", "")

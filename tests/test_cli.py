@@ -275,6 +275,40 @@ def test_sweep_parameter_validation(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweep_rejects_repeated_grid_values(tmp_path, capsys):
+    # A repeated value would run its cell twice into the same directories
+    # and repeat its sweep.csv and break_even.csv rows.
+    out = tmp_path / "out"
+    for grid in (["--scenarios", "2,3,2"], ["--access-fractions", "5,5"],
+                 ["--scenario", "3", "--margins", "150,200,150"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", *SMALL, "--seeds", "2", *grid, "--out", str(out), "--quiet")
+        assert exc.value.code == 2
+        assert "repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("providers", [[], ["--max-providers", "2"]])
+def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
+    # Sweep runs share their bootstrap and each seed's population draw;
+    # every run directory must still equal a direct run of its settings.
+    sweep = tmp_path / "sweep"
+    assert run_cli("sweep", *SMALL, *providers, "--scenarios", "1,2,3", "--access-fractions", "1,10",
+                   "--seeds", "3", "--out", str(sweep), "--quiet") == 0
+    runs = sorted(p for p in sweep.glob("*/run-*") if p.is_dir())
+    assert len(runs) == 3 * 2 * 3
+    for run_dir in runs:
+        scenario, fraction, _ = re.findall(r"\d+", run_dir.parent.name)
+        seed = run_dir.name.removeprefix("run-")
+        direct = tmp_path / "direct" / run_dir.parent.name
+        assert run_cli("run", *SMALL, *providers, "--scenario", scenario, "--access-fraction", fraction,
+                       "--seed", seed, "--out", str(direct), "--quiet") == 0
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == sorted(p.name for p in (direct / run_dir.name).iterdir())
+        for name in names:
+            assert (run_dir / name).read_bytes() == (direct / run_dir.name / name).read_bytes(), (run_dir, name)
+
+
 def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
     code = run_cli("sweep", *SMALL, "--seeds", "1", "--scenarios", "2,3",
                    "--profit-margin", "150", "--out", str(tmp_path), "--quiet")
@@ -286,10 +320,10 @@ def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
 def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
     real = cli.run_simulation
 
-    def fail_seed_1(cfg):
+    def fail_seed_1(cfg, shared=None):
         if cfg.seed == 1:
             raise EngineError("period 2, action 5: injected")
-        return real(cfg)
+        return real(cfg, shared)
 
     monkeypatch.setattr(cli, "run_simulation", fail_seed_1)
     code = run_cli("sweep", *SMALL, "--seeds", "3", "--out", str(tmp_path), "--quiet")

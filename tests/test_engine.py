@@ -17,8 +17,11 @@ from incentiveledger import (
     run_simulation,
     with_seed,
 )
+from incentiveledger import engine
 from incentiveledger.chain import WEI_PER_ETH
-from incentiveledger.errors import ConfigError, EngineError
+from incentiveledger.engine import SharedStart, build_start
+from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
+from incentiveledger.reporting import write_run_reports
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -188,3 +191,46 @@ def test_with_seed_rewires_engine_and_population_seeds():
     assert reseeded.seed == 42 and reseeded.population.seed == 42
     assert cfg.seed == 3 and cfg.population.seed == 3  # original untouched
 
+
+def report_bytes(result, out) -> dict[str, bytes]:
+    write_run_reports(result, out)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("spoil", ["fail", "tamper"])
+def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spoil):
+    # Run A forks the shared start, then either fails part-way or has its
+    # state tampered with after it finishes. Run B of the same seed forks
+    # the same start and must still match a direct run byte for byte.
+    cfg = small_cfg(scenario=Scenario.PROFIT)
+    shared = SharedStart()
+    if spoil == "fail":
+        real, calls = engine.quote_payment, []
+
+        def quote_then_fail(contract, kind):
+            calls.append(kind)
+            if len(calls) == 3:
+                raise InsufficientFundsError("injected")
+            return real(contract, kind)
+
+        monkeypatch.setattr(engine, "quote_payment", quote_then_fail)
+        with pytest.raises(EngineError, match="injected"):
+            run_simulation(cfg, shared)
+        monkeypatch.undo()
+    else:
+        spoiled = run_simulation(cfg, shared)
+        for address in spoiled.chain.accounts:
+            spoiled.chain.accounts[address] = 0
+        spoiled.chain.receipts.clear()
+        spoiled.registry.users.clear()
+        spoiled.registry.providers.clear()
+        for profile in spoiled.population:
+            profile.current_prob, profile.renewals, profile.last_action_period = 1.0, 9, 0
+
+    _, checkpoint, checkpoint_registry = shared.bootstrap
+    fresh, fresh_registry = build_start(cfg)
+    assert len(checkpoint.receipts) == len(fresh.receipts)
+    assert checkpoint.accounts == fresh.accounts
+    assert checkpoint_registry.users == fresh_registry.users
+    shared_run = report_bytes(run_simulation(cfg, shared), tmp_path / "shared")
+    assert shared_run == report_bytes(run_simulation(cfg), tmp_path / "direct")
