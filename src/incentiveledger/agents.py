@@ -99,5 +99,5 @@ def decay_renewal_prob(profile: AgentProfile) -> None:
 def population_csv(profiles: list[AgentProfile]) -> str:
     lines = ["address,role,baseProb"]
     for p in profiles:
-        lines.append(f"{p.address},{p.role.value},{p.base_prob!r}")
+        lines.append(f"{p.address},{p.role._value_},{p.base_prob!r}")
     return "\n".join(lines) + "\n"

@@ -224,16 +224,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for seed in range(args.seeds):
         for base, summaries in zip(cells, by_cell):
             cfg = with_seed(base, seed)
-            scenario, fraction, margin = cfg.scenario.value, cfg.access_fraction_pct, cfg.resolved_margin_pct
             try:
                 result = run_simulation(cfg, shared)
             except EngineError as exc:
+                # The error names the run: seed, grid cell, period and action.
                 failures += 1
-                log.error(
-                    "run failed (scenario %d, margin %d, access fraction %d, renew fraction %d, seed %d): %s",
-                    scenario, margin, fraction, cfg.renew_fraction_pct, cfg.seed, exc,
-                )
+                log.error("run failed: %s", exc)
                 continue
+            scenario, fraction, margin = cfg.scenario.value, cfg.access_fraction_pct, cfg.resolved_margin_pct
             cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{margin}"
             summaries.append(write_run_reports(result, cell / f"run-{cfg.seed}"))
 

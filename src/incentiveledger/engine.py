@@ -20,8 +20,9 @@ their entire action stream across those settings.
 Sharing: the registry bootstrap depends on no seed and the population
 draw on the seed alone, so a sweep builds each once in a SharedStart and
 starts every run from copies, with the generator restored to its state
-after the draw. Every run writes the same bytes as a direct run, which
-builds its start state fresh and uses it in place.
+after the draw; it also formats each draw's population.csv once. Every
+run writes the same bytes as a direct run, which builds its start state
+fresh and uses it in place.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
+from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population, population_csv
 from .chain import (
     GWEI,
     Address,
@@ -200,6 +201,8 @@ class SimResult:
     token_store: TokenStore
     population: list[AgentProfile]
     datasets: list[DatasetContract]
+    # population.csv of a shared draw, formatted once for all its runs.
+    population_text: str | None = None
 
 
 def _publish_dataset(
@@ -251,23 +254,24 @@ class SharedStart:
     """The start state of a sweep's runs: one bootstrap and one seed's draw."""
 
     bootstrap: tuple = (None, None, None)  # (settings, chain, registry)
-    draw: tuple = (None, (), None)  # ((seed, population), profiles, generator state)
+    draw: tuple = (None, (), None, None)  # ((seed, population), profiles, generator state, population.csv)
 
-    def start(self, cfg: SimConfig) -> tuple[ChainState, Registry, list[AgentProfile], random.Random]:
+    def start(self, cfg: SimConfig) -> tuple[ChainState, Registry, list[AgentProfile], random.Random, str]:
         # A GasSchedule holds a dict, so the settings are compared, not hashed.
         key = (cfg.population.n_accounts, cfg.population.max_providers, cfg.prefund_wei, cfg.price, cfg.schedule)
         if self.bootstrap[0] != key:
             self.bootstrap = (key, *build_start(cfg))
         if self.draw[0] != (cfg.seed, cfg.population):
             rng = random.Random(cfg.seed)
-            self.draw = ((cfg.seed, cfg.population), generate_population(cfg.population, rng), rng.getstate())
-        (_, chain, registry), (_, profiles, state) = self.bootstrap, self.draw
+            profiles = generate_population(cfg.population, rng)
+            self.draw = ((cfg.seed, cfg.population), profiles, rng.getstate(), population_csv(profiles))
+        (_, chain, registry), (_, profiles, state, text) = self.bootstrap, self.draw
         rng = random.Random()
         rng.setstate(state)
         chain = chain.fork()
         # current_prob, renewals and last_action_period change during a run.
         population = [AgentProfile(p.address, p.role, p.base_prob, p.current_prob, p.decay) for p in profiles]
-        return chain, registry.fork(chain), population, rng
+        return chain, registry.fork(chain), population, rng, text
 
 
 def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
@@ -277,8 +281,9 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
         chain, registry = build_start(cfg)
         rng = random.Random(cfg.seed)
         population = generate_population(cfg.population, rng)
+        population_text = None
     else:
-        chain, registry, population, rng = shared.start(cfg)
+        chain, registry, population, rng, population_text = shared.start(cfg)
 
     store = TokenStore()
     providers = [p for p in population if p.role is Role.PROVIDER]
@@ -420,9 +425,11 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                 )
             period += 1
     except LedgerError as exc:
-        if isinstance(exc, EngineError):
-            raise
-        raise EngineError(f"period {period}, action {actions}: {exc}") from exc
+        raise EngineError(
+            f"seed {cfg.seed}, scenario {cfg.scenario.value}, margin {cfg.resolved_margin_pct}, "
+            f"access fraction {cfg.access_fraction_pct}, renew fraction {cfg.renew_fraction_pct}, "
+            f"period {period}, action {actions}: {exc}"
+        ) from exc
 
     return SimResult(
         config=cfg,
@@ -434,6 +441,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
         token_store=store,
         population=population,
         datasets=datasets,
+        population_text=population_text,
     )
 
 

@@ -2,10 +2,10 @@
 
 Reconciliation re-derives balances and cost ledgers from the transaction
 log alone, with none of the contract code involved, and refuses to write
-reports when the two disagree. Every builder here is a pure function of
-the run result, and every output is byte-deterministic: LF line endings,
-no timestamps, fixed column orders, USD at two decimals with wei columns
-authoritative.
+reports when the two disagree. Builders are pure functions of the run
+result and of RunTotals, one aggregation pass over its action records.
+Every output is byte-deterministic: LF line endings, no timestamps, fixed
+column orders, USD at two decimals with wei columns authoritative.
 """
 
 from __future__ import annotations
@@ -174,40 +174,42 @@ class RunSummary:
     top_requesters: tuple[tuple[str, float], ...]  # (address, total USD), best first
 
 
-def _requester_kind_totals(result: SimResult) -> dict[tuple[str, str], list[int]]:
-    """Per (requester, action kind): [actions, gas fees, payments], request+renew only."""
-    rows: dict[tuple[str, str], list[int]] = {}
-    for r in result.records:
-        if r.kind not in (ActionKind.REQUEST, ActionKind.RENEW):
-            continue
-        row = rows.setdefault((r.actor, r.kind.value), [0, 0, 0])
-        row[0] += 1
-        row[1] += r.tx_gas_fee_wei
-        row[2] += r.payment_wei
-    return rows
+class RunTotals:
+    """What the report builders count, from one pass over a run's records."""
+
+    def __init__(self, result: SimResult) -> None:
+        # Kinds go by their _value_ strings: .value and enum hashing run Python-level code.
+        self.usd_samples = samples = {}  # kind -> USD total of each action, in record order
+        self.requester_kinds = requester_kinds = {}  # request and renew: [actions, gas fees, payments]
+        self.provider_actions = provider_actions = {}  # publishes plus updates
+        for r in result.records:
+            kind = r.kind._value_
+            samples.setdefault(kind, []).append(r.usd_total)
+            if kind == "request" or kind == "renew":
+                row = requester_kinds.setdefault((r.actor, kind), [0, 0, 0])
+                row[0] += 1
+                row[1] += r.tx_gas_fee_wei
+                row[2] += r.payment_wei
+            else:
+                provider_actions[r.actor] = provider_actions.get(r.actor, 0) + 1
+        spend: dict[Address, tuple[Address, int, int]] = {}  # (requester, actions, total wei spent)
+        for (address, _), (n, fees, paid) in requester_kinds.items():
+            _, actions, total = spend.get(address, (address, 0, 0))
+            spend[address] = (address, actions + n, total + fees + paid)
+        self.ranked = sorted(spend.values(), key=lambda t: (-t[2], t[0]))  # highest spend first
 
 
-def _ranked_requesters(result: SimResult) -> list[tuple[str, int, int]]:
-    """(requester, actions, total wei spent), highest spend first."""
-    totals: dict[str, list[int]] = {}
-    for (address, _), (n, fees, paid) in _requester_kind_totals(result).items():
-        row = totals.setdefault(address, [0, 0])
-        row[0] += n
-        row[1] += fees + paid
-    return sorted(((a, n, total) for a, (n, total) in totals.items()), key=lambda t: (-t[2], t[0]))
-
-
-def summarize(result: SimResult, k: int = 3) -> RunSummary:
+def summarize(result: SimResult, k: int = 3, totals: RunTotals | None = None) -> RunSummary:
     reconcile(result)
+    if totals is None:
+        totals = RunTotals(result)
     price = result.chain.price
-    counts = {kind: 0 for kind in ActionKind}
-    for r in result.records:
-        counts[r.kind] += 1
+    counts = {kind._value_: len(totals.usd_samples.get(kind._value_, ())) for kind in ActionKind}
     periods = len(result.series)
     per_period = max(1, periods)  # an empty run still gets zero frequencies
     cost = sum(c.provider_cost_wei for c in result.datasets)
     earnings = sum(c.provider_earnings_wei for c in result.datasets)
-    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in _ranked_requesters(result)[:k])
+    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked[:k])
     return RunSummary(
         seed=result.config.seed,
         scenario=result.config.scenario.value,
@@ -216,16 +218,16 @@ def summarize(result: SimResult, k: int = 3) -> RunSummary:
         renew_fraction_pct=result.config.renew_fraction_pct,
         actions=len(result.records),
         periods=periods,
-        publishes=counts[ActionKind.PUBLISH],
-        updates=counts[ActionKind.UPDATE],
-        requests=counts[ActionKind.REQUEST],
-        renewals=counts[ActionKind.RENEW],
-        freq_publish=counts[ActionKind.PUBLISH] / per_period,
-        freq_update=counts[ActionKind.UPDATE] / per_period,
-        freq_request=counts[ActionKind.REQUEST] / per_period,
-        freq_renew=counts[ActionKind.RENEW] / per_period,
+        publishes=counts["publish"],
+        updates=counts["update"],
+        requests=counts["request"],
+        renewals=counts["renew"],
+        freq_publish=counts["publish"] / per_period,
+        freq_update=counts["update"] / per_period,
+        freq_request=counts["request"] / per_period,
+        freq_renew=counts["renew"] / per_period,
         datasets_published=len(result.datasets),
-        distinct_requesters=len({r.actor for r in result.records if r.kind is ActionKind.REQUEST}),
+        distinct_requesters=sum(1 for _, kind in totals.requester_kinds if kind == "request"),
         active_tokens_at_end=sum(1 for _ in result.token_store.live_tokens()),
         provider_cost_wei=cost,
         provider_cost_usd=price.wei_to_usd(cost),
@@ -235,7 +237,7 @@ def summarize(result: SimResult, k: int = 3) -> RunSummary:
         current_cost_wei=sum(c.current_cost_wei for c in result.datasets),
         break_even_period=break_even_period(result),
         total_gas_fee_wei=sum(r.gas_fee_wei for r in result.chain.receipts),
-        total_payment_wei=sum(r.payment_wei for r in result.records),
+        total_payment_wei=sum(paid for _, _, paid in totals.requester_kinds.values()),
         miner_take_wei=result.chain.balance(MINER_ADDRESS),
         top_requesters=top,
     )
@@ -245,7 +247,7 @@ def actions_csv(result: SimResult) -> str:
     lines = ["index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei"]
     for r in result.records:
         lines.append(
-            f"{r.index},{r.period},{r.kind.value},{r.actor},{r.dataset},"
+            f"{r.index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
             f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
         )
     return "\n".join(lines) + "\n"
@@ -298,27 +300,28 @@ def cost_overlay_csv(result: SimResult) -> str:
     payments as downward steps.
     """
     price = result.chain.price
-    by_period: dict[int, list] = {}
-    for r in result.records:
-        by_period.setdefault(r.period, []).append(r)
+    # Records and series are both in period order, so one walk pairs them.
+    records = iter(result.records)
+    r = next(records, None)
     lines = ["rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd"]
     for s in result.series:
-        for r in by_period.get(s.period, ()):
+        while r is not None and r.period == s.period:
             lines.append(
-                f"action,{r.period},{r.kind.value},{r.dataset},{r.usd_total:.2f},"
+                f"action,{r.period},{r.kind._value_},{r.dataset},{r.usd_total:.2f},"
                 f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}"
             )
+            r = next(records, None)
         lines.append(
             f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
         )
     return "\n".join(lines) + "\n"
 
 
-def requester_costs_csv(result: SimResult) -> str:
+def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
     """Base gas cost vs additional compensation payment, per requester and kind."""
     price = result.chain.price
     lines = ["address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd"]
-    for (address, kind), (n, fees, paid) in sorted(_requester_kind_totals(result).items()):
+    for (address, kind), (n, fees, paid) in sorted(totals.requester_kinds.items()):
         lines.append(
             f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},"
             f"{price.wei_to_usd(paid):.2f},{price.wei_to_usd(fees + paid):.2f}"
@@ -326,36 +329,28 @@ def requester_costs_csv(result: SimResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def top_requesters_csv(result: SimResult, k: int = 3) -> str:
+def top_requesters_csv(result: SimResult, totals: RunTotals, k: int = 3) -> str:
     """The provider's lifetime cost against the k most-spending requesters."""
     price = result.chain.price
     lines = ["role,address,actions,totalWei,totalUsd"]
     provider_spend: dict[Address, int] = {}
-    provider_actions: dict[Address, int] = {}
     for c in result.datasets:
         provider_spend[c.owner] = provider_spend.get(c.owner, 0) + c.provider_cost_wei
-    for r in result.records:
-        if r.kind in (ActionKind.PUBLISH, ActionKind.UPDATE):
-            provider_actions[r.actor] = provider_actions.get(r.actor, 0) + 1
-    for addr in sorted(provider_spend):
-        total = provider_spend[addr]
+    for addr, total in sorted(provider_spend.items()):
         lines.append(
-            f"provider,{addr},{provider_actions.get(addr, 0)},{total},"
+            f"provider,{addr},{totals.provider_actions.get(addr, 0)},{total},"
             f"{price.wei_to_usd(total):.2f}"
         )
-    for addr, n, total in _ranked_requesters(result)[:k]:
+    for addr, n, total in totals.ranked[:k]:
         lines.append(f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}")
     return "\n".join(lines) + "\n"
 
 
-def cost_distribution_csv(result: SimResult) -> str:
+def cost_distribution_csv(totals: RunTotals) -> str:
     """Per action kind: quartiles of the total USD cost of one action."""
-    samples: dict[str, list[float]] = {}
-    for r in result.records:
-        samples.setdefault(r.kind.value, []).append(r.usd_total)
     lines = ["kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd"]
-    for kind in sorted(samples):
-        values = sorted(samples[kind])
+    for kind in sorted(totals.usd_samples):
+        values = sorted(totals.usd_samples[kind])
         if len(values) == 1:
             cuts = [values[0]] * 5
         else:
@@ -437,20 +432,24 @@ def config_text(result: SimResult) -> str:
 
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     """Reconcile the run, then write the full report set under out_dir."""
-    summary = summarize(result)
+    totals = RunTotals(result)
+    summary = summarize(result, totals=totals)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {
+        "requester_costs.csv": requester_costs_csv(result, totals),
+        "top_requesters.csv": top_requesters_csv(result, totals),
+        "cost_distribution.csv": cost_distribution_csv(totals),
+    }
+    del totals  # the larger builders below reuse its memory rather than raise the peak
+    outputs |= {
         "actions.csv": actions_csv(result),
         "periods.csv": periods_csv(result),
         "contracts.csv": contracts_csv(result),
         "profit.csv": profit_series_csv(result),
         "cost_overlay.csv": cost_overlay_csv(result),
-        "requester_costs.csv": requester_costs_csv(result),
-        "top_requesters.csv": top_requesters_csv(result),
-        "cost_distribution.csv": cost_distribution_csv(result),
         "transactions.csv": result.chain.log_csv(),
         "tokens.csv": result.token_store.table_csv(),
-        "population.csv": population_csv(result.population),
+        "population.csv": result.population_text or population_csv(result.population),
         "registry.csv": result.registry.snapshot_csv(),
         "summary.txt": summary_text(result, summary),
         "summary.csv": summary_csv(summary),

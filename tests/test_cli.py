@@ -337,6 +337,16 @@ def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
     assert even[1].startswith("2,5,100,2,")
 
 
+def test_run_failure_names_its_seed_and_scenario(tmp_path, capsys):
+    # At twenty thousand gwei the provider cannot pay for its deployment.
+    assert run_cli("run", *SMALL, "--seed", "4", "--scenario", "3", "--gas-price-gwei", "20000",
+                   "--out", str(tmp_path), "--quiet") == 1
+    assert capsys.readouterr().err == (
+        "error: seed 4, scenario 3, margin 200, access fraction 5, renew fraction 5, "
+        "period 0, action 0: acct-0000 cannot afford deployment and publication\n"
+    )
+
+
 def test_sweep_logs_the_grid_cell_of_a_failed_run(tmp_path, caplog):
     # At twenty thousand gwei the provider cannot pay for its deployment.
     with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
@@ -351,6 +361,38 @@ def test_sweep_logs_the_grid_cell_of_a_failed_run(tmp_path, caplog):
                  "period 0, action 0"):
         assert part in message
     assert not (tmp_path / "scenario-3_fraction-10_margin-150").exists()
+
+
+def test_reports_of_one_run_agree_with_each_other(tmp_path):
+    # Two providers, so that provider rows and kinds have more than one owner.
+    assert run_cli("run", "--accounts", "60", "--actions", "200", "--max-providers", "2", "--seed", "5",
+                   "--out", str(tmp_path), "--quiet") == 0
+
+    def rows(name):
+        header, *lines = (tmp_path / "run-5" / name).read_text().splitlines()
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    [summary] = rows("summary.csv")
+    counts = {kind: int(summary[field]) for kind, field in
+              (("publish", "publishes"), ("update", "updates"), ("request", "requests"), ("renew", "renewals"))}
+    costs = rows("requester_costs.csv")
+    for kind in ("request", "renew"):
+        assert sum(int(row["actions"]) for row in costs if row["kind"] == kind) == counts[kind]
+    assert {row["kind"]: int(row["count"]) for row in rows("cost_distribution.csv")} == {
+        kind: n for kind, n in counts.items() if n
+    }
+    spend: dict[str, list[int]] = {}
+    for row in costs:
+        totals = spend.setdefault(row["address"], [0, 0])
+        totals[0] += int(row["actions"])
+        totals[1] += int(row["gasFeeWei"]) + int(row["paymentWei"])
+    top = rows("top_requesters.csv")
+    ranked = sorted(spend.items(), key=lambda item: (-item[1][1], item[0]))[:3]
+    assert [(row["address"], [int(row["actions"]), int(row["totalWei"])]) for row in top
+            if row["role"] == "requester"] == ranked
+    providers = [row for row in top if row["role"] == "provider"]
+    assert len(providers) == 2
+    assert sum(int(row["actions"]) for row in providers) == counts["publish"] + counts["update"]
 
 
 def tree_digest(root) -> str:
@@ -448,7 +490,7 @@ _GAS_TABLES = st.none() | st.fixed_dictionaries({}, optional={
 @example(values={"accounts": 30, "actions": 25}, gas_table={"transactionGas": {"updateData": True}})
 def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_table):
     # Each run either completes with a reconciled report set, fails inside
-    # the simulation with the period and action of the failure, or is
+    # the simulation naming its settings, period and action, or is
     # rejected with exit 2 before anything is written.
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -468,7 +510,11 @@ def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_t
             summary = (run_dir / "summary.csv").read_text().splitlines()
             assert dict(zip(summary[0].split(","), summary[1].split(",")))["actions"] == str(values["actions"])
         elif code == 1:
-            assert re.fullmatch(r"error: period \d+, action \d+: [^\n]*\n", err)
+            assert re.fullmatch(
+                r"error: seed \d+, scenario [123], margin \d+, access fraction \d+, renew fraction \d+, "
+                r"period \d+, action \d+: [^\n]*\n",
+                err,
+            )
         else:
             assert code == 2
             assert re.fullmatch(r"error: [^\n]*\n", err)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -163,6 +165,17 @@ def test_ledger_failures_carry_the_engine_position():
         run_simulation(cfg)
 
 
+def test_a_stalled_run_names_itself(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_PERIODS", 2)
+    with pytest.raises(EngineError) as excinfo:
+        run_simulation(small_cfg(scenario=Scenario.PROFIT, renew_fraction_pct=7))
+    assert re.fullmatch(
+        r"seed 3, scenario 3, margin 200, access fraction 5, renew fraction 7, "
+        r"period 2, action \d+: no progress after 2 periods",
+        str(excinfo.value),
+    )
+
+
 def test_config_validation():
     for overrides in (
         {"action_ticker": 0},
@@ -234,3 +247,22 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
     assert checkpoint_registry.users == fresh_registry.users
     shared_run = report_bytes(run_simulation(cfg, shared), tmp_path / "shared")
     assert shared_run == report_bytes(run_simulation(cfg), tmp_path / "direct")
+
+
+def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):
+    # The same seed with other accounts, then other providers, is a new
+    # draw and a new bootstrap; a shared start must not hand out the
+    # population.csv or registry.csv text of the previous one.
+    base = small_cfg()
+    cfgs = [
+        base,
+        replace(base, population=replace(base.population, n_accounts=50)),
+        replace(base, population=replace(base.population, max_providers=2)),
+    ]
+    shared = SharedStart()
+    for i, cfg in enumerate(cfgs):
+        shared_run = report_bytes(run_simulation(cfg, shared), tmp_path / f"shared-{i}")
+        direct_run = report_bytes(run_simulation(cfg), tmp_path / f"direct-{i}")
+        for name in ("population.csv", "registry.csv"):
+            assert shared_run[name] == direct_run[name], (i, name)
+        assert shared_run == direct_run

@@ -28,6 +28,7 @@ from incentiveledger.chain import (
 from incentiveledger.errors import ReconciliationFailureError
 from incentiveledger.reporting import (
     ACCRUING_FUNCTIONS,
+    RunTotals,
     actions_csv,
     config_text,
     cost_distribution_csv,
@@ -235,7 +236,7 @@ def test_cost_overlay_interleaves_actions_and_period_costs(run):
 
 
 def test_requester_costs_split_gas_from_payments(run):
-    lines = requester_costs_csv(run).splitlines()
+    lines = requester_costs_csv(run, RunTotals(run)).splitlines()
     assert lines[0] == "address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd"
     gas = payment = actions = 0
     for line in lines[1:]:
@@ -251,7 +252,7 @@ def test_requester_costs_split_gas_from_payments(run):
 
 
 def test_top_requesters_lists_provider_rows_first(run):
-    lines = top_requesters_csv(run, k=3).splitlines()
+    lines = top_requesters_csv(run, RunTotals(run), k=3).splitlines()
     assert lines[0] == "role,address,actions,totalWei,totalUsd"
     roles = [line.split(",")[0] for line in lines[1:]]
     n_providers = len(run.datasets)
@@ -276,13 +277,13 @@ def test_requester_ranking_breaks_spend_ties_by_lower_address():
         ("acct-0003", 37_460_016_000_000_000),
         ("acct-0002", 34_204_824_000_000_000),
     ]
-    rows = [line.split(",") for line in top_requesters_csv(result).splitlines()]
+    rows = [line.split(",") for line in top_requesters_csv(result, RunTotals(result)).splitlines()]
     assert [(row[1], int(row[3])) for row in rows if row[0] == "requester"] == ranked
     assert [addr for addr, _ in summarize(result).top_requesters] == [addr for addr, _ in ranked]
 
 
 def test_cost_distribution_quartiles_are_ordered(run):
-    lines = cost_distribution_csv(run).splitlines()
+    lines = cost_distribution_csv(RunTotals(run)).splitlines()
     assert lines[0] == "kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd"
     kinds = [line.split(",")[0] for line in lines[1:]]
     assert kinds == sorted(kinds)
@@ -337,7 +338,7 @@ def test_no_compensation_reports_zero_payment_columns():
         scenario=Scenario.NO_COMPENSATION, action_ticker=40,
         population=PopulationConfig(n_accounts=30, seed=6), seed=6,
     ))
-    for line in requester_costs_csv(result).splitlines()[1:]:
+    for line in requester_costs_csv(result, RunTotals(result)).splitlines()[1:]:
         assert line.split(",")[4] == "0"
     summary = summarize(result)
     assert summary.provider_earnings_wei == 0 and summary.total_payment_wei == 0
