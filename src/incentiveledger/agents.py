@@ -49,7 +49,6 @@ class AgentProfile:
     current_prob: float
     decay: float
     renewals: int = 0
-    last_action_period: int | None = None
 
 
 def generate_population(cfg: PopulationConfig, rng: random.Random | None = None) -> list[AgentProfile]:

@@ -4,16 +4,17 @@ Each period runs four phases in a fixed order: publish, update, request,
 renew. Exactly one provider is "in line" to publish and exactly one
 requester is "in line" to request; both retry every period until their
 probability roll succeeds, and the requester queue advances in account
-creation order. Every holder of a live token gets a renewal chance each
-period once their token expired and at least ACCESS_PERIODS periods have
-passed since their last action. The run stops the moment the configured
-number of actions has occurred, mid-period if necessary.
+creation order. A requester requests once, so they hold one token, and
+its expiry ACCESS_PERIODS periods after their last action is their
+cool-down: every expired token gets a renewal chance each period. The
+run stops the moment the configured number of actions has occurred,
+mid-period if necessary.
 
 Determinism: a single seeded generator drives every draw, in a fixed
 order - population generation first, then per period the publish roll
 (the very first publish is forced and consumes no draw), one update roll
 per published provider, the request roll, the target-dataset choice, and
-one renewal roll per eligible token in token-id order. No draw depends on
+one renewal roll per expired token in token-id order. No draw depends on
 scenario, margin or fraction parameters, so runs that share a seed share
 their entire action stream across those settings.
 
@@ -48,7 +49,6 @@ from .dataset import FRACTION_PCT, MARGIN_PCT, DatasetContract, Scenario, check_
 from .errors import ConfigError, EngineError, LedgerError
 from .registry import DEFAULT_LICENSE, Registry
 from .tokens import (
-    ACCESS_PERIODS,
     AccessToken,
     TokenStore,
     confirm_compliance,
@@ -269,7 +269,7 @@ class SharedStart:
         rng = random.Random()
         rng.setstate(state)
         chain = chain.fork()
-        # current_prob, renewals and last_action_period change during a run.
+        # current_prob and renewals change during a run; the rest is read-only.
         population = [AgentProfile(p.address, p.role, p.base_prob, p.current_prob, p.decay) for p in profiles]
         return chain, registry.fork(chain), population, rng, text
 
@@ -287,12 +287,12 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
 
     store = TokenStore()
     providers = [p for p in population if p.role is Role.PROVIDER]
-    requesters = [p for p in population if p.role is Role.REQUESTER]
+    # A requester at probability 0.0 could never request and would hold the
+    # queue forever, so they never join it.
+    requesters = [p for p in population if p.role is Role.REQUESTER and p.current_prob > 0.0]
     datasets: list[DatasetContract] = []
-    dataset_owner: dict[Address, AgentProfile] = {}
     # Every token the run mints, with its holder and contract, in mint
-    # order, which is token-id order. The engine never burns, but burned
-    # tokens would stay listed and be skipped.
+    # order, which is token-id order. The engine never burns or destroys.
     roster: list[tuple[AccessToken, AgentProfile, DatasetContract]] = []
 
     records: list[ActionRecord] = []
@@ -335,54 +335,40 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                 if goes:
                     contract, fees = _publish_dataset(chain, registry, store, cfg, provider, next_provider + 1)
                     datasets.append(contract)
-                    dataset_owner[contract.contract_address] = provider
-                    provider.last_action_period = period
                     record(ActionKind.PUBLISH, provider.address, contract, fees, 0)
                     next_provider += 1
 
-            # Update: every provider with a published dataset rolls.
+            # Update: every provider with a published dataset rolls;
+            # provider i published datasets[i].
             if actions < cfg.action_ticker:
-                for contract in datasets:
+                for contract, owner in zip(datasets, providers):
                     if actions >= cfg.action_ticker:
                         break
-                    if contract.destroyed:
-                        continue
-                    owner = dataset_owner[contract.contract_address]
                     update_prob = min(1.0, owner.base_prob * cfg.update_multiplier)
                     if rng.random() < update_prob:
                         receipt = contract.update_data(owner.address)
-                        owner.last_action_period = period
                         record(ActionKind.UPDATE, owner.address, contract, receipt.gas_fee_wei, 0)
 
             # Request: the requester in line rolls; on decline the same
-            # requester tries again next period.
+            # requester tries again next period. They have never requested,
+            # so every dataset is open to them.
             if actions < cfg.action_ticker and next_requester < len(requesters):
                 requester = requesters[next_requester]
-                live = [c for c in datasets if c.published and not c.destroyed]
-                if live and rng.random() < requester.current_prob:
-                    open_sets = [
-                        c for c in live if store.live_token(c.contract_address, requester.address) is None
-                    ]
-                    if open_sets:
-                        contract = open_sets[rng.randrange(len(open_sets))]
-                        payment = quote_payment(contract, "access")
-                        token = request_access(requester.address, contract, payment)
-                        roster.append((token, requester, contract))
-                        receipt = chain.receipts[-1]
-                        requester.last_action_period = period
-                        record(ActionKind.REQUEST, requester.address, contract, receipt.gas_fee_wei, payment)
+                if rng.random() < requester.current_prob:
+                    contract = datasets[rng.randrange(len(datasets))]
+                    payment = quote_payment(contract, "access")
+                    token = request_access(requester.address, contract, payment)
+                    roster.append((token, requester, contract))
+                    receipt = chain.receipts[-1]
+                    record(ActionKind.REQUEST, requester.address, contract, receipt.gas_fee_wei, payment)
                     next_requester += 1
 
-            # Renew: each holder of an expired token rolls, subject to the
-            # cool-down of ACCESS_PERIODS periods since their last action.
-            # The checks only skip, so their order is free and the cheapest
-            # goes first; every token that passes them draws exactly one roll.
+            # Renew: each holder of an expired token rolls. A holder's one
+            # token was granted or last renewed by their last action, so its
+            # expiry is their cool-down of ACCESS_PERIODS periods.
             if actions < cfg.action_ticker:
                 for token, holder, contract in roster:
-                    if token.access_until > period or contract.destroyed or token.burned:
-                        continue
-                    last_action = holder.last_action_period
-                    if last_action is not None and period - last_action < ACCESS_PERIODS:
+                    if token.access_until > period:
                         continue
                     if rng.random() < holder.current_prob:
                         if not token.compliance:
@@ -391,7 +377,6 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                         renew_access_time(holder.address, contract, payment)
                         receipt = chain.receipts[-1]
                         decay_renewal_prob(holder)
-                        holder.last_action_period = period
                         record(ActionKind.RENEW, holder.address, contract, receipt.gas_fee_wei, payment)
                         if actions >= cfg.action_ticker:
                             break

@@ -431,30 +431,28 @@ def config_text(result: SimResult) -> str:
 
 
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
-    """Reconcile the run, then write the full report set under out_dir."""
+    """Reconcile the run, then write each report under out_dir as soon as it is built."""
     totals = RunTotals(result)
     summary = summarize(result, totals=totals)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "requester_costs.csv": requester_costs_csv(result, totals),
-        "top_requesters.csv": top_requesters_csv(result, totals),
-        "cost_distribution.csv": cost_distribution_csv(totals),
-    }
-    del totals  # the larger builders below reuse its memory rather than raise the peak
-    outputs |= {
-        "actions.csv": actions_csv(result),
-        "periods.csv": periods_csv(result),
-        "contracts.csv": contracts_csv(result),
-        "profit.csv": profit_series_csv(result),
-        "cost_overlay.csv": cost_overlay_csv(result),
-        "transactions.csv": result.chain.log_csv(),
-        "tokens.csv": result.token_store.table_csv(),
-        "population.csv": result.population_text or population_csv(result.population),
-        "registry.csv": result.registry.snapshot_csv(),
-        "summary.txt": summary_text(result, summary),
-        "summary.csv": summary_csv(summary),
-        "config.txt": config_text(result),
-    }
-    for name, text in outputs.items():
+
+    def write(name: str, text: str) -> None:
         (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+
+    write("requester_costs.csv", requester_costs_csv(result, totals))
+    write("top_requesters.csv", top_requesters_csv(result, totals))
+    write("cost_distribution.csv", cost_distribution_csv(totals))
+    del totals  # the larger builders below reuse its memory rather than raise the peak
+    write("actions.csv", actions_csv(result))
+    write("periods.csv", periods_csv(result))
+    write("contracts.csv", contracts_csv(result))
+    write("profit.csv", profit_series_csv(result))
+    write("cost_overlay.csv", cost_overlay_csv(result))
+    write("transactions.csv", result.chain.log_csv())
+    write("tokens.csv", result.token_store.table_csv())
+    write("population.csv", result.population_text or population_csv(result.population))
+    write("registry.csv", result.registry.snapshot_csv())
+    write("summary.txt", summary_text(result, summary))
+    write("summary.csv", summary_csv(summary))
+    write("config.txt", config_text(result))
     return summary

@@ -261,6 +261,8 @@ def burn_token(c: "DatasetContract", token: AccessToken, cause: BurnCause) -> No
     so compliance ends true; a license-change burn evicts the holder with
     compliance false until they react.
     """
+    if c.destroyed:
+        raise DestroyedError(f"{c.contract_address} is destroyed")
     if token.burned:
         raise AlreadyBurnedError(f"token {token.token_id} is already burned")
     period = c.chain.period

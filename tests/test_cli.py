@@ -20,6 +20,7 @@ from incentiveledger import cli
 from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
 from incentiveledger.errors import ConfigError, EngineError
+from incentiveledger.tokens import ACCESS_PERIODS
 
 SMALL = ["--accounts", "30", "--actions", "25"]
 
@@ -393,6 +394,31 @@ def test_reports_of_one_run_agree_with_each_other(tmp_path):
     providers = [row for row in top if row["role"] == "provider"]
     assert len(providers) == 2
     assert sum(int(row["actions"]) for row in providers) == counts["publish"] + counts["update"]
+
+
+def test_reports_follow_the_renewal_rule(tmp_path):
+    # The rule has no code of its own: a requester requests once, and the
+    # expiry of their one token is their cool-down. Read it off the reports.
+    assert run_cli("run", "--accounts", "300", "--actions", "1000", "--max-providers", "20", "--seed", "4",
+                   "--out", str(tmp_path), "--quiet") == 0
+
+    def rows(name):
+        header, *lines = (tmp_path / "run-4" / name).read_text().splitlines()
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    actions = rows("actions.csv")
+    requests = [row["actor"] for row in actions if row["kind"] == "request"]
+    assert len(set(requests)) == len(requests)
+    last_action: dict[str, int] = {}
+    renewals = 0
+    for row in actions:
+        if row["kind"] == "renew":
+            renewals += 1
+            assert int(row["period"]) - last_action[row["actor"]] >= ACCESS_PERIODS
+        last_action[row["actor"]] = int(row["period"])
+    users = [row["user"] for row in rows("tokens.csv")]
+    assert len(set(users)) == len(users) == len(requests)
+    assert len({row["dataset"] for row in actions}) > 1 and renewals > len(requests)
 
 
 def tree_digest(root) -> str:

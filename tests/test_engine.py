@@ -148,6 +148,17 @@ def test_requesters_enter_in_account_order_providers_publish_once():
     assert len(result.datasets) == len(publishers)
 
 
+def test_a_zero_probability_requester_does_not_hold_the_queue():
+    # Min-max normalization pins one requester of every draw to exactly
+    # 0.0; at default settings seed 2 reaches them after 31 requests.
+    result = run_simulation(with_seed(SimConfig(), 2))
+    [stuck] = [p.address for p in result.population if p.base_prob == 0.0]
+    requesters = [r.actor for r in result.records if r.kind is ActionKind.REQUEST]
+    assert stuck not in requesters and max(requesters) > stuck
+    assert len(requesters) > 31
+    assert len(result.series) < 200
+
+
 def test_update_multiplier_saturates_to_an_update_every_period():
     # Provider probability is at least 0.01; multiplied by 100 the update
     # roll always succeeds once something is published.
