@@ -10,9 +10,10 @@ compensation modes share the bookkeeping:
   scenario 2  margin is 100%, payments recoup costs and nothing more,
   scenario 3  margin exceeds 100%, payments eventually return a profit.
 
-Update calls grow linearly with the number of active tokens because each
-holder must be notified; this is what makes a popular dataset expensive to
-maintain and is the core quantity the simulation measures.
+Update calls grow linearly with the number of live tokens, the contract's
+holders, because each holder must be notified; this is what makes a
+popular dataset expensive to maintain and is the core quantity the
+simulation measures.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .registry import Registry
-from .tokens import BurnCause, TokenStore, burn_token
+from .tokens import AccessToken, BurnCause, TokenStore, burn_token
 
 
 class Scenario(Enum):
@@ -97,7 +98,8 @@ class DatasetContract:
         self.current_cost_wei = 0
         self.provider_cost_wei = 0
         self.provider_earnings_wei = 0
-        self.active_token_ids: set[int] = set()
+        # Each holder's live token, in mint order, which is token-id order.
+        self.holders: dict[Address, AccessToken] = {}
 
     @classmethod
     def deploy_and_publish(
@@ -166,7 +168,7 @@ class DatasetContract:
         self.current_cost_wei = max(0, self.current_cost_wei - payment_wei)
         self.provider_earnings_wei += payment_wei
 
-    def _require_live_owner(self, caller: Address) -> None:
+    def _require_owner(self, caller: Address) -> None:
         if self.destroyed:
             raise DestroyedError(f"{self.contract_address} is destroyed")
         if caller != self.owner:
@@ -177,30 +179,30 @@ class DatasetContract:
 
         Gas grows with the number of active tokens, one notification each.
         """
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         if not self.published:
             raise NotPublishedError(f"{self.contract_address} has no published data")
-        extra = self.chain.schedule.per_requester_update_gas * len(self.active_token_ids)
+        extra = self.chain.schedule.per_requester_update_gas * len(self.holders)
         receipt = self.chain.execute(caller, UPDATE_DATA, extra_gas=extra)
         self.accrue_cost(receipt.gas_used)
         self.meta_version += 1
-        self.token_store.invalidate_compliance(sorted(self.active_token_ids), self.chain.period)
+        self.token_store.invalidate_compliance(self.holders.values(), self.chain.period)
         return receipt
 
     def set_license(self, caller: Address, new_license: int) -> TxReceipt:
         """Change the required license; mismatched live tokens are burned."""
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         receipt = self.chain.execute(caller, SET_LICENSE)
         self.accrue_cost(receipt.gas_used)
         self.required_license = new_license
-        for token_id in sorted(self.active_token_ids):
-            token = self.token_store.tokens[token_id]
+        # A burn leaves holders, so the loop walks a copy.
+        for token in list(self.holders.values()):
             if token.license_code != new_license:
                 burn_token(self, token, BurnCause.LICENSE_CHANGE)
         return receipt
 
     def set_profit_margin(self, caller: Address, pct: int) -> TxReceipt:
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         check_pct("profit margin", pct, MARGIN_PCT)
         receipt = self.chain.execute(caller, SET_PROFIT_MARGIN)
         self.accrue_cost(receipt.gas_used)
@@ -208,7 +210,7 @@ class DatasetContract:
         return receipt
 
     def set_multis(self, caller: Address, access_fraction_pct: int, renew_fraction_pct: int) -> TxReceipt:
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         check_pct("access fraction", access_fraction_pct, FRACTION_PCT)
         check_pct("renew fraction", renew_fraction_pct, FRACTION_PCT)
         receipt = self.chain.execute(caller, SET_MULTIS)
@@ -219,7 +221,7 @@ class DatasetContract:
 
     def set_price(self, caller: Address, price_wei: int) -> TxReceipt:
         # Stored for completeness; the compensation flow never reads it.
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         if price_wei < 0:
             raise OutOfRangeError(f"price cannot be negative, got {price_wei}")
         receipt = self.chain.execute(caller, SET_PRICE)
@@ -228,7 +230,7 @@ class DatasetContract:
         return receipt
 
     def set_registry_address(self, caller: Address, registry: Registry) -> TxReceipt:
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         receipt = self.chain.execute(caller, SET_REGISTRY_ADDRESS)
         self.accrue_cost(receipt.gas_used)
         self.registry = registry
@@ -236,7 +238,7 @@ class DatasetContract:
 
     def withdraw(self, caller: Address) -> TxReceipt:
         """Pull accumulated payments to the owner without destroying."""
-        self._require_live_owner(caller)
+        self._require_owner(caller)
         return self.chain.transfer(self.contract_address, self.owner, self.contract_balance_wei, WITHDRAW)
 
     def destroy(self, caller: Address) -> TxReceipt:
@@ -259,5 +261,5 @@ class DatasetContract:
         self.current_cost_wei = 0
         self.provider_cost_wei = 0
         self.provider_earnings_wei = 0
-        self.active_token_ids.clear()
+        self.holders.clear()
         return receipt

@@ -7,6 +7,8 @@ probability roll succeeds, and the requester queue advances in account
 creation order. A requester requests once, so they hold one token, and
 its expiry ACCESS_PERIODS periods after their last action is their
 cool-down: every expired token gets a renewal chance each period. The
+engine never burns, so the active requesters are the tokens minted so far
+and a dataset's active tokens are its contract's holders. The
 run stops the moment the configured number of actions has occurred,
 mid-period if necessary.
 
@@ -126,6 +128,9 @@ class SimConfig:
         return 200 if self.scenario is Scenario.PROFIT else 100
 
     def validate(self) -> None:
+        # random.Random(-n) seeds exactly like random.Random(n).
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if self.action_ticker < 1:
             raise ConfigError("action ticker must be at least 1")
         if self.update_multiplier < 1:
@@ -384,7 +389,6 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
             current_cost = sum(c.current_cost_wei for c in datasets)
             cost = sum(c.provider_cost_wei for c in datasets)
             earnings = sum(c.provider_earnings_wei for c in datasets)
-            holders = store.holder_count()
             series.append(
                 PeriodStats(
                     period=period,
@@ -392,7 +396,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                     provider_cost_wei=cost,
                     provider_earnings_wei=earnings,
                     profit_wei=earnings - cost,
-                    active_requesters=holders,
+                    active_requesters=len(roster),
                     actions_this_period=actions - actions_at_start,
                 )
             )
@@ -404,7 +408,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                         current_cost_wei=contract.current_cost_wei,
                         provider_cost_wei=contract.provider_cost_wei,
                         provider_earnings_wei=contract.provider_earnings_wei,
-                        active_tokens=len(contract.active_token_ids),
+                        active_tokens=len(contract.holders),
                         meta_version=contract.meta_version,
                     )
                 )

@@ -10,8 +10,9 @@ column orders, USD at two decimals with wei columns authoritative.
 
 from __future__ import annotations
 
+import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .agents import population_csv
@@ -143,6 +144,9 @@ def reconcile(result: SimResult) -> None:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """A run's headline figures; summary.csv has a column for each field but
+    top_requesters, in field order."""
+
     seed: int
     scenario: int
     profit_margin_pct: int
@@ -388,41 +392,22 @@ def summary_text(result: SimResult, summary: RunSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Built once: camelCasing the header on every call would cost more than the row.
+_SUMMARY_FIELDS = [f.name for f in fields(RunSummary) if f.name != "top_requesters"]
+_SUMMARY_HEADER = ",".join(re.sub(r"_(.)", lambda m: m[1].upper(), name) for name in _SUMMARY_FIELDS)
+
+
 def summary_csv(summary: RunSummary) -> str:
-    even = "" if summary.break_even_period is None else str(summary.break_even_period)
-    fields = [
-        ("seed", summary.seed),
-        ("scenario", summary.scenario),
-        ("profitMarginPct", summary.profit_margin_pct),
-        ("accessFractionPct", summary.access_fraction_pct),
-        ("renewFractionPct", summary.renew_fraction_pct),
-        ("actions", summary.actions),
-        ("periods", summary.periods),
-        ("publishes", summary.publishes),
-        ("updates", summary.updates),
-        ("requests", summary.requests),
-        ("renewals", summary.renewals),
-        ("freqPublish", f"{summary.freq_publish:.4f}"),
-        ("freqUpdate", f"{summary.freq_update:.4f}"),
-        ("freqRequest", f"{summary.freq_request:.4f}"),
-        ("freqRenew", f"{summary.freq_renew:.4f}"),
-        ("datasetsPublished", summary.datasets_published),
-        ("distinctRequesters", summary.distinct_requesters),
-        ("activeTokensAtEnd", summary.active_tokens_at_end),
-        ("providerCostWei", summary.provider_cost_wei),
-        ("providerCostUsd", f"{summary.provider_cost_usd:.2f}"),
-        ("providerEarningsWei", summary.provider_earnings_wei),
-        ("providerEarningsUsd", f"{summary.provider_earnings_usd:.2f}"),
-        ("profitWei", summary.profit_wei),
-        ("currentCostWei", summary.current_cost_wei),
-        ("breakEvenPeriod", even),
-        ("totalGasFeeWei", summary.total_gas_fee_wei),
-        ("totalPaymentWei", summary.total_payment_wei),
-        ("minerTakeWei", summary.miner_take_wei),
-    ]
-    header = ",".join(name for name, _ in fields)
-    row = ",".join(str(value) for _, value in fields)
-    return header + "\n" + row + "\n"
+    cells = []
+    for name in _SUMMARY_FIELDS:
+        value = getattr(summary, name)
+        if value is None:
+            cells.append("")
+        elif isinstance(value, float):
+            cells.append(f"{value:.4f}" if name.startswith("freq_") else f"{value:.2f}")
+        else:
+            cells.append(str(value))
+    return _SUMMARY_HEADER + "\n" + ",".join(cells) + "\n"
 
 
 def config_text(result: SimResult) -> str:

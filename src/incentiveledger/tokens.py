@@ -7,6 +7,11 @@ collect the cost-sharing payment that scenarios 2 and 3 charge on access
 requests and renewals, forwarding the value into the dataset contract's
 account.
 
+A contract's holders map is the one index of live tokens: each holder's
+live token, in mint order. A burn removes the token from it and destroy
+clears it. The TokenStore keeps every token a run mints, the id counter
+and the event log.
+
 Access grants run in periods, not wall-clock time: every grant or renewal
 adds ACCESS_PERIODS periods of access. Payments must match the quote
 exactly; underpayment and overpayment are both rejected so that value
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .chain import ADD_DATA_REQUESTER, Address, NULL_ADDRESS, RENEW_TOKEN
 from .errors import (
@@ -74,15 +79,11 @@ class TokenEvent:
 
 
 class TokenStore:
-    """All tokens of a run; token ids are unique and never reused."""
+    """All tokens of a run and their event log; token ids are unique and never reused."""
 
     def __init__(self) -> None:
         self.tokens: dict[int, AccessToken] = {}
         self.events: list[TokenEvent] = []
-        # Insertion order is id order: ids only grow, and a re-mint after a
-        # burn inserts a fresh, larger id at the end.
-        self._live: dict[tuple[Address, Address], int] = {}
-        self._live_per_user: dict[Address, int] = {}
         self._next_id = 1
 
     def mint(
@@ -92,9 +93,6 @@ class TokenStore:
         license_code: int,
         period: int,
     ) -> AccessToken:
-        key = (dataset_address, user)
-        if key in self._live:
-            raise DuplicateTokenError(f"{user} already holds a live token for {dataset_address}")
         token = AccessToken(
             token_id=self._next_id,
             dataset_address=dataset_address,
@@ -105,41 +103,22 @@ class TokenStore:
         )
         self._next_id += 1
         self.tokens[token.token_id] = token
-        self._live[key] = token.token_id
-        self._live_per_user[user] = self._live_per_user.get(user, 0) + 1
         self.record("minted", period, token.token_id, user)
         return token
 
-    def live_token(self, dataset_address: Address, user: Address) -> AccessToken | None:
-        token_id = self._live.get((dataset_address, user))
-        return self.tokens[token_id] if token_id is not None else None
-
     def live_tokens(self) -> Iterator[AccessToken]:
-        """Live tokens in ascending id order."""
-        for token_id in self._live.values():
-            yield self.tokens[token_id]
-
-    def holder_count(self) -> int:
-        """Number of distinct users holding at least one live token."""
-        return len(self._live_per_user)
-
-    def drop_live(self, token: AccessToken) -> None:
-        if self._live.pop((token.dataset_address, token.user), None) is None:
-            return
-        left = self._live_per_user[token.user] - 1
-        if left:
-            self._live_per_user[token.user] = left
-        else:
-            del self._live_per_user[token.user]
+        """Unburned tokens in ascending id order."""
+        for token in self.tokens.values():
+            if not token.burned:
+                yield token
 
     def record(self, kind: str, period: int, token_id: int, user: Address) -> None:
         self.events.append(TokenEvent(kind, period, token_id, user))
 
-    def invalidate_compliance(self, token_ids: list[int], period: int) -> None:
-        for token_id in token_ids:
-            token = self.tokens[token_id]
+    def invalidate_compliance(self, tokens: Iterable[AccessToken], period: int) -> None:
+        for token in tokens:
             token.compliance = False
-            self.record("updateNotice", period, token_id, token.user)
+            self.record("updateNotice", period, token.token_id, token.user)
 
     def table_csv(self) -> str:
         lines = ["tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"]
@@ -188,7 +167,7 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
         raise DestroyedError(f"{c.contract_address} is destroyed")
     if not c.published:
         raise NotPublishedError(f"{c.contract_address} has no published data")
-    if c.token_store.live_token(c.contract_address, requester) is not None:
+    if requester in c.holders:
         raise DuplicateTokenError(f"{requester} already holds a token for {c.contract_address}")
     if not c.registry.check_user(requester, c.required_license):
         raise LicenseMismatchError(f"{requester} lacks license {c.required_license}")
@@ -201,7 +180,7 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
         recipient=c.contract_address if value_wei > 0 else None,
     )
     token = c.token_store.mint(c.contract_address, requester, c.required_license, c.chain.period)
-    c.active_token_ids.add(token.token_id)
+    c.holders[requester] = token
     c.apply_payment(value_wei)
     return token
 
@@ -210,7 +189,7 @@ def renew_access_time(requester: Address, c: "DatasetContract", value_wei: int) 
     """Extend a held token by ACCESS_PERIODS against the quoted payment."""
     if c.destroyed:
         raise DestroyedError(f"{c.contract_address} is destroyed")
-    token = c.token_store.live_token(c.contract_address, requester)
+    token = c.holders.get(requester)
     if token is None:
         raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
     if not token.compliance:
@@ -234,7 +213,7 @@ def confirm_compliance(requester: Address, c: "DatasetContract") -> AccessToken:
     """Record that the holder applied the latest update; free of gas."""
     if c.destroyed:
         raise DestroyedError(f"{c.contract_address} is destroyed")
-    token = c.token_store.live_token(c.contract_address, requester)
+    token = c.holders.get(requester)
     if token is None:
         raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
     token.compliance = True
@@ -246,7 +225,7 @@ def get_link(requester: Address, c: "DatasetContract") -> str:
     """Hand out the data locator to a holder with unexpired access."""
     if c.destroyed:
         raise DestroyedError(f"{c.contract_address} is destroyed")
-    token = c.token_store.live_token(c.contract_address, requester)
+    token = c.holders.get(requester)
     if token is None:
         raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
     if c.chain.period >= token.access_until:
@@ -255,7 +234,7 @@ def get_link(requester: Address, c: "DatasetContract") -> str:
 
 
 def burn_token(c: "DatasetContract", token: AccessToken, cause: BurnCause) -> None:
-    """Retire a token; free of gas.
+    """Retire a token that is live on c; free of gas.
 
     A requester-initiated burn certifies the holder destroyed their copy,
     so compliance ends true; a license-change burn evicts the holder with
@@ -265,12 +244,13 @@ def burn_token(c: "DatasetContract", token: AccessToken, cause: BurnCause) -> No
         raise DestroyedError(f"{c.contract_address} is destroyed")
     if token.burned:
         raise AlreadyBurnedError(f"token {token.token_id} is already burned")
-    period = c.chain.period
     holder = token.user
+    if c.holders.get(holder) is not token:
+        raise NoTokenError(f"token {token.token_id} is not live on {c.contract_address}")
+    period = c.chain.period
     token.remaining_at_burn = max(0, token.access_until - period)
     token.burned = True
     token.compliance = cause is BurnCause.REQUESTER
-    c.token_store.drop_live(token)
+    del c.holders[holder]
     token.user = NULL_ADDRESS
-    c.active_token_ids.discard(token.token_id)
     c.token_store.record("burnNotice", period, token.token_id, holder)

@@ -322,10 +322,10 @@ def test_criterion_7_property_suites(batch30):
     registry.update_user_license(authority, users[1], 2)
     paid_access(contract, users[2])
     contract.set_license(provider, 2)
-    assert all(t.license_code == 2 for t in contract.token_store.live_tokens())
-    assert token.burned and token.token_id not in contract.active_token_ids
+    assert all(t.license_code == 2 for t in contract.holders.values())
+    assert token.burned and users[0] not in contract.holders
 
-    survivor = contract.token_store.live_token(contract.contract_address, users[1])
+    survivor = contract.holders.get(users[1])
     if survivor is None:
         survivor_token = request_access(users[1], contract,
                                         quote_payment(contract, "access"))
@@ -333,7 +333,7 @@ def test_criterion_7_property_suites(batch30):
         survivor_token = survivor
     burn_token(contract, survivor_token, BurnCause.REQUESTER)
     assert survivor_token.burned and survivor_token.compliance
-    assert contract.token_store.live_token(contract.contract_address, users[1]) is None
+    assert users[1] not in contract.holders
 
     held = contract.contract_balance_wei
     owner_before = chain.balance(provider)

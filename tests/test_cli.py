@@ -171,6 +171,7 @@ def test_bad_gas_tables_exit_2(tmp_path, capsys):
     ["--eth-usd", "nan"],
     ["--eth-usd", "inf"],
     ["--eth-usd", "1e307"],
+    ["--seed", "-1"],
 ], ids=" ".join)
 def test_bad_settings_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -514,6 +515,7 @@ _GAS_TABLES = st.none() | st.fixed_dictionaries({}, optional={
 @example(values={"accounts": 30, "actions": 25, "eth-usd": 1e307}, gas_table=None)
 @example(values={"accounts": 30, "actions": 25}, gas_table={"perRequesterUpdateGas": 0})
 @example(values={"accounts": 30, "actions": 25}, gas_table={"transactionGas": {"updateData": True}})
+@example(values={"accounts": 2, "actions": 1, "seed": -1, "gas-price-gwei": 20_000.0}, gas_table=None)
 def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_table):
     # Each run either completes with a reconciled report set, fails inside
     # the simulation naming its settings, period and action, or is

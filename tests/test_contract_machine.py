@@ -82,7 +82,7 @@ class ContractAPI(RuleBasedStateMachine):
             [
                 (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei, c.meta_version,
                  c.published, c.destroyed, c.required_license, c.profit_margin_pct,
-                 c.access_fraction_pct, c.renew_fraction_pct, c.price_wei, set(c.active_token_ids))
+                 c.access_fraction_pct, c.renew_fraction_pct, c.price_wei, dict(c.holders))
                 for c in self.contracts
             ],
             len(self.store.events),
@@ -206,7 +206,10 @@ class ContractAPI(RuleBasedStateMachine):
         unburned = [t for t in self.store.tokens.values() if not t.burned]
         assert len({(t.dataset_address, t.user) for t in unburned}) == len(unburned)
         assert list(self.store.live_tokens()) == unburned
-        assert self.store.holder_count() == len({t.user for t in unburned})
+        for c in self.contracts:
+            if not c.destroyed:
+                mine = [(t.user, t) for t in unburned if t.dataset_address == c.contract_address]
+                assert list(c.holders.items()) == mine
 
     @invariant()
     def renewals_wait_for_compliance(self):

@@ -150,7 +150,7 @@ def test_set_license_burns_only_mismatched_tokens(market):
     t1 = paid_request(contract, market.users[0])
     contract.set_license(market.provider, 2)
     assert t1.burned
-    assert t1.token_id not in contract.active_token_ids
+    assert market.users[0] not in contract.holders
     t2 = paid_request(contract, market.users[1])
     contract.set_license(market.provider, 2)  # no-op for matching token
     assert not t2.burned
@@ -211,7 +211,7 @@ def test_destroy_pays_out_then_bricks_everything(published):
     assert chain.balance(published.provider) == owner_before + held
     assert contract.destroyed and not contract.published
     assert contract.current_cost_wei == 0 and contract.provider_cost_wei == 0
-    assert contract.active_token_ids == set()
+    assert contract.holders == {}
     with pytest.raises(AlreadyDestroyedError):
         contract.destroy(published.provider)
     for call in (

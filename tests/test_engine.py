@@ -249,7 +249,7 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
         spoiled.registry.users.clear()
         spoiled.registry.providers.clear()
         for profile in spoiled.population:
-            profile.current_prob, profile.renewals, profile.last_action_period = 1.0, 9, 0
+            profile.current_prob, profile.renewals = 1.0, 9
 
     _, checkpoint, checkpoint_registry = shared.bootstrap
     fresh, fresh_registry = build_start(cfg)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,7 +91,7 @@ def test_non_compensating_scenario_quotes_zero(market):
     assert contract.current_cost_wei > 0
     assert contract.contract_balance_wei == 0
     assert contract.provider_earnings_wei == 0
-    assert token.token_id in contract.active_token_ids
+    assert contract.holders == {market.users[0]: token}
 
 
 def test_quote_kind_validation(published):
@@ -206,7 +208,7 @@ def test_requester_burn_certifies_compliance(published):
     assert token.burned and token.compliance
     assert token.remaining_at_burn == max(0, token.access_until - chain.period)
     assert token.user == NULL_ADDRESS
-    assert token.token_id not in contract.active_token_ids
+    assert user not in contract.holders
     with pytest.raises(AlreadyBurnedError):
         burn_token(contract, token, BurnCause.REQUESTER)
     # The address is free to request again with a fresh token.
@@ -221,13 +223,40 @@ def test_license_change_burn_marks_noncompliant(published):
     assert token.burned and not token.compliance
 
 
+def test_a_token_burns_only_through_its_own_contract(market):
+    # A burn through another contract must raise and change nothing: the
+    # token stays live on its own contract, which still bills and
+    # notifies its holder on the next update.
+    store = TokenStore()
+    a, b = (
+        DatasetContract.deploy_and_publish(
+            market.chain, market.registry, market.provider, link=f"data://unit/{i}",
+            required_license=DEFAULT_LICENSE, scenario=Scenario.COST_RECOVERY, token_store=store,
+        )
+        for i in (1, 2)
+    )
+    user = market.users[0]
+    token = pay_access(a, user)
+
+    def state():
+        tokens = {i: replace(t) for i, t in store.tokens.items()}
+        return (dict(a.holders), dict(b.holders), tokens, list(store.events),
+                list(market.chain.receipts), dict(market.chain.accounts))
+
+    before = state()
+    with pytest.raises(NoTokenError):
+        burn_token(b, token, BurnCause.REQUESTER)
+    assert state() == before
+    assert a.holders == {user: token} and not token.burned
+
+
 def test_store_tracks_live_tokens_in_id_order(published):
     contract = published.contract
     store = contract.token_store
     minted = [pay_access(contract, user) for user in published.users]
     burn_token(contract, minted[1], BurnCause.REQUESTER)
     assert [t.token_id for t in store.live_tokens()] == [minted[0].token_id, minted[2].token_id]
-    assert store.live_token(contract.contract_address, published.users[1]) is None
+    assert list(contract.holders.values()) == [minted[0], minted[2]]
     lines = store.table_csv().splitlines()
     assert lines[0] == "tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"
     assert len(lines) == 4
@@ -261,7 +290,7 @@ def test_store_counts_holders_and_orders_live_tokens_under_any_history(ops):
     for period, (op, user_index, contract_index) in enumerate(ops):
         chain.period = period
         user, contract = users[user_index], contracts[contract_index]
-        held = store.live_token(contract.contract_address, user)
+        held = contract.holders.get(user)
         if op == "request" and held is None:
             request_access(user, contract, 0)
         elif op == "burn" and held is not None:
@@ -270,8 +299,9 @@ def test_store_counts_holders_and_orders_live_tokens_under_any_history(ops):
             contract.set_license(provider, DEFAULT_LICENSE + 1)
             contract.set_license(provider, DEFAULT_LICENSE)
         live = list(store.live_tokens())
-        assert store.holder_count() == len({t.user for t in live})
         assert [t.token_id for t in live] == sorted(i for i, t in store.tokens.items() if not t.burned)
+        for c in contracts:
+            assert list(c.holders.items()) == [(t.user, t) for t in live if t.dataset_address == c.contract_address]
 
 
 @settings(max_examples=40, deadline=None)
