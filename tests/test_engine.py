@@ -82,6 +82,32 @@ def test_action_stream_ignores_scenario_and_margin():
     assert streams[0] == streams[1] == streams[2]
 
 
+def test_economics_change_payments_only():
+    # The claim that settling a sweep cell from another cell's trace rests
+    # on: scenario, margin, fractions and gas price move no action, token
+    # or gas figure, and every wei fee scales exactly with the gas price.
+    a = run_simulation(small_cfg())
+    b = run_simulation(small_cfg(
+        scenario=Scenario.PROFIT, profit_margin_pct=250, access_fraction_pct=10, renew_fraction_pct=7,
+        price=replace(a.config.price, gas_price_wei=30 * 10**9),
+    ))
+    assert [r.payment_wei for r in a.records] != [r.payment_wei for r in b.records]
+    assert [(r.period, r.kind, r.actor, r.dataset) for r in a.records] == \
+           [(r.period, r.kind, r.actor, r.dataset) for r in b.records]
+    assert a.token_store.table_csv() == b.token_store.table_csv()
+    assert a.token_store.events == b.token_store.events
+    assert [r.gas_used for r in a.chain.receipts] == [r.gas_used for r in b.chain.receipts]
+    pa, pb = a.config.price.gas_price_wei, b.config.price.gas_price_wei
+    fees = [
+        ([r.gas_fee_wei for r in x.chain.receipts], [r.tx_gas_fee_wei for r in x.records],
+         [s.provider_cost_wei for s in x.series], [s.provider_cost_wei for s in x.contract_snapshots])
+        for x in (a, b)
+    ]
+    for fees_a, fees_b in zip(*fees):
+        assert len(fees_a) == len(fees_b)
+        assert all(fa * pb == fb * pa for fa, fb in zip(fees_a, fees_b))
+
+
 def test_no_compensation_scenario_never_collects_payments():
     result = run_simulation(small_cfg(scenario=Scenario.NO_COMPENSATION))
     assert all(r.payment_wei == 0 for r in result.records)
