@@ -195,14 +195,11 @@ class ChainState:
             raise ValueError("prefund cannot be negative")
         created = []
         for _ in range(n):
-            created.append(self._open_account(account_address(self._account_seq), prefund_wei))
+            created.append(self.create_named_account(account_address(self._account_seq), prefund_wei))
             self._account_seq += 1
         return created
 
-    def create_named_account(self, name: str, prefund_wei: int = 0) -> Address:
-        return self._open_account(name, prefund_wei)
-
-    def _open_account(self, addr: Address, prefund_wei: int) -> Address:
+    def create_named_account(self, addr: Address, prefund_wei: int = 0) -> Address:
         if addr in self.accounts:
             raise ValueError(f"account {addr} already exists")
         self.accounts[addr] = prefund_wei

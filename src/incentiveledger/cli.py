@@ -22,7 +22,7 @@ from . import __version__
 from .agents import PopulationConfig
 from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
-from .engine import SharedStart, SimConfig, run_simulation, settings, with_seed
+from .engine import SharedStart, SimConfig, run_simulation, settings, settle, with_seed
 from .errors import ConfigError, EngineError, LedgerError
 from .reporting import RunSummary, summary_csv, summary_text, write_run_reports
 
@@ -219,18 +219,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     shared = SharedStart()
     by_cell: list[list[RunSummary]] = [[] for _ in cells]
-    # Seed-major, so that each seed's population is drawn once. Each run's
+    # Seed-major, so that each seed's population is drawn once and its first
+    # completed run is the trace that its other cells settle from. Each run's
     # reports are written as soon as it finishes and its result is dropped.
-    for seed in range(args.seeds):
+    for seed in range(values["seed"], values["seed"] + args.seeds):
+        trace = None
         for base, summaries in zip(cells, by_cell):
             cfg = with_seed(base, seed)
             try:
-                result = run_simulation(cfg, shared)
+                result = run_simulation(cfg, shared) if trace is None else settle(cfg, trace, shared)
             except EngineError as exc:
                 # The error names the run: seed, grid cell, period and action.
                 failures += 1
                 log.error("run failed: %s", exc)
                 continue
+            trace = trace or result
             scenario, fraction, margin = cfg.scenario.value, cfg.access_fraction_pct, cfg.resolved_margin_pct
             cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{margin}"
             summaries.append(write_run_reports(result, cell / f"run-{cfg.seed}"))
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_setting_flags(sweep_parser)
     sweep_parser.add_argument("--seeds", type=int, default=30, metavar="N",
-                              help="run seeds 0..N-1 per grid cell (default 30)")
+                              help="run seeds S..S+N-1 per grid cell, S being --seed (default 30)")
     sweep_parser.add_argument("--scenarios", type=_grid_list, default=None, metavar="LIST",
                               help="comma-separated scenarios, e.g. 2,3 (default: --scenario)")
     sweep_parser.add_argument("--access-fractions", dest="access_fractions", type=_grid_list,

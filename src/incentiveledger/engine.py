@@ -23,16 +23,25 @@ their entire action stream across those settings.
 Sharing: the registry bootstrap depends on no seed and the population
 draw on the seed alone, so a sweep builds each once in a SharedStart and
 starts every run from copies, with the generator restored to its state
-after the draw; it also formats each draw's population.csv once. Every
-run writes the same bytes as a direct run, which builds its start state
-fresh and uses it in place.
+after the draw; it also formats each draw's population.csv once. Nor does
+the stream depend on economics, so a sweep simulates each seed once: its
+first completed run is the trace, and settle bills each later cell of the
+seed from it, executing every receipt again at its gas on a fork of the
+start while the cell's own contracts quote the payments. A cell that
+cannot pay fails with a direct run's error, at the same period and
+action; until a seed has a trace, its next cell runs directly. Every run
+writes the same bytes as a direct run, which builds its start state fresh
+and uses it in place.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
+from operator import attrgetter
 
 from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population, population_csv
 from .chain import (
@@ -61,6 +70,8 @@ from .tokens import (
 
 # Safety valve only; real runs finish in a few hundred periods.
 MAX_PERIODS = 1_000_000
+# What a run's action stream and gas depend on; a trace settles only runs that share it.
+_STREAM = attrgetter("seed", "population", "action_ticker", "update_multiplier", "schedule")
 
 
 class ActionKind(Enum):
@@ -197,6 +208,8 @@ def settings(cfg: SimConfig) -> dict[str, int | float]:
 
 @dataclass
 class SimResult:
+    """A run's outcome, and its books while it runs."""
+
     config: SimConfig
     records: list[ActionRecord]
     series: list[PeriodStats]
@@ -209,15 +222,37 @@ class SimResult:
     # population.csv of a shared draw, formatted once for all its runs.
     population_text: str | None = None
 
+    def record(self, period: int, kind: ActionKind, actor: Address, contract: DatasetContract,
+               fee_wei: int, payment_wei: int) -> None:
+        usd = self.chain.price.wei_to_usd(fee_wei + payment_wei)
+        self.records.append(ActionRecord(len(self.records), period, kind, actor, contract.contract_address,
+                                         fee_wei, payment_wei, usd, contract.current_cost_wei))
 
-def _publish_dataset(
-    chain: ChainState,
-    registry: Registry,
-    store: TokenStore,
-    cfg: SimConfig,
-    provider: AgentProfile,
-    ordinal: int,
-) -> tuple[DatasetContract, int]:
+    def close_period(self, period: int, actions: int, active_requesters: int, active_tokens: Iterable[int]) -> None:
+        """Book the period's totals, and a snapshot of each dataset with its next count of active tokens."""
+        datasets = self.datasets
+        current = sum(c.current_cost_wei for c in datasets)
+        cost = sum(c.provider_cost_wei for c in datasets)
+        earnings = sum(c.provider_earnings_wei for c in datasets)
+        self.series.append(PeriodStats(period, current, cost, earnings, earnings - cost, active_requesters, actions))
+        self.contract_snapshots += (
+            ContractSnapshot(period, c.contract_address, c.current_cost_wei, c.provider_cost_wei,
+                             c.provider_earnings_wei, tokens, c.meta_version)
+            for c, tokens in zip(datasets, active_tokens)
+        )
+
+    def failure(self, period: int, exc: LedgerError) -> EngineError:
+        """The error of a run that stopped at period, naming the run and the position."""
+        cfg = self.config
+        return EngineError(
+            f"seed {cfg.seed}, scenario {cfg.scenario.value}, margin {cfg.resolved_margin_pct}, "
+            f"access fraction {cfg.access_fraction_pct}, renew fraction {cfg.renew_fraction_pct}, "
+            f"period {period}, action {len(self.records)}: {exc}"
+        )
+
+
+def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, cfg: SimConfig,
+                     provider: Address, ordinal: int) -> tuple[DatasetContract, int]:
     """Deploy, publish and configure one dataset, returning total gas fees.
 
     The three parameter-setting calls happen once at publication and are
@@ -226,8 +261,8 @@ def _publish_dataset(
     contract = DatasetContract.deploy_and_publish(
         chain,
         registry,
-        provider.address,
-        link=f"data://{provider.address}/{ordinal}",
+        provider,
+        link=f"data://{provider}/{ordinal}",
         required_license=DEFAULT_LICENSE,
         scenario=cfg.scenario,
         profit_margin_pct=cfg.resolved_margin_pct,
@@ -236,9 +271,9 @@ def _publish_dataset(
         token_store=store,
     )
     fees = sum(r.gas_fee_wei for r in chain.receipts[-2:])
-    fees += contract.set_registry_address(provider.address, registry).gas_fee_wei
-    fees += contract.set_profit_margin(provider.address, cfg.resolved_margin_pct).gas_fee_wei
-    fees += contract.set_multis(provider.address, cfg.access_fraction_pct, cfg.renew_fraction_pct).gas_fee_wei
+    fees += contract.set_registry_address(provider, registry).gas_fee_wei
+    fees += contract.set_profit_margin(provider, cfg.resolved_margin_pct).gas_fee_wei
+    fees += contract.set_multis(provider, cfg.access_fraction_pct, cfg.renew_fraction_pct).gas_fee_wei
     return contract, fees
 
 
@@ -261,22 +296,26 @@ class SharedStart:
     bootstrap: tuple = (None, None, None)  # (settings, chain, registry)
     draw: tuple = (None, (), None, None)  # ((seed, population), profiles, generator state, population.csv)
 
-    def start(self, cfg: SimConfig) -> tuple[ChainState, Registry, list[AgentProfile], random.Random, str]:
+    def fork(self, cfg: SimConfig) -> tuple[ChainState, Registry]:
         # A GasSchedule holds a dict, so the settings are compared, not hashed.
         key = (cfg.population.n_accounts, cfg.population.max_providers, cfg.prefund_wei, cfg.price, cfg.schedule)
         if self.bootstrap[0] != key:
             self.bootstrap = (key, *build_start(cfg))
+        _, chain, registry = self.bootstrap
+        chain = chain.fork()
+        return chain, registry.fork(chain)
+
+    def start(self, cfg: SimConfig) -> tuple[ChainState, Registry, list[AgentProfile], random.Random, str]:
         if self.draw[0] != (cfg.seed, cfg.population):
             rng = random.Random(cfg.seed)
             profiles = generate_population(cfg.population, rng)
             self.draw = ((cfg.seed, cfg.population), profiles, rng.getstate(), population_csv(profiles))
-        (_, chain, registry), (_, profiles, state, text) = self.bootstrap, self.draw
+        _, profiles, state, text = self.draw
         rng = random.Random()
         rng.setstate(state)
-        chain = chain.fork()
         # current_prob and renewals change during a run; the rest is read-only.
         population = [AgentProfile(p.address, p.role, p.base_prob, p.current_prob, p.decay) for p in profiles]
-        return chain, registry.fork(chain), population, rng, text
+        return *self.fork(cfg), population, rng, text
 
 
 def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
@@ -291,46 +330,25 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
         chain, registry, population, rng, population_text = shared.start(cfg)
 
     store = TokenStore()
+    run = SimResult(cfg, [], [], [], chain, registry, store, population, [], population_text)
+    records, datasets, ticker = run.records, run.datasets, cfg.action_ticker
     providers = [p for p in population if p.role is Role.PROVIDER]
     # A requester at probability 0.0 could never request and would hold the
     # queue forever, so they never join it.
     requesters = [p for p in population if p.role is Role.REQUESTER and p.current_prob > 0.0]
-    datasets: list[DatasetContract] = []
     # Every token the run mints, with its holder and contract, in mint
     # order, which is token-id order. The engine never burns or destroys.
     roster: list[tuple[AccessToken, AgentProfile, DatasetContract]] = []
-
-    records: list[ActionRecord] = []
-    series: list[PeriodStats] = []
-    snapshots: list[ContractSnapshot] = []
-    actions = 0
     next_provider = 0
     next_requester = 0
     period = 0
 
-    def record(kind: ActionKind, actor: Address, contract: DatasetContract, fee_wei: int, payment_wei: int) -> None:
-        nonlocal actions
-        records.append(
-            ActionRecord(
-                index=len(records),
-                period=period,
-                kind=kind,
-                actor=actor,
-                dataset=contract.contract_address,
-                tx_gas_fee_wei=fee_wei,
-                payment_wei=payment_wei,
-                usd_total=chain.price.wei_to_usd(fee_wei + payment_wei),
-                current_cost_after_wei=contract.current_cost_wei,
-            )
-        )
-        actions += 1
-
     try:
-        while actions < cfg.action_ticker:
+        while len(records) < ticker:
             if period >= MAX_PERIODS:
                 raise EngineError(f"no progress after {MAX_PERIODS} periods")
             chain.period = period
-            actions_at_start = actions
+            actions_at_start = len(records)
 
             # Publish: the next provider in line rolls; the very first
             # publication of the run happens unconditionally.
@@ -338,40 +356,40 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                 provider = providers[next_provider]
                 goes = not records or rng.random() < provider.current_prob
                 if goes:
-                    contract, fees = _publish_dataset(chain, registry, store, cfg, provider, next_provider + 1)
+                    contract, fees = _publish_dataset(chain, registry, store, cfg, provider.address, next_provider + 1)
                     datasets.append(contract)
-                    record(ActionKind.PUBLISH, provider.address, contract, fees, 0)
+                    run.record(period, ActionKind.PUBLISH, provider.address, contract, fees, 0)
                     next_provider += 1
 
             # Update: every provider with a published dataset rolls;
             # provider i published datasets[i].
-            if actions < cfg.action_ticker:
+            if len(records) < ticker:
                 for contract, owner in zip(datasets, providers):
-                    if actions >= cfg.action_ticker:
+                    if len(records) >= ticker:
                         break
                     update_prob = min(1.0, owner.base_prob * cfg.update_multiplier)
                     if rng.random() < update_prob:
                         receipt = contract.update_data(owner.address)
-                        record(ActionKind.UPDATE, owner.address, contract, receipt.gas_fee_wei, 0)
+                        run.record(period, ActionKind.UPDATE, owner.address, contract, receipt.gas_fee_wei, 0)
 
             # Request: the requester in line rolls; on decline the same
             # requester tries again next period. They have never requested,
             # so every dataset is open to them.
-            if actions < cfg.action_ticker and next_requester < len(requesters):
+            if len(records) < ticker and next_requester < len(requesters):
                 requester = requesters[next_requester]
                 if rng.random() < requester.current_prob:
                     contract = datasets[rng.randrange(len(datasets))]
                     payment = quote_payment(contract, "access")
                     token = request_access(requester.address, contract, payment)
                     roster.append((token, requester, contract))
-                    receipt = chain.receipts[-1]
-                    record(ActionKind.REQUEST, requester.address, contract, receipt.gas_fee_wei, payment)
+                    fee = chain.receipts[-1].gas_fee_wei
+                    run.record(period, ActionKind.REQUEST, requester.address, contract, fee, payment)
                     next_requester += 1
 
             # Renew: each holder of an expired token rolls. A holder's one
             # token was granted or last renewed by their last action, so its
             # expiry is their cool-down of ACCESS_PERIODS periods.
-            if actions < cfg.action_ticker:
+            if len(records) < ticker:
                 for token, holder, contract in roster:
                     if token.access_until > period:
                         continue
@@ -380,58 +398,64 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                             confirm_compliance(holder.address, contract)
                         payment = quote_payment(contract, "renewal")
                         renew_access_time(holder.address, contract, payment)
-                        receipt = chain.receipts[-1]
                         decay_renewal_prob(holder)
-                        record(ActionKind.RENEW, holder.address, contract, receipt.gas_fee_wei, payment)
-                        if actions >= cfg.action_ticker:
+                        fee = chain.receipts[-1].gas_fee_wei
+                        run.record(period, ActionKind.RENEW, holder.address, contract, fee, payment)
+                        if len(records) >= ticker:
                             break
 
-            current_cost = sum(c.current_cost_wei for c in datasets)
-            cost = sum(c.provider_cost_wei for c in datasets)
-            earnings = sum(c.provider_earnings_wei for c in datasets)
-            series.append(
-                PeriodStats(
-                    period=period,
-                    current_cost_wei=current_cost,
-                    provider_cost_wei=cost,
-                    provider_earnings_wei=earnings,
-                    profit_wei=earnings - cost,
-                    active_requesters=len(roster),
-                    actions_this_period=actions - actions_at_start,
-                )
-            )
-            for contract in datasets:
-                snapshots.append(
-                    ContractSnapshot(
-                        period=period,
-                        contract=contract.contract_address,
-                        current_cost_wei=contract.current_cost_wei,
-                        provider_cost_wei=contract.provider_cost_wei,
-                        provider_earnings_wei=contract.provider_earnings_wei,
-                        active_tokens=len(contract.holders),
-                        meta_version=contract.meta_version,
-                    )
-                )
+            run.close_period(period, len(records) - actions_at_start, len(roster), [len(c.holders) for c in datasets])
             period += 1
     except LedgerError as exc:
-        raise EngineError(
-            f"seed {cfg.seed}, scenario {cfg.scenario.value}, margin {cfg.resolved_margin_pct}, "
-            f"access fraction {cfg.access_fraction_pct}, renew fraction {cfg.renew_fraction_pct}, "
-            f"period {period}, action {actions}: {exc}"
-        ) from exc
+        raise run.failure(period, exc) from exc
+    return run
 
-    return SimResult(
-        config=cfg,
-        records=records,
-        series=series,
-        contract_snapshots=snapshots,
-        chain=chain,
-        registry=registry,
-        token_store=store,
-        population=population,
-        datasets=datasets,
-        population_text=population_text,
-    )
+
+def settle(cfg: SimConfig, trace: SimResult, shared: SharedStart) -> SimResult:
+    """Run cfg by billing again the actions of trace, a completed run of its stream (see Sharing).
+
+    Only the economics of cfg and trace.config may differ. The run draws,
+    mints and logs nothing: it shares the trace's tokens, holders and population.
+    """
+    cfg.validate()
+    if _STREAM(cfg) != _STREAM(trace.config):
+        raise ValueError("a trace settles only runs of its own stream and gas schedule")
+    chain, registry = shared.fork(cfg)
+    run = SimResult(cfg, [], [], [], chain, registry, trace.token_store, trace.population, [], trace.population_text)
+    datasets = run.datasets
+    contracts: dict[Address, DatasetContract] = {}
+    actions = iter(trace.records)
+    # Each close_period takes the next count of every dataset in turn.
+    active_tokens = (s.active_tokens for s in trace.contract_snapshots)
+    try:
+        for stats in trace.series:
+            period = chain.period = stats.period
+            for r in islice(actions, stats.actions_this_period):
+                if r.kind is ActionKind.PUBLISH:
+                    contract, fee = _publish_dataset(chain, registry, run.token_store, cfg, r.actor,
+                                                     len(datasets) + 1)
+                    contract.holders = trace.datasets[len(datasets)].holders
+                    datasets.append(contract)
+                    contracts[r.dataset] = contract
+                    payment = 0
+                else:
+                    contract = contracts[r.dataset]
+                    t = trace.chain.receipts[len(chain.receipts)]
+                    payment = 0 if r.kind is ActionKind.UPDATE else quote_payment(
+                        contract, "access" if r.kind is ActionKind.REQUEST else "renewal")
+                    receipt = chain.execute(r.actor, t.function, t.gas_used - chain.schedule.gas_for(t.function),
+                                            payment, contract.contract_address if payment else None)
+                    fee = receipt.gas_fee_wei
+                    if r.kind is ActionKind.UPDATE:
+                        contract.accrue_cost(receipt.gas_used)
+                        contract.meta_version += 1
+                    else:
+                        contract.apply_payment(payment)
+                run.record(period, r.kind, r.actor, contract, fee, payment)
+            run.close_period(period, stats.actions_this_period, stats.active_requesters, active_tokens)
+    except LedgerError as exc:
+        raise run.failure(period, exc) from exc
+    return run
 
 
 def break_even_period(result: SimResult) -> int | None:

@@ -365,6 +365,63 @@ def test_sweep_logs_the_grid_cell_of_a_failed_run(tmp_path, caplog):
     assert not (tmp_path / "scenario-3_fraction-10_margin-150").exists()
 
 
+PAYMENT_FAILURE = ["--accounts", "40", "--actions", "60", "--scenario", "3", "--gas-price-gwei", "1000"]
+
+
+@pytest.mark.parametrize("margins", ["150,10000", "10000,150"])
+def test_a_settled_cell_fails_as_a_direct_run_does(tmp_path, caplog, margins):
+    # At margin 10000 the first requester cannot pay. With margins
+    # 150,10000 that cell settles from the margin-150 trace; with 10000,150
+    # it runs first and fails with no trace, and margin 150 runs directly.
+    # Either way the sweep logs what a direct run of each failing cell says.
+    with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
+        code = run_cli("sweep", *PAYMENT_FAILURE, "--seeds", "2", "--access-fractions", "100", "--margins", margins,
+                       "--out", str(tmp_path / "sweep"), "--quiet")
+    assert code == 1
+    needs = "acct-0001 holds 100000000000000000000 wei, needs 693185367000000000000 for addDataRequester"
+    assert [entry.getMessage() for entry in caplog.records] == [
+        f"run failed: seed {seed}, scenario 3, margin 10000, access fraction 100, renew fraction 5, "
+        f"period {period}, action 1: {needs}"
+        for seed, period in ((0, 5), (1, 0))
+    ]
+    cell = tmp_path / "sweep" / "scenario-3_fraction-100_margin-150"
+    assert sorted(p.name for p in cell.iterdir()) == ["run-0", "run-1"]
+    for seed in (0, 1):
+        direct = tmp_path / "direct"
+        assert run_cli("run", *PAYMENT_FAILURE, "--access-fraction", "100", "--profit-margin", "150",
+                       "--seed", str(seed), "--out", str(direct), "--quiet") == 0
+        assert tree_digest(cell / f"run-{seed}") == tree_digest(direct / f"run-{seed}")
+    assert not (tmp_path / "sweep" / "scenario-3_fraction-100_margin-10000").exists()
+
+
+def test_sweep_seed_is_the_base_seed(tmp_path):
+    assert run_cli("sweep", *SMALL, "--seeds", "2", "--seed", "5", "--scenarios", "2,3",
+                   "--out", str(tmp_path / "sweep"), "--quiet") == 0
+    for cell in ("scenario-2_fraction-5_margin-100", "scenario-3_fraction-5_margin-200"):
+        scenario = cell[9]
+        assert sorted(p.name for p in (tmp_path / "sweep" / cell).iterdir()) == ["run-5", "run-6"]
+        for seed in ("5", "6"):
+            direct = tmp_path / "direct" / cell
+            assert run_cli("run", *SMALL, "--scenario", scenario, "--seed", seed,
+                           "--out", str(direct), "--quiet") == 0
+            assert tree_digest(tmp_path / "sweep" / cell / f"run-{seed}") == tree_digest(direct / f"run-{seed}")
+
+
+def test_a_seed_offset_reaches_settled_cells(tmp_path, monkeypatch):
+    # A benchmark harness shifts a sweep's seeds by rebinding with_seed in
+    # cli and engine; settled cells must take their seed from it too.
+    real = cli.with_seed
+    monkeypatch.setattr(cli, "with_seed", lambda cfg, seed: real(cfg, seed + 100))
+    assert run_cli("sweep", *SMALL, "--seeds", "2", "--scenarios", "2,3",
+                   "--out", str(tmp_path), "--quiet") == 0
+    runs = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*/run-*"))
+    assert runs == [f"scenario-{s}_fraction-5_margin-{m}/run-{seed}"
+                    for s, m in ((2, 100), (3, 200)) for seed in (100, 101)]
+    for summary in tmp_path.glob("*/run-*/summary.csv"):
+        header, row = summary.read_text().splitlines()
+        assert f"run-{dict(zip(header.split(','), row.split(',')))['seed']}" == summary.parent.name
+
+
 def test_reports_of_one_run_agree_with_each_other(tmp_path):
     # Two providers, so that provider rows and kinds have more than one owner.
     assert run_cli("run", "--accounts", "60", "--actions", "200", "--max-providers", "2", "--seed", "5",

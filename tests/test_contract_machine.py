@@ -2,7 +2,8 @@
 
 Two providers own one dataset each and three users trade on them through
 every contract and gateway call, including the ones the engine never
-makes (licenses, prices, burns, withdrawals, destruction). After every
+makes (licenses, prices, burns, withdrawals, destruction), and burns
+through a contract that the token is not live on. After every
 step the balances and cost ledgers must match independent replays of the
 transaction log, and a call that raises must have changed nothing.
 """
@@ -11,12 +12,13 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from incentiveledger import DEFAULT_LICENSE, WEI_PER_ETH, ChainState, DatasetContract, Registry, Scenario
-from incentiveledger.errors import LedgerError
+from incentiveledger.errors import LedgerError, NoTokenError
 from incentiveledger.reporting import replay_balances, replay_cost_ledgers
 from incentiveledger.tokens import (
     BurnCause,
@@ -167,6 +169,21 @@ class ContractAPI(RuleBasedStateMachine):
         c = self.contract_at[token.dataset_address]
         cause = BurnCause.REQUESTER if by_requester else BurnCause.LICENSE_CHANGE
         self.attempt(c, lambda: burn_token(c, token, cause))
+
+    @rule(pick=st.integers(0, 20), by_requester=st.booleans())
+    def burn_through_another_contract(self, pick, by_requester):
+        live = [(token, i) for i, c in enumerate(self.contracts) for token in c.holders.values()]
+        if not live:
+            return
+        token, own = live[pick % len(live)]
+        other = self.contracts[1 - own]
+        if other.destroyed:
+            return
+        cause = BurnCause.REQUESTER if by_requester else BurnCause.LICENSE_CHANGE
+        before = self.state()
+        with pytest.raises(NoTokenError):
+            burn_token(other, token, cause)
+        assert self.state() == before
 
     @rule(caller=CALLERS, which=CONTRACTS)
     def withdraw(self, caller, which):

@@ -21,7 +21,7 @@ from incentiveledger import (
 )
 from incentiveledger import engine
 from incentiveledger.chain import WEI_PER_ETH
-from incentiveledger.engine import SharedStart, build_start
+from incentiveledger.engine import SharedStart, build_start, settle
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import write_run_reports
 
@@ -106,6 +106,14 @@ def test_economics_change_payments_only():
     for fees_a, fees_b in zip(*fees):
         assert len(fees_a) == len(fees_b)
         assert all(fa * pb == fb * pa for fa, fb in zip(fees_a, fees_b))
+
+
+def test_a_trace_settles_only_runs_of_its_own_stream():
+    shared = SharedStart()
+    trace = run_simulation(small_cfg(), shared)
+    for other in (with_seed(small_cfg(), 4), small_cfg(action_ticker=59), small_cfg(update_multiplier=6)):
+        with pytest.raises(ValueError, match="stream"):
+            settle(other, trace, shared)
 
 
 def test_no_compensation_scenario_never_collects_payments():
