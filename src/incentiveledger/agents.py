@@ -28,7 +28,6 @@ class PopulationConfig:
     max_providers: int = 1
     provider_prob_min: float = 0.01
     provider_prob_max: float = 0.05
-    seed: int = 0
 
     def validate(self) -> None:
         if self.n_accounts < 2:
@@ -51,15 +50,13 @@ class AgentProfile:
     renewals: int = 0
 
 
-def generate_population(cfg: PopulationConfig, rng: random.Random | None = None) -> list[AgentProfile]:
-    """Create one profile per account, providers first.
+def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[AgentProfile]:
+    """Create one profile per account, providers first, drawing from rng.
 
     Draw order is fixed for reproducibility: all normal samples first, then
     one uniform redraw per provider slot.
     """
     cfg.validate()
-    if rng is None:
-        rng = random.Random(cfg.seed)
     samples = [rng.gauss(0.0, 0.1) for _ in range(cfg.n_accounts)]
     lo, hi = min(samples), max(samples)
     probs = [0.5] * len(samples) if hi == lo else [(x - lo) / (hi - lo) for x in samples]

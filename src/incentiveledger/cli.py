@@ -117,7 +117,6 @@ def build_sim_config(values: dict, schedule: GasSchedule) -> SimConfig:
             max_providers=values["max-providers"],
             decay=values["decay"],
             provider_prob_max=values["provider-prob-max"],
-            seed=values["seed"],
         ),
         price=PriceModel(gas_price_wei=values["gas-price-gwei"] * GWEI, eth_usd=values["eth-usd"]),
         schedule=schedule,
@@ -219,9 +218,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     shared = SharedStart()
     by_cell: list[list[RunSummary]] = [[] for _ in cells]
-    # Seed-major, so that each seed's population is drawn once and its first
-    # completed run is the trace that its other cells settle from. Each run's
-    # reports are written as soon as it finishes and its result is dropped.
+    # Seed-major, so that each seed is simulated once: its first completed run
+    # is the trace that its other cells settle from. Each run's reports are
+    # written as soon as it finishes, and its result is dropped.
     for seed in range(values["seed"], values["seed"] + args.seeds):
         trace = None
         for base, summaries in zip(cells, by_cell):

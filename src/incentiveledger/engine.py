@@ -20,18 +20,16 @@ one renewal roll per expired token in token-id order. No draw depends on
 scenario, margin or fraction parameters, so runs that share a seed share
 their entire action stream across those settings.
 
-Sharing: the registry bootstrap depends on no seed and the population
-draw on the seed alone, so a sweep builds each once in a SharedStart and
-starts every run from copies, with the generator restored to its state
-after the draw; it also formats each draw's population.csv once. Nor does
-the stream depend on economics, so a sweep simulates each seed once: its
-first completed run is the trace, and settle bills each later cell of the
-seed from it, executing every receipt again at its gas on a fork of the
-start while the cell's own contracts quote the payments. A cell that
-cannot pay fails with a direct run's error, at the same period and
-action; until a seed has a trace, its next cell runs directly. Every run
-writes the same bytes as a direct run, which builds its start state fresh
-and uses it in place.
+Sharing: the registry bootstrap depends on no seed, so a sweep builds it
+once in a SharedStart, and each run forks it and draws its population
+from its own seed. Nor does the stream depend on economics, so a sweep
+simulates each seed once: its first completed run is the trace, and
+settle bills each later cell of the seed from it, sharing its population
+and executing every receipt again at its gas on a fork of the bootstrap
+while the cell's own contracts quote the payments. A cell that cannot
+pay fails with a direct run's error, at the same period and action;
+until a seed has a trace, its next cell runs directly. Every run writes
+the same bytes as a direct run, which builds its bootstrap fresh.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from enum import Enum
 from itertools import islice
 from operator import attrgetter
 
-from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population, population_csv
+from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
 from .chain import (
     GWEI,
     Address,
@@ -53,6 +51,7 @@ from .chain import (
     PriceModel,
     REGISTER_NEW_USER,
     REGISTRY_DEPLOYMENT,
+    TxReceipt,
     WEI_PER_ETH,
     default_gas_schedule,
 )
@@ -219,14 +218,18 @@ class SimResult:
     token_store: TokenStore
     population: list[AgentProfile]
     datasets: list[DatasetContract]
-    # population.csv of a shared draw, formatted once for all its runs.
+    # population.csv, formatted when the run's reports are first written; a settled run has its trace's.
     population_text: str | None = None
 
     def record(self, period: int, kind: ActionKind, actor: Address, contract: DatasetContract,
-               fee_wei: int, payment_wei: int) -> None:
-        usd = self.chain.price.wei_to_usd(fee_wei + payment_wei)
+               cost: TxReceipt | int) -> None:
+        """Book an action at its receipt's fee, payment and USD cost, or a publication at its summed fees."""
+        if isinstance(cost, int):
+            fee, payment, usd = cost, 0, self.chain.price.wei_to_usd(cost)
+        else:
+            fee, payment, usd = cost.gas_fee_wei, cost.value_wei, cost.usd_cost
         self.records.append(ActionRecord(len(self.records), period, kind, actor, contract.contract_address,
-                                         fee_wei, payment_wei, usd, contract.current_cost_wei))
+                                         fee, payment, usd, contract.current_cost_wei))
 
     def close_period(self, period: int, actions: int, active_requesters: int, active_tokens: Iterable[int]) -> None:
         """Book the period's totals, and a snapshot of each dataset with its next count of active tokens."""
@@ -291,10 +294,9 @@ def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
 
 
 class SharedStart:
-    """The start state of a sweep's runs: one bootstrap and one seed's draw."""
+    """The registry bootstrap of a sweep's runs, built once and forked by each."""
 
     bootstrap: tuple = (None, None, None)  # (settings, chain, registry)
-    draw: tuple = (None, (), None, None)  # ((seed, population), profiles, generator state, population.csv)
 
     def fork(self, cfg: SimConfig) -> tuple[ChainState, Registry]:
         # A GasSchedule holds a dict, so the settings are compared, not hashed.
@@ -305,32 +307,16 @@ class SharedStart:
         chain = chain.fork()
         return chain, registry.fork(chain)
 
-    def start(self, cfg: SimConfig) -> tuple[ChainState, Registry, list[AgentProfile], random.Random, str]:
-        if self.draw[0] != (cfg.seed, cfg.population):
-            rng = random.Random(cfg.seed)
-            profiles = generate_population(cfg.population, rng)
-            self.draw = ((cfg.seed, cfg.population), profiles, rng.getstate(), population_csv(profiles))
-        _, profiles, state, text = self.draw
-        rng = random.Random()
-        rng.setstate(state)
-        # current_prob and renewals change during a run; the rest is read-only.
-        population = [AgentProfile(p.address, p.role, p.base_prob, p.current_prob, p.decay) for p in profiles]
-        return *self.fork(cfg), population, rng, text
-
 
 def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
-    """Run cfg from the start state of shared, or from a fresh one."""
+    """Run cfg from a fork of the bootstrap of shared, or from a fresh one."""
     cfg.validate()
-    if shared is None:
-        chain, registry = build_start(cfg)
-        rng = random.Random(cfg.seed)
-        population = generate_population(cfg.population, rng)
-        population_text = None
-    else:
-        chain, registry, population, rng, population_text = shared.start(cfg)
+    chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
+    rng = random.Random(cfg.seed)
+    population = generate_population(cfg.population, rng)
 
     store = TokenStore()
-    run = SimResult(cfg, [], [], [], chain, registry, store, population, [], population_text)
+    run = SimResult(cfg, [], [], [], chain, registry, store, population, [])
     records, datasets, ticker = run.records, run.datasets, cfg.action_ticker
     providers = [p for p in population if p.role is Role.PROVIDER]
     # A requester at probability 0.0 could never request and would hold the
@@ -358,7 +344,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                 if goes:
                     contract, fees = _publish_dataset(chain, registry, store, cfg, provider.address, next_provider + 1)
                     datasets.append(contract)
-                    run.record(period, ActionKind.PUBLISH, provider.address, contract, fees, 0)
+                    run.record(period, ActionKind.PUBLISH, provider.address, contract, fees)
                     next_provider += 1
 
             # Update: every provider with a published dataset rolls;
@@ -370,7 +356,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                     update_prob = min(1.0, owner.base_prob * cfg.update_multiplier)
                     if rng.random() < update_prob:
                         receipt = contract.update_data(owner.address)
-                        run.record(period, ActionKind.UPDATE, owner.address, contract, receipt.gas_fee_wei, 0)
+                        run.record(period, ActionKind.UPDATE, owner.address, contract, receipt)
 
             # Request: the requester in line rolls; on decline the same
             # requester tries again next period. They have never requested,
@@ -382,8 +368,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                     payment = quote_payment(contract, "access")
                     token = request_access(requester.address, contract, payment)
                     roster.append((token, requester, contract))
-                    fee = chain.receipts[-1].gas_fee_wei
-                    run.record(period, ActionKind.REQUEST, requester.address, contract, fee, payment)
+                    run.record(period, ActionKind.REQUEST, requester.address, contract, chain.receipts[-1])
                     next_requester += 1
 
             # Renew: each holder of an expired token rolls. A holder's one
@@ -399,8 +384,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                         payment = quote_payment(contract, "renewal")
                         renew_access_time(holder.address, contract, payment)
                         decay_renewal_prob(holder)
-                        fee = chain.receipts[-1].gas_fee_wei
-                        run.record(period, ActionKind.RENEW, holder.address, contract, fee, payment)
+                        run.record(period, ActionKind.RENEW, holder.address, contract, chain.receipts[-1])
                         if len(records) >= ticker:
                             break
 
@@ -432,26 +416,23 @@ def settle(cfg: SimConfig, trace: SimResult, shared: SharedStart) -> SimResult:
             period = chain.period = stats.period
             for r in islice(actions, stats.actions_this_period):
                 if r.kind is ActionKind.PUBLISH:
-                    contract, fee = _publish_dataset(chain, registry, run.token_store, cfg, r.actor,
-                                                     len(datasets) + 1)
+                    contract, cost = _publish_dataset(chain, registry, run.token_store, cfg, r.actor, len(datasets) + 1)
                     contract.holders = trace.datasets[len(datasets)].holders
                     datasets.append(contract)
                     contracts[r.dataset] = contract
-                    payment = 0
                 else:
                     contract = contracts[r.dataset]
                     t = trace.chain.receipts[len(chain.receipts)]
                     payment = 0 if r.kind is ActionKind.UPDATE else quote_payment(
                         contract, "access" if r.kind is ActionKind.REQUEST else "renewal")
-                    receipt = chain.execute(r.actor, t.function, t.gas_used - chain.schedule.gas_for(t.function),
-                                            payment, contract.contract_address if payment else None)
-                    fee = receipt.gas_fee_wei
+                    cost = chain.execute(r.actor, t.function, t.gas_used - chain.schedule.gas_for(t.function),
+                                         payment, contract.contract_address if payment else None)
                     if r.kind is ActionKind.UPDATE:
-                        contract.accrue_cost(receipt.gas_used)
+                        contract.accrue_cost(cost.gas_used)
                         contract.meta_version += 1
                     else:
                         contract.apply_payment(payment)
-                run.record(period, r.kind, r.actor, contract, fee, payment)
+                run.record(period, r.kind, r.actor, contract, cost)
             run.close_period(period, stats.actions_this_period, stats.active_requesters, active_tokens)
     except LedgerError as exc:
         raise run.failure(period, exc) from exc
@@ -467,4 +448,4 @@ def break_even_period(result: SimResult) -> int | None:
 
 
 def with_seed(cfg: SimConfig, seed: int) -> SimConfig:
-    return replace(cfg, seed=seed, population=replace(cfg.population, seed=seed))
+    return replace(cfg, seed=seed)

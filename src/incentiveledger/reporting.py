@@ -34,6 +34,8 @@ from .chain import (
 from .engine import ActionKind, SimResult, break_even_period, settings
 from .errors import ReconciliationFailureError
 
+TOP_REQUESTERS = 3  # how many of the most-spending requesters summaries name
+
 # Owner calls whose fees feed the requester-compensation pool.
 ACCRUING_FUNCTIONS = frozenset(
     {
@@ -203,7 +205,7 @@ class RunTotals:
         self.ranked = sorted(spend.values(), key=lambda t: (-t[2], t[0]))  # highest spend first
 
 
-def summarize(result: SimResult, k: int = 3, totals: RunTotals | None = None) -> RunSummary:
+def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     reconcile(result)
     if totals is None:
         totals = RunTotals(result)
@@ -213,7 +215,7 @@ def summarize(result: SimResult, k: int = 3, totals: RunTotals | None = None) ->
     per_period = max(1, periods)  # an empty run still gets zero frequencies
     cost = sum(c.provider_cost_wei for c in result.datasets)
     earnings = sum(c.provider_earnings_wei for c in result.datasets)
-    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked[:k])
+    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked[:TOP_REQUESTERS])
     return RunSummary(
         seed=result.config.seed,
         scenario=result.config.scenario.value,
@@ -333,8 +335,8 @@ def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
     return "\n".join(lines) + "\n"
 
 
-def top_requesters_csv(result: SimResult, totals: RunTotals, k: int = 3) -> str:
-    """The provider's lifetime cost against the k most-spending requesters."""
+def top_requesters_csv(result: SimResult, totals: RunTotals) -> str:
+    """The provider's lifetime cost against the TOP_REQUESTERS most-spending requesters."""
     price = result.chain.price
     lines = ["role,address,actions,totalWei,totalUsd"]
     provider_spend: dict[Address, int] = {}
@@ -345,7 +347,7 @@ def top_requesters_csv(result: SimResult, totals: RunTotals, k: int = 3) -> str:
             f"provider,{addr},{totals.provider_actions.get(addr, 0)},{total},"
             f"{price.wei_to_usd(total):.2f}"
         )
-    for addr, n, total in totals.ranked[:k]:
+    for addr, n, total in totals.ranked[:TOP_REQUESTERS]:
         lines.append(f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}")
     return "\n".join(lines) + "\n"
 
@@ -435,7 +437,8 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     write("cost_overlay.csv", cost_overlay_csv(result))
     write("transactions.csv", result.chain.log_csv())
     write("tokens.csv", result.token_store.table_csv())
-    write("population.csv", result.population_text or population_csv(result.population))
+    result.population_text = result.population_text or population_csv(result.population)
+    write("population.csv", result.population_text)
     write("registry.csv", result.registry.snapshot_csv())
     write("summary.txt", summary_text(result, summary))
     write("summary.csv", summary_csv(summary))

@@ -12,6 +12,7 @@ in the project notes.
 
 from __future__ import annotations
 
+import random
 import statistics
 import time
 from decimal import Decimal
@@ -192,7 +193,7 @@ def test_criterion_4_population_statistics():
     requester_probs: list[float] = []
     provider_probs: list[float] = []
     for seed in range(20):
-        population = generate_population(PopulationConfig(seed=seed))
+        population = generate_population(PopulationConfig(), random.Random(seed))
         for profile in population:
             (provider_probs if profile.role is Role.PROVIDER else requester_probs).append(
                 profile.base_prob

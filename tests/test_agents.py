@@ -21,14 +21,14 @@ from incentiveledger.errors import ConfigError
 
 
 def test_roles_partition_with_providers_first():
-    pop = generate_population(PopulationConfig(n_accounts=50, max_providers=3))
+    pop = generate_population(PopulationConfig(n_accounts=50, max_providers=3), random.Random(0))
     assert [p.role for p in pop[:3]] == [Role.PROVIDER] * 3
     assert all(p.role is Role.REQUESTER for p in pop[3:])
     assert [p.address for p in pop] == [account_address(i) for i in range(50)]
 
 
 def test_minmax_normalization_pins_extremes_to_unit_interval():
-    pop = generate_population(PopulationConfig(n_accounts=200, max_providers=1))
+    pop = generate_population(PopulationConfig(n_accounts=200, max_providers=1), random.Random(0))
     requester_probs = [p.base_prob for p in pop if p.role is Role.REQUESTER]
     assert min(requester_probs) == 0.0
     assert max(requester_probs) == 1.0
@@ -39,27 +39,20 @@ def test_provider_probability_drawn_within_bounds():
     cfg = PopulationConfig(n_accounts=100, max_providers=5,
                            provider_prob_min=0.01, provider_prob_max=0.05)
     for seed in range(10):
-        pop = generate_population(PopulationConfig(**{**cfg.__dict__, "seed": seed}))
+        pop = generate_population(cfg, random.Random(seed))
         for p in pop[:5]:
             assert 0.01 <= p.base_prob <= 0.05
 
 
 def test_generation_is_deterministic_per_seed():
-    cfg = PopulationConfig(n_accounts=64, seed=7)
-    a = generate_population(cfg)
-    b = generate_population(cfg)
+    cfg = PopulationConfig(n_accounts=64)
+    a = generate_population(cfg, random.Random(7))
+    b = generate_population(cfg, random.Random(7))
     assert [(p.address, p.role, p.base_prob) for p in a] == [
         (p.address, p.role, p.base_prob) for p in b
     ]
-    c = generate_population(PopulationConfig(n_accounts=64, seed=8))
+    c = generate_population(cfg, random.Random(8))
     assert [p.base_prob for p in a] != [p.base_prob for p in c]
-
-
-def test_external_rng_overrides_seed():
-    cfg = PopulationConfig(n_accounts=16, seed=1)
-    via_seed = generate_population(PopulationConfig(n_accounts=16, seed=99))
-    via_rng = generate_population(cfg, rng=random.Random(99))
-    assert [p.base_prob for p in via_rng] == [p.base_prob for p in via_seed]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -75,7 +68,7 @@ def test_external_rng_overrides_seed():
 ])
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(ConfigError):
-        generate_population(PopulationConfig(**overrides))
+        generate_population(PopulationConfig(**overrides), random.Random(0))
 
 
 def test_decay_follows_power_law_exactly():
@@ -111,7 +104,7 @@ def test_decay_is_strictly_decreasing_while_positive(base, decay, n):
 
 
 def test_population_csv_lists_every_account():
-    pop = generate_population(PopulationConfig(n_accounts=5, max_providers=2))
+    pop = generate_population(PopulationConfig(n_accounts=5, max_providers=2), random.Random(0))
     lines = population_csv(pop).splitlines()
     assert lines[0] == "address,role,baseProb"
     assert len(lines) == 6

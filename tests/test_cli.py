@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from incentiveledger import cli
+from incentiveledger import cli, reporting
 from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
 from incentiveledger.errors import ConfigError, EngineError
@@ -292,8 +292,8 @@ def test_sweep_rejects_repeated_grid_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("providers", [[], ["--max-providers", "2"]])
 def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
-    # Sweep runs share their bootstrap and each seed's population draw;
-    # every run directory must still equal a direct run of its settings.
+    # Sweep runs share their bootstrap, and each seed's settled cells share
+    # its trace; every run directory must still equal a direct run of its settings.
     sweep = tmp_path / "sweep"
     assert run_cli("sweep", *SMALL, *providers, "--scenarios", "1,2,3", "--access-fractions", "1,10",
                    "--seeds", "3", "--out", str(sweep), "--quiet") == 0
@@ -309,6 +309,26 @@ def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
         assert names == sorted(p.name for p in (direct / run_dir.name).iterdir())
         for name in names:
             assert (run_dir / name).read_bytes() == (direct / run_dir.name / name).read_bytes(), (run_dir, name)
+
+
+def test_population_csv_is_formatted_once_per_simulated_seed(tmp_path, monkeypatch):
+    # A seed's settled cells share its trace's population, and with it the
+    # text the trace's reports formatted; a direct run formats its own.
+    calls = []
+    real = reporting.population_csv
+    monkeypatch.setattr(reporting, "population_csv", lambda profiles: calls.append(1) or real(profiles))
+    sweep = tmp_path / "sweep"
+    assert run_cli("sweep", *SMALL, "--seeds", "2", "--scenarios", "1,2,3",
+                   "--out", str(sweep), "--quiet") == 0
+    assert len(calls) == 2
+    for seed in ("0", "1"):
+        calls.clear()
+        assert run_cli("run", *SMALL, "--seed", seed, "--out", str(tmp_path / "direct"), "--quiet") == 0
+        assert len(calls) == 1
+        direct = (tmp_path / "direct" / f"run-{seed}" / "population.csv").read_bytes()
+        cells = sorted(sweep.glob(f"*/run-{seed}/population.csv"))
+        assert len(cells) == 3
+        assert all(path.read_bytes() == direct for path in cells)
 
 
 def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
@@ -516,7 +536,7 @@ def test_build_sim_config_round_trips_parse(tmp_path):
     assert cfg.population.n_accounts == 50 and cfg.population.max_providers == 2
     assert cfg.population.decay == 0.5 and cfg.population.provider_prob_max == 0.04
     assert cfg.price.gas_price_wei == 60 * 10**9 and cfg.price.eth_usd == 2000.0
-    assert cfg.seed == 12 and cfg.population.seed == 12
+    assert cfg.seed == 12
     with pytest.raises(ConfigError, match="scenario must be"):
         build_sim_config({**defaults, **values, "scenario": 7}, default_gas_schedule())
 

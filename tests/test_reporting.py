@@ -50,7 +50,7 @@ from incentiveledger.reporting import (
 def run():
     return run_simulation(SimConfig(
         action_ticker=80,
-        population=PopulationConfig(n_accounts=60, seed=11),
+        population=PopulationConfig(n_accounts=60),
         seed=11,
     ))
 
@@ -58,7 +58,7 @@ def run():
 def empty_result() -> SimResult:
     chain = ChainState()
     authority = chain.create_named_account("authority", 10**18)
-    cfg = SimConfig(population=PopulationConfig(n_accounts=2, seed=0))
+    cfg = SimConfig(population=PopulationConfig(n_accounts=2))
     return SimResult(
         config=cfg, records=[], series=[], contract_snapshots=[],
         chain=chain, registry=Registry(chain, authority),
@@ -76,7 +76,7 @@ def test_requester_calls_never_accrue():
 def test_real_runs_reconcile(scenario):
     result = run_simulation(SimConfig(
         scenario=scenario, action_ticker=50,
-        population=PopulationConfig(n_accounts=40, seed=2), seed=2,
+        population=PopulationConfig(n_accounts=40), seed=2,
     ))
     reconcile(result)  # must not raise
     replayed = replay_cost_ledgers(result)
@@ -252,7 +252,7 @@ def test_requester_costs_split_gas_from_payments(run):
 
 
 def test_top_requesters_lists_provider_rows_first(run):
-    lines = top_requesters_csv(run, RunTotals(run), k=3).splitlines()
+    lines = top_requesters_csv(run, RunTotals(run)).splitlines()
     assert lines[0] == "role,address,actions,totalWei,totalUsd"
     roles = [line.split(",")[0] for line in lines[1:]]
     n_providers = len(run.datasets)
@@ -270,7 +270,7 @@ def test_requester_ranking_breaks_spend_ties_by_lower_address():
     # request and one renewal each, spend exactly the same.
     result = run_simulation(SimConfig(
         scenario=Scenario.NO_COMPENSATION, action_ticker=8,
-        population=PopulationConfig(n_accounts=30, seed=0), seed=0,
+        population=PopulationConfig(n_accounts=30), seed=0,
     ))
     ranked = [
         ("acct-0001", 37_460_016_000_000_000),
@@ -336,7 +336,7 @@ def test_write_run_reports_emits_the_full_set(run, tmp_path):
 def test_no_compensation_reports_zero_payment_columns():
     result = run_simulation(SimConfig(
         scenario=Scenario.NO_COMPENSATION, action_ticker=40,
-        population=PopulationConfig(n_accounts=30, seed=6), seed=6,
+        population=PopulationConfig(n_accounts=30), seed=6,
     ))
     for line in requester_costs_csv(result, RunTotals(result)).splitlines()[1:]:
         assert line.split(",")[4] == "0"

@@ -1,0 +1,30 @@
+"""Source hygiene: every module-level import of the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "incentiveledger").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, counting those inside string annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names |= used_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    blocks = [tree.body, *(node.body for node in tree.body if isinstance(node, ast.If))]
+    imported = {alias.asname or alias.name.split(".")[0] for body in blocks for node in body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                for alias in node.names}
+    assert imported <= used_names(tree), sorted(imported - used_names(tree))
