@@ -116,9 +116,10 @@ class TokenStore:
         self.events.append(TokenEvent(kind, period, token_id, user))
 
     def invalidate_compliance(self, tokens: Iterable[AccessToken], period: int) -> None:
+        append = self.events.append
         for token in tokens:
             token.compliance = False
-            self.record("updateNotice", period, token.token_id, token.user)
+            append(TokenEvent("updateNotice", period, token.token_id, token.user))
 
     def table_csv(self) -> str:
         lines = ["tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -17,9 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incentiveledger import cli, reporting
+from incentiveledger.agents import PopulationConfig
 from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
+from incentiveledger.engine import SimConfig, run_simulation
 from incentiveledger.errors import ConfigError, EngineError
+from incentiveledger.reporting import write_run_reports
 from incentiveledger.tokens import ACCESS_PERIODS
 
 SMALL = ["--accounts", "30", "--actions", "25"]
@@ -624,3 +628,74 @@ def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_t
             assert code == 2
             assert re.fullmatch(r"error: [^\n]*\n", err)
             assert not out.exists()
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    gc.enable() if enabled else gc.disable()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *SMALL],
+    ["sweep", *SMALL, "--seeds", "3"],
+    ["run", *PAYMENT_FAILURE, "--access-fraction", "100", "--profit-margin", "10000"],
+    ["sweep", *PAYMENT_FAILURE, "--seeds", "2", "--access-fractions", "100", "--margins", "150,10000"],
+    ["run", *SMALL, "--seed", "-1"],
+], ids=" ".join)
+def test_a_command_leaves_no_cyclic_garbage(tmp_path, monkeypatch, argv):
+    # main runs with the cyclic collector off, which is safe only while
+    # reference counting alone frees a run: no part of its state may sit in
+    # a reference cycle, or it would stay in memory for the whole command.
+    # pytest's log capture would keep a failed run's traceback, and with it
+    # the run, reachable; a command's own log handler keeps no record.
+    monkeypatch.setattr(logging.getLogger("incentiveledger.cli"), "propagate", False)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main([*argv, "--out", str(tmp_path), "--quiet"])
+        gc.collect()
+        leaked = sorted({type(obj).__qualname__ for obj in gc.garbage
+                         if type(obj).__module__.startswith("incentiveledger")})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, collector_state, enabled):
+    gc.enable() if enabled else gc.disable()
+    for code, argv in [
+        (0, ["run", *SMALL]),
+        (1, ["run", *SMALL, "--gas-price-gwei", "20000"]),
+        (2, ["run", *SMALL, "--seed", "-1"]),
+    ]:
+        assert run_cli(*argv, "--out", str(tmp_path), "--quiet") == code
+        assert gc.isenabled() is enabled
+    with pytest.raises(SystemExit):
+        run_cli("run", "--bogus")
+    assert gc.isenabled() is enabled
+    seen = []
+
+    def crash(cfg, shared=None):
+        seen.append(gc.isenabled())
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "run_simulation", crash)
+    with pytest.raises(RuntimeError):
+        run_cli("run", *SMALL, "--out", str(tmp_path), "--quiet")
+    assert gc.isenabled() is enabled
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_calls_keep_the_collector_state(tmp_path, collector_state, enabled):
+    gc.enable() if enabled else gc.disable()
+    result = run_simulation(SimConfig(action_ticker=25, population=PopulationConfig(n_accounts=30)))
+    assert gc.isenabled() is enabled
+    write_run_reports(result, tmp_path)
+    assert gc.isenabled() is enabled
