@@ -40,7 +40,7 @@ class PopulationConfig:
             raise ConfigError("provider probability bounds must satisfy 0 <= min <= max <= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentProfile:
     address: Address
     role: Role
@@ -68,15 +68,7 @@ def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[Agent
         else:
             role = Role.REQUESTER
             prob = probs[i]
-        profiles.append(
-            AgentProfile(
-                address=account_address(i),
-                role=role,
-                base_prob=prob,
-                current_prob=prob,
-                decay=cfg.decay,
-            )
-        )
+        profiles.append(AgentProfile(account_address(i), role, prob, prob, cfg.decay))
     return profiles
 
 
@@ -96,4 +88,5 @@ def population_csv(profiles: list[AgentProfile]) -> str:
     lines = ["address,role,baseProb"]
     for p in profiles:
         lines.append(f"{p.address},{p.role._value_},{p.base_prob!r}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

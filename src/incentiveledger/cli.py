@@ -176,17 +176,21 @@ def _resolve_values(args: argparse.Namespace) -> dict:
 
 
 def _resolve_out(args: argparse.Namespace) -> Path:
-    if args.out is not None:
-        return args.out
+    """The report directory, created before any run so that an unusable one exits 2."""
     env = os.environ.get(OUT_ENV)
-    return Path(env) if env else Path("out")
+    out = args.out if args.out is not None else Path(env) if env else Path("out")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the report directory: {exc}") from exc
+    return out
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     schedule = load_gas_table(args.gas_table) if args.gas_table else default_gas_schedule()
     cfg = build_sim_config(_resolve_values(args), schedule)
-    result = run_simulation(cfg)
     run_dir = _resolve_out(args) / f"run-{cfg.seed}"
+    result = run_simulation(cfg)
     summary = write_run_reports(result, run_dir)
     if not args.quiet:
         sys.stdout.write(summary_text(result, summary))
@@ -251,7 +255,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         median_text = "" if median == float("inf") else f"{median:g}"
         even_lines.append(f"{scenario},{fraction},{margin},{len(evens)},{attained},{median_text}")
 
-    out.mkdir(parents=True, exist_ok=True)
     rows = [summary_csv(summary).partition("\n") for summaries in by_cell for summary in summaries]
     if rows:
         (out / "sweep.csv").write_text(rows[0][0] + "\n" + "".join(row for _, _, row in rows),

@@ -313,6 +313,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
     cfg.validate()
     chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
     rng = random.Random(cfg.seed)
+    draw = rng.random
     population = generate_population(cfg.population, rng)
 
     store = TokenStore()
@@ -340,7 +341,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
             # publication of the run happens unconditionally.
             if next_provider < len(providers):
                 provider = providers[next_provider]
-                goes = not records or rng.random() < provider.current_prob
+                goes = not records or draw() < provider.current_prob
                 if goes:
                     contract, fees = _publish_dataset(chain, registry, store, cfg, provider.address, next_provider + 1)
                     datasets.append(contract)
@@ -354,7 +355,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                     if len(records) >= ticker:
                         break
                     update_prob = min(1.0, owner.base_prob * cfg.update_multiplier)
-                    if rng.random() < update_prob:
+                    if draw() < update_prob:
                         receipt = contract.update_data(owner.address)
                         run.record(period, ActionKind.UPDATE, owner.address, contract, receipt)
 
@@ -363,7 +364,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
             # so every dataset is open to them.
             if len(records) < ticker and next_requester < len(requesters):
                 requester = requesters[next_requester]
-                if rng.random() < requester.current_prob:
+                if draw() < requester.current_prob:
                     contract = datasets[rng.randrange(len(datasets))]
                     payment = quote_payment(contract, "access")
                     token = request_access(requester.address, contract, payment)
@@ -378,7 +379,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                 for token, holder, contract in roster:
                     if token.access_until > period:
                         continue
-                    if rng.random() < holder.current_prob:
+                    if draw() < holder.current_prob:
                         if not token.compliance:
                             confirm_compliance(holder.address, contract)
                         payment = quote_payment(contract, "renewal")

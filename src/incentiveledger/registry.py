@@ -98,4 +98,5 @@ class Registry:
         for addr in sorted(rows):
             role, license_code = rows[addr]
             lines.append(f"{addr},{role},{license_code}")
-        return "\n".join(lines) + "\n"
+        lines.append("")
+        return "\n".join(lines)

@@ -256,7 +256,8 @@ def actions_csv(result: SimResult) -> str:
             f"{r.index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
             f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def periods_csv(result: SimResult) -> str:
@@ -272,7 +273,8 @@ def periods_csv(result: SimResult) -> str:
             f"{s.profit_wei},{price.wei_to_usd(s.profit_wei):.2f},"
             f"{s.active_requesters},{s.actions_this_period}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def contracts_csv(result: SimResult) -> str:
@@ -285,7 +287,8 @@ def contracts_csv(result: SimResult) -> str:
             f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
             f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def profit_series_csv(result: SimResult) -> str:
@@ -294,7 +297,8 @@ def profit_series_csv(result: SimResult) -> str:
     lines = ["period,scenario,profitWei,profitUsd"]
     for s in result.series:
         lines.append(f"{s.period},{scenario},{s.profit_wei},{price.wei_to_usd(s.profit_wei):.2f}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def cost_overlay_csv(result: SimResult) -> str:
@@ -320,7 +324,8 @@ def cost_overlay_csv(result: SimResult) -> str:
         lines.append(
             f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
@@ -332,7 +337,8 @@ def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
             f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},"
             f"{price.wei_to_usd(paid):.2f},{price.wei_to_usd(fees + paid):.2f}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def top_requesters_csv(result: SimResult, totals: RunTotals) -> str:
@@ -349,7 +355,8 @@ def top_requesters_csv(result: SimResult, totals: RunTotals) -> str:
         )
     for addr, n, total in totals.ranked[:TOP_REQUESTERS]:
         lines.append(f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def cost_distribution_csv(totals: RunTotals) -> str:
@@ -363,7 +370,8 @@ def cost_distribution_csv(totals: RunTotals) -> str:
             q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
             cuts = [values[0], q1, q2, q3, values[-1]]
         lines.append(f"{kind},{len(values)}," + ",".join(f"{v:.2f}" for v in cuts))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def summary_text(result: SimResult, summary: RunSummary) -> str:
@@ -391,7 +399,8 @@ def summary_text(result: SimResult, summary: RunSummary) -> str:
         f"gas fees ${price.wei_to_usd(summary.total_gas_fee_wei):.2f} "
         f"({summary.total_gas_fee_wei} wei to the miner)",
     ]
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 # Built once: camelCasing the header on every call would cost more than the row.

@@ -129,7 +129,8 @@ class TokenStore:
                 f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
                 f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"
             )
-        return "\n".join(lines) + "\n"
+        lines.append("")
+        return "\n".join(lines)
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:

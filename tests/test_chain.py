@@ -134,6 +134,28 @@ def test_unknown_recipient_rejected_before_any_debit(chain):
     assert chain.receipts == []
 
 
+def test_unknown_caller_is_rejected_without_effect(chain):
+    vendor = chain.create_named_account("vendor", 7)
+    before = dict(chain.accounts)
+    with pytest.raises(UnknownAccountError):
+        chain.execute("ghost", CHECK_USER)
+    with pytest.raises(UnknownAccountError):
+        chain.execute("ghost", CHECK_USER, value_wei=1, recipient=vendor)
+    assert chain.accounts == before
+    assert chain.receipts == []
+
+
+@pytest.mark.parametrize("unknown", ["source", "recipient"])
+def test_transfer_to_or_from_an_unknown_account_has_no_effect(chain, unknown):
+    known = chain.create_named_account("known", 100)
+    source, recipient = ("ghost", known) if unknown == "source" else (known, "ghost")
+    before = dict(chain.accounts)
+    with pytest.raises(UnknownAccountError):
+        chain.transfer(source, recipient, 60, "withdraw")
+    assert chain.accounts == before
+    assert chain.receipts == []
+
+
 def test_execute_argument_validation(chain):
     caller = chain.create_named_account("caller", WEI_PER_ETH)
     with pytest.raises(ValueError):

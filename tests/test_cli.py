@@ -125,6 +125,31 @@ def test_out_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "flag" / "run-0" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "2"]], ids=["run", "sweep"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
+                                                                      command, where, via):
+    def never(*args):
+        raise AssertionError("simulated despite an unusable --out")
+
+    monkeypatch.setattr(cli, "run_simulation", never)
+    monkeypatch.setattr(cli, "settle", never)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if where == "file" else blocker / "out"
+    argv = [*command, *SMALL, "--quiet"]
+    if via == "flag":
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv("INCENTIVELEDGER_OUT", str(out))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_gas_table_overrides_change_fees(tmp_path):
     table = tmp_path / "gas.json"
     table.write_text(json.dumps({"transactionGas": {"updateData": 87_598}}))

@@ -310,3 +310,25 @@ def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):
         for name in ("population.csv", "registry.csv"):
             assert shared_run[name] == direct_run[name], (i, name)
         assert shared_run == direct_run
+
+
+# One record of each per-event or per-account kind that a run keeps.
+RECORDS = {
+    "TxReceipt": lambda run: run.chain.receipts[-1],
+    "ActionRecord": lambda run: run.records[-1],
+    "PeriodStats": lambda run: run.series[-1],
+    "ContractSnapshot": lambda run: run.contract_snapshots[-1],
+    "AccessToken": lambda run: next(iter(run.token_store.tokens.values())),
+    "TokenEvent": lambda run: run.token_store.events[-1],
+    "AgentProfile": lambda run: run.population[-1],
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_reject_an_attribute_they_do_not_declare(kind):
+    # A misspelt field must fail at the assignment, not become a new
+    # attribute that nothing reads: the renew phase reads current_prob.
+    record = RECORDS[kind](run_simulation(small_cfg()))
+    assert type(record).__name__ == kind
+    with pytest.raises(AttributeError):
+        record.curent_prob = 0.0
