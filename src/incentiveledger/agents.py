@@ -15,6 +15,8 @@ from enum import Enum
 from .chain import Address, account_address
 from .errors import ConfigError
 
+PROVIDER_PROB_MIN = 0.01  # a provider's publish probability is drawn from [this, provider_prob_max]
+
 
 class Role(Enum):
     PROVIDER = "provider"
@@ -26,7 +28,6 @@ class PopulationConfig:
     n_accounts: int = 1000
     decay: float = 0.75
     max_providers: int = 1
-    provider_prob_min: float = 0.01
     provider_prob_max: float = 0.05
 
     def validate(self) -> None:
@@ -36,8 +37,8 @@ class PopulationConfig:
             raise ConfigError("provider count must leave at least one requester")
         if not 0 < self.decay < 1:
             raise ConfigError("decay must lie strictly between 0 and 1")
-        if not 0 <= self.provider_prob_min <= self.provider_prob_max <= 1:
-            raise ConfigError("provider probability bounds must satisfy 0 <= min <= max <= 1")
+        if not PROVIDER_PROB_MIN <= self.provider_prob_max <= 1:
+            raise ConfigError(f"provider probability max must lie in [{PROVIDER_PROB_MIN}, 1]")
 
 
 @dataclass(slots=True)
@@ -64,7 +65,7 @@ def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[Agent
     for i in range(cfg.n_accounts):
         if i < cfg.max_providers:
             role = Role.PROVIDER
-            prob = rng.uniform(cfg.provider_prob_min, cfg.provider_prob_max)
+            prob = rng.uniform(PROVIDER_PROB_MIN, cfg.provider_prob_max)
         else:
             role = Role.REQUESTER
             prob = probs[i]

@@ -175,21 +175,25 @@ def _resolve_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_out(args: argparse.Namespace) -> Path:
-    """The report directory, created before any run so that an unusable one exits 2."""
+def _resolve_out(args: argparse.Namespace, run_dirs: list[str]) -> Path:
+    """Create the report directory before any run; an unusable one, or a file at a run_dirs path, exits 2."""
     env = os.environ.get(OUT_ENV)
     out = args.out if args.out is not None else Path(env) if env else Path("out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as the report directory: {exc}") from exc
+    for path in (out / name for name in run_dirs):  # parents before children
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"cannot write reports to {path}: it is not a directory")
     return out
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     schedule = load_gas_table(args.gas_table) if args.gas_table else default_gas_schedule()
     cfg = build_sim_config(_resolve_values(args), schedule)
-    run_dir = _resolve_out(args) / f"run-{cfg.seed}"
+    name = f"run-{cfg.seed}"
+    run_dir = _resolve_out(args, [name]) / name
     result = run_simulation(cfg)
     summary = write_run_reports(result, run_dir)
     if not args.quiet:
@@ -222,7 +226,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for fraction in fractions
         for margin in margins
     ]
-    out = _resolve_out(args)
+    names = [f"scenario-{c.scenario.value}_fraction-{c.access_fraction_pct}_margin-{c.resolved_margin_pct}"
+             for c in cells]
+    seeds = range(values["seed"], values["seed"] + args.seeds)
+    grid = [[with_seed(base, seed) for base in cells] for seed in seeds]
+    out = _resolve_out(args, [*names, *(f"{name}/run-{cfg.seed}" for row in grid for name, cfg in zip(names, row))])
 
     failures = 0
     shared = SharedStart()
@@ -230,10 +238,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Seed-major, so that each seed is simulated once: its first completed run
     # is the trace that its other cells settle from. Each run's reports are
     # written as soon as it finishes, and its result is dropped.
-    for seed in range(values["seed"], values["seed"] + args.seeds):
+    for row in grid:
         trace = None
-        for base, summaries in zip(cells, by_cell):
-            cfg = with_seed(base, seed)
+        for cfg, name, summaries in zip(row, names, by_cell):
             try:
                 result = run_simulation(cfg, shared) if trace is None else settle(cfg, trace, shared)
             except EngineError as exc:
@@ -242,9 +249,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 log.error("run failed: %s", exc)
                 continue
             trace = trace or result
-            scenario, fraction, margin = cfg.scenario.value, cfg.access_fraction_pct, cfg.resolved_margin_pct
-            cell = out / f"scenario-{scenario}_fraction-{fraction}_margin-{margin}"
-            summaries.append(write_run_reports(result, cell / f"run-{cfg.seed}"))
+            summaries.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
 
     even_lines = ["scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod"]
     for base, summaries in zip(cells, by_cell):

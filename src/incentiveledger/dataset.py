@@ -1,9 +1,11 @@
 """Dataset contract: publication, updates and cost accounting.
 
-One contract per published dataset. Every owner call is metered, and its
-gas cost feeds the compensation ledger: the provider's pure outlay goes to
-providerCostWei while currentCostWei accrues the same gas scaled by the
-profit margin, which is the pool that requester payments drain. Three
+One contract per published dataset, and the one place its books move.
+`bill` meters an owner call and feeds its gas cost to the compensation
+ledger: the provider's pure outlay goes to providerCostWei while
+currentCostWei accrues the same gas scaled by the profit margin, the pool
+that `collect` drains by each access or renewal payment it takes into the
+contract's account. `bill_update` also publishes a version. Three
 compensation modes share the bookkeeping:
 
   scenario 1  costs are tracked but requesters are never charged,
@@ -142,10 +144,8 @@ class DatasetContract:
             renew_fraction_pct=renew_fraction_pct,
             token_store=token_store if token_store is not None else TokenStore(),
         )
-        receipt = chain.execute(provider, DEPLOYMENT)
-        contract.accrue_cost(receipt.gas_used)
-        receipt = chain.execute(provider, PUBLISH_DATA)
-        contract.accrue_cost(receipt.gas_used)
+        contract.bill(provider, DEPLOYMENT)
+        contract.bill(provider, PUBLISH_DATA)
         contract.published = True
         return contract
 
@@ -168,6 +168,24 @@ class DatasetContract:
         self.current_cost_wei = max(0, self.current_cost_wei - payment_wei)
         self.provider_earnings_wei += payment_wei
 
+    def bill(self, caller: Address, function: str, extra_gas: int = 0) -> TxReceipt:
+        """Execute one owner call and book its gas into the cost ledgers."""
+        receipt = self.chain.execute(caller, function, extra_gas)
+        self.accrue_cost(receipt.gas_used)
+        return receipt
+
+    def bill_update(self, caller: Address, extra_gas: int) -> TxReceipt:
+        """Bill an update that notifies holders at extra_gas, and publish its version."""
+        receipt = self.bill(caller, UPDATE_DATA, extra_gas)
+        self.meta_version += 1
+        return receipt
+
+    def collect(self, payer: Address, function: str, value_wei: int) -> TxReceipt:
+        """Execute a requester call that pays value_wei to the contract, and drain the pool by it."""
+        receipt = self.chain.execute(payer, function, 0, value_wei, self.contract_address if value_wei else None)
+        self.apply_payment(value_wei)
+        return receipt
+
     def _require_owner(self, caller: Address) -> None:
         if self.destroyed:
             raise DestroyedError(f"{self.contract_address} is destroyed")
@@ -182,18 +200,14 @@ class DatasetContract:
         self._require_owner(caller)
         if not self.published:
             raise NotPublishedError(f"{self.contract_address} has no published data")
-        extra = self.chain.schedule.per_requester_update_gas * len(self.holders)
-        receipt = self.chain.execute(caller, UPDATE_DATA, extra_gas=extra)
-        self.accrue_cost(receipt.gas_used)
-        self.meta_version += 1
+        receipt = self.bill_update(caller, self.chain.schedule.per_requester_update_gas * len(self.holders))
         self.token_store.invalidate_compliance(self.holders.values(), self.chain.period)
         return receipt
 
     def set_license(self, caller: Address, new_license: int) -> TxReceipt:
         """Change the required license; mismatched live tokens are burned."""
         self._require_owner(caller)
-        receipt = self.chain.execute(caller, SET_LICENSE)
-        self.accrue_cost(receipt.gas_used)
+        receipt = self.bill(caller, SET_LICENSE)
         self.required_license = new_license
         # A burn leaves holders, so the loop walks a copy.
         for token in list(self.holders.values()):
@@ -204,8 +218,7 @@ class DatasetContract:
     def set_profit_margin(self, caller: Address, pct: int) -> TxReceipt:
         self._require_owner(caller)
         check_pct("profit margin", pct, MARGIN_PCT)
-        receipt = self.chain.execute(caller, SET_PROFIT_MARGIN)
-        self.accrue_cost(receipt.gas_used)
+        receipt = self.bill(caller, SET_PROFIT_MARGIN)
         self.profit_margin_pct = pct
         return receipt
 
@@ -213,8 +226,7 @@ class DatasetContract:
         self._require_owner(caller)
         check_pct("access fraction", access_fraction_pct, FRACTION_PCT)
         check_pct("renew fraction", renew_fraction_pct, FRACTION_PCT)
-        receipt = self.chain.execute(caller, SET_MULTIS)
-        self.accrue_cost(receipt.gas_used)
+        receipt = self.bill(caller, SET_MULTIS)
         self.access_fraction_pct = access_fraction_pct
         self.renew_fraction_pct = renew_fraction_pct
         return receipt
@@ -224,15 +236,13 @@ class DatasetContract:
         self._require_owner(caller)
         if price_wei < 0:
             raise OutOfRangeError(f"price cannot be negative, got {price_wei}")
-        receipt = self.chain.execute(caller, SET_PRICE)
-        self.accrue_cost(receipt.gas_used)
+        receipt = self.bill(caller, SET_PRICE)
         self.price_wei = price_wei
         return receipt
 
     def set_registry_address(self, caller: Address, registry: Registry) -> TxReceipt:
         self._require_owner(caller)
-        receipt = self.chain.execute(caller, SET_REGISTRY_ADDRESS)
-        self.accrue_cost(receipt.gas_used)
+        receipt = self.bill(caller, SET_REGISTRY_ADDRESS)
         self.registry = registry
         return receipt
 

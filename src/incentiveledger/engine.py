@@ -24,12 +24,13 @@ Sharing: the registry bootstrap depends on no seed, so a sweep builds it
 once in a SharedStart, and each run forks it and draws its population
 from its own seed. Nor does the stream depend on economics, so a sweep
 simulates each seed once: its first completed run is the trace, and
-settle bills each later cell of the seed from it, sharing its population
-and executing every receipt again at its gas on a fork of the bootstrap
-while the cell's own contracts quote the payments. A cell that cannot
-pay fails with a direct run's error, at the same period and action;
-until a seed has a trace, its next cell runs directly. Every run writes
-the same bytes as a direct run, which builds its bootstrap fresh.
+settle bills each later cell of the seed from it on a fork of the
+bootstrap, sharing its population: the cell's own contracts bill each
+update at the trace's gas with `bill_update` and each quoted payment
+with `collect`. A cell that cannot pay fails with a direct run's error,
+at the same period and action; until a seed has a trace, its next cell
+runs directly. Every run writes the same bytes as a direct run, which
+builds its bootstrap fresh.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ class SimResult:
 
 def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, cfg: SimConfig,
                      provider: Address, ordinal: int) -> tuple[DatasetContract, int]:
-    """Deploy, publish and configure one dataset, returning total gas fees.
+    """Deploy, publish and configure one dataset, returning its provider cost: the five calls' fees.
 
     The three parameter-setting calls happen once at publication and are
     billed like any owner call but never count as simulation actions.
@@ -273,11 +274,10 @@ def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, c
         renew_fraction_pct=cfg.renew_fraction_pct,
         token_store=store,
     )
-    fees = sum(r.gas_fee_wei for r in chain.receipts[-2:])
-    fees += contract.set_registry_address(provider, registry).gas_fee_wei
-    fees += contract.set_profit_margin(provider, cfg.resolved_margin_pct).gas_fee_wei
-    fees += contract.set_multis(provider, cfg.access_fraction_pct, cfg.renew_fraction_pct).gas_fee_wei
-    return contract, fees
+    contract.set_registry_address(provider, registry)
+    contract.set_profit_margin(provider, cfg.resolved_margin_pct)
+    contract.set_multis(provider, cfg.access_fraction_pct, cfg.renew_fraction_pct)
+    return contract, contract.provider_cost_wei
 
 
 def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
@@ -423,16 +423,12 @@ def settle(cfg: SimConfig, trace: SimResult, shared: SharedStart) -> SimResult:
                     contracts[r.dataset] = contract
                 else:
                     contract = contracts[r.dataset]
-                    t = trace.chain.receipts[len(chain.receipts)]
-                    payment = 0 if r.kind is ActionKind.UPDATE else quote_payment(
-                        contract, "access" if r.kind is ActionKind.REQUEST else "renewal")
-                    cost = chain.execute(r.actor, t.function, t.gas_used - chain.schedule.gas_for(t.function),
-                                         payment, contract.contract_address if payment else None)
+                    t = trace.chain.receipts[len(chain.receipts)]  # an update's gas, a payment's function
                     if r.kind is ActionKind.UPDATE:
-                        contract.accrue_cost(cost.gas_used)
-                        contract.meta_version += 1
+                        cost = contract.bill_update(r.actor, t.gas_used - chain.schedule.gas_for(t.function))
                     else:
-                        contract.apply_payment(payment)
+                        kind = "access" if r.kind is ActionKind.REQUEST else "renewal"
+                        cost = contract.collect(r.actor, t.function, quote_payment(contract, kind))
                 run.record(period, r.kind, r.actor, contract, cost)
             run.close_period(period, stats.actions_this_period, stats.active_requesters, active_tokens)
     except LedgerError as exc:

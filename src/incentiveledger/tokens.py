@@ -2,10 +2,9 @@
 
 An access token is the non-transferable key a requester holds for one
 dataset: it carries an expiry period, a compliance flag that dataset
-updates reset, and burn bookkeeping. The gateway functions quote and
-collect the cost-sharing payment that scenarios 2 and 3 charge on access
-requests and renewals, forwarding the value into the dataset contract's
-account.
+updates reset, and burn bookkeeping. The gateway functions quote the
+cost-sharing payment that scenarios 2 and 3 charge on access requests
+and renewals; the contract's `collect` takes it in and books it.
 
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
@@ -175,15 +174,9 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
         raise LicenseMismatchError(f"{requester} lacks license {c.required_license}")
     quote = quote_payment(c, "access")
     _check_value(quote, value_wei)
-    c.chain.execute(
-        requester,
-        ADD_DATA_REQUESTER,
-        value_wei=value_wei,
-        recipient=c.contract_address if value_wei > 0 else None,
-    )
+    c.collect(requester, ADD_DATA_REQUESTER, value_wei)
     token = c.token_store.mint(c.contract_address, requester, c.required_license, c.chain.period)
     c.holders[requester] = token
-    c.apply_payment(value_wei)
     return token
 
 
@@ -198,15 +191,9 @@ def renew_access_time(requester: Address, c: "DatasetContract", value_wei: int) 
         raise ComplianceRequiredError(f"{requester} must confirm compliance before renewing")
     quote = quote_payment(c, "renewal")
     _check_value(quote, value_wei)
-    c.chain.execute(
-        requester,
-        RENEW_TOKEN,
-        value_wei=value_wei,
-        recipient=c.contract_address if value_wei > 0 else None,
-    )
+    c.collect(requester, RENEW_TOKEN, value_wei)
     # An expired token restarts from now, an unexpired one stacks on top.
     token.access_until = max(c.chain.period, token.access_until) + ACCESS_PERIODS
-    c.apply_payment(value_wei)
     c.token_store.record("renewed", c.chain.period, token.token_id, requester)
     return token
 

@@ -36,8 +36,7 @@ def test_minmax_normalization_pins_extremes_to_unit_interval():
 
 
 def test_provider_probability_drawn_within_bounds():
-    cfg = PopulationConfig(n_accounts=100, max_providers=5,
-                           provider_prob_min=0.01, provider_prob_max=0.05)
+    cfg = PopulationConfig(n_accounts=100, max_providers=5, provider_prob_max=0.05)
     for seed in range(10):
         pop = generate_population(cfg, random.Random(seed))
         for p in pop[:5]:
@@ -62,8 +61,8 @@ def test_generation_is_deterministic_per_seed():
     {"max_providers": -1},
     {"decay": 0.0},
     {"decay": 1.0},
-    {"provider_prob_min": -0.1},
-    {"provider_prob_min": 0.6, "provider_prob_max": 0.5},
+    {"provider_prob_max": -0.1},
+    {"provider_prob_max": 0.005},
     {"provider_prob_max": 1.5},
 ])
 def test_config_validation_rejects_bad_values(overrides):

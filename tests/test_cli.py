@@ -125,9 +125,20 @@ def test_out_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "flag" / "run-0" / "summary.csv").exists()
 
 
+RUN, SWEEP = ["run"], ["sweep", "--seeds", "2"]
+CELL = "scenario-2_fraction-5_margin-100"
+
+
+# A file is the report directory, lies above it, or takes a directory that a
+# run would write: the run's own, a sweep cell's, or a cell's second seed's.
 @pytest.mark.parametrize("via", ["flag", "env"])
-@pytest.mark.parametrize("where", ["file", "under-file"])
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "2"]], ids=["run", "sweep"])
+@pytest.mark.parametrize(("command", "where"), [
+    *(pytest.param(command, where, id=f"{command[0]}-{where}")
+      for where in ("file", "under-file") for command in (RUN, SWEEP)),
+    pytest.param(RUN, "run-0", id="run-run-dir"),
+    pytest.param(SWEEP, CELL, id="sweep-cell-dir"),
+    pytest.param(SWEEP, f"{CELL}/run-1", id="sweep-cell-run-dir"),
+])
 def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
                                                                       command, where, via):
     def never(*args):
@@ -135,9 +146,15 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, m
 
     monkeypatch.setattr(cli, "run_simulation", never)
     monkeypatch.setattr(cli, "settle", never)
-    blocker = tmp_path / "blocker"
+    if where in ("file", "under-file"):
+        blocker = tmp_path / "blocker"
+        out = named = blocker if where == "file" else blocker / "out"
+    else:
+        out = tmp_path / "out"
+        blocker = named = out / where
+        blocker.parent.mkdir(parents=True)
     blocker.write_text("not a directory")
-    out = blocker if where == "file" else blocker / "out"
+    before = sorted(tmp_path.rglob("*"))
     argv = [*command, *SMALL, "--quiet"]
     if via == "flag":
         argv += ["--out", str(out)]
@@ -146,8 +163,9 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, m
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(out) in err and "Traceback" not in err
+    assert str(named) in err and "Traceback" not in err
     assert blocker.read_text() == "not a directory"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_gas_table_overrides_change_fees(tmp_path):

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+only the dataset contract books its ledgers."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,23 @@ def test_every_module_level_import_is_used(path):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
                 for alias in node.names}
     assert imported <= used_names(tree), sorted(imported - used_names(tree))
+
+
+LEDGER_CALLS = {"accrue_cost", "apply_payment"}
+LEDGER_FIELDS = {"current_cost_wei", "provider_cost_wei", "provider_earnings_wei", "meta_version"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dataset.py"], ids=lambda p: p.name)
+def test_only_the_dataset_contract_books_its_ledgers(path):
+    """A pool or version moves only through DatasetContract: bill, bill_update and collect.
+
+    Only the two contracts, dataset and registry, run metered calls.
+    """
+    calls = LEDGER_CALLS if path.name == "registry.py" else LEDGER_CALLS | {"execute"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in calls:
+            found.append(f"line {node.lineno}: calls {node.func.attr}")
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in LEDGER_FIELDS:
+            found.append(f"line {node.lineno}: assigns {node.attr}")
+    assert not found, found
