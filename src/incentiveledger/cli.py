@@ -29,7 +29,7 @@ from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
 from .engine import SharedStart, SimConfig, run_simulation, settings, settle, with_seed
 from .errors import ConfigError, EngineError, LedgerError
-from .reporting import RunSummary, summary_csv, summary_text, write_run_reports
+from .reporting import REPORT_NAMES, RunSummary, summary_csv, summary_text, write_run_reports
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
 
@@ -175,8 +175,9 @@ def _resolve_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_out(args: argparse.Namespace, run_dirs: list[str]) -> Path:
-    """Create the report directory before any run; an unusable one, or a file at a run_dirs path, exits 2."""
+def _resolve_out(args: argparse.Namespace, run_dirs: list[str], files: list[str]) -> Path:
+    """Create the report directory before any run. An unusable one exits 2, as does anything but
+    a directory at a run_dirs path, or anything but a regular file at a files path."""
     env = os.environ.get(OUT_ENV)
     out = args.out if args.out is not None else Path(env) if env else Path("out")
     try:
@@ -186,6 +187,11 @@ def _resolve_out(args: argparse.Namespace, run_dirs: list[str]) -> Path:
     for path in (out / name for name in run_dirs):  # parents before children
         if path.exists() and not path.is_dir():
             raise ConfigError(f"cannot write reports to {path}: it is not a directory")
+    # Each files path lies in out or a run_dirs path, so only those that exist can hold one.
+    present = {"", *(name for name in run_dirs if (out / name).is_dir())}
+    for path in (out / name for name in files if os.path.dirname(name) in present):
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write a report to {path}: it is not a regular file")
     return out
 
 
@@ -193,7 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     schedule = load_gas_table(args.gas_table) if args.gas_table else default_gas_schedule()
     cfg = build_sim_config(_resolve_values(args), schedule)
     name = f"run-{cfg.seed}"
-    run_dir = _resolve_out(args, [name]) / name
+    run_dir = _resolve_out(args, [name], [f"{name}/{report}" for report in REPORT_NAMES]) / name
     result = run_simulation(cfg)
     summary = write_run_reports(result, run_dir)
     if not args.quiet:
@@ -230,7 +236,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
              for c in cells]
     seeds = range(values["seed"], values["seed"] + args.seeds)
     grid = [[with_seed(base, seed) for base in cells] for seed in seeds]
-    out = _resolve_out(args, [*names, *(f"{name}/run-{cfg.seed}" for row in grid for name, cfg in zip(names, row))])
+    runs = [f"{name}/run-{cfg.seed}" for row in grid for name, cfg in zip(names, row)]
+    reports = [f"{run}/{report}" for run in runs for report in REPORT_NAMES]
+    out = _resolve_out(args, [*names, *runs], ["sweep.csv", "break_even.csv", *reports])
 
     failures = 0
     shared = SharedStart()

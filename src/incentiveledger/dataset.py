@@ -13,9 +13,9 @@ compensation modes share the bookkeeping:
   scenario 3  margin exceeds 100%, payments eventually return a profit.
 
 Update calls grow linearly with the number of live tokens, the contract's
-holders, because each holder must be notified; this is what makes a
-popular dataset expensive to maintain and is the core quantity the
-simulation measures.
+holders, because each holder must be notified, and `bill_update` prices
+that per holder: this makes a popular dataset expensive to maintain and
+is the core quantity the simulation measures.
 """
 
 from __future__ import annotations
@@ -174,9 +174,9 @@ class DatasetContract:
         self.accrue_cost(receipt.gas_used)
         return receipt
 
-    def bill_update(self, caller: Address, extra_gas: int) -> TxReceipt:
-        """Bill an update that notifies holders at extra_gas, and publish its version."""
-        receipt = self.bill(caller, UPDATE_DATA, extra_gas)
+    def bill_update(self, caller: Address, notified: int) -> TxReceipt:
+        """Bill an update that notifies `notified` holders at a notification's gas each, and publish its version."""
+        receipt = self.bill(caller, UPDATE_DATA, self.chain.schedule.per_requester_update_gas * notified)
         self.meta_version += 1
         return receipt
 
@@ -200,7 +200,7 @@ class DatasetContract:
         self._require_owner(caller)
         if not self.published:
             raise NotPublishedError(f"{self.contract_address} has no published data")
-        receipt = self.bill_update(caller, self.chain.schedule.per_requester_update_gas * len(self.holders))
+        receipt = self.bill_update(caller, len(self.holders))
         self.token_store.invalidate_compliance(self.holders.values(), self.chain.period)
         return receipt
 

@@ -24,19 +24,18 @@ Sharing: the registry bootstrap depends on no seed, so a sweep builds it
 once in a SharedStart, and each run forks it and draws its population
 from its own seed. Nor does the stream depend on economics, so a sweep
 simulates each seed once: its first completed run is the trace, and
-settle bills each later cell of the seed from it on a fork of the
-bootstrap, sharing its population: the cell's own contracts bill each
-update at the trace's gas with `bill_update` and each quoted payment
-with `collect`. A cell that cannot pay fails with a direct run's error,
-at the same period and action; until a seed has a trace, its next cell
-runs directly. Every run writes the same bytes as a direct run, which
-builds its bootstrap fresh.
+settle bills each later cell of the seed from its actions alone, on a
+fork of the bootstrap. The cell's own contracts gain the trace's tokens
+as requests settle, bill each update for their holders with `bill_update`
+and each quoted payment with `collect`. A cell that cannot pay fails with
+a direct run's error, at the same period and action; until a seed has a
+trace, its next cell runs directly. Every run writes the same bytes as a
+direct run, which builds its bootstrap fresh.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
@@ -44,6 +43,7 @@ from operator import attrgetter
 
 from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
 from .chain import (
+    ADD_DATA_REQUESTER,
     GWEI,
     Address,
     ChainState,
@@ -52,6 +52,7 @@ from .chain import (
     PriceModel,
     REGISTER_NEW_USER,
     REGISTRY_DEPLOYMENT,
+    RENEW_TOKEN,
     TxReceipt,
     WEI_PER_ETH,
     default_gas_schedule,
@@ -70,6 +71,7 @@ from .tokens import (
 
 # Safety valve only; real runs finish in a few hundred periods.
 MAX_PERIODS = 1_000_000
+PREFUND_WEI = 100 * WEI_PER_ETH  # minted onto each agent and the authority
 # What a run's action stream and gas depend on; a trace settles only runs that share it.
 _STREAM = attrgetter("seed", "population", "action_ticker", "update_multiplier", "schedule")
 
@@ -126,7 +128,6 @@ class SimConfig:
     renew_fraction_pct: int = 5
     profit_margin_pct: int | None = None  # None resolves per scenario
     update_multiplier: int = 5
-    prefund_wei: int = 100 * WEI_PER_ETH
     seed: int = 0
     population: PopulationConfig = field(default_factory=PopulationConfig)
     price: PriceModel = field(default_factory=PriceModel)
@@ -146,8 +147,6 @@ class SimConfig:
             raise ConfigError("action ticker must be at least 1")
         if self.update_multiplier < 1:
             raise ConfigError("update multiplier must be at least 1")
-        if self.prefund_wei <= 0:
-            raise ConfigError("prefund must be positive")
         margin = self.resolved_margin_pct
         # The contract's own bounds, checked here so that a run the
         # contract would refuse at its first publication never starts.
@@ -167,14 +166,14 @@ class SimConfig:
             + providers * self.schedule.gas_for(NEW_DATA_PROVIDER)
             + (self.population.n_accounts - providers) * self.schedule.gas_for(REGISTER_NEW_USER)
         )
-        if self.prefund_wei < bootstrap_fee:
+        if PREFUND_WEI < bootstrap_fee:
             raise ConfigError(
-                f"prefund of {self.prefund_wei} wei cannot pay the registry bootstrap "
+                f"prefund of {PREFUND_WEI} wei cannot pay the registry bootstrap "
                 f"of {bootstrap_fee} wei for {self.population.n_accounts} accounts"
             )
         # The largest wei figure a report converts to USD is the cost pool:
         # at most every minted wei (agents plus authority) scaled by the margin.
-        most_wei = self.prefund_wei * (self.population.n_accounts + 1) * margin // 100
+        most_wei = PREFUND_WEI * (self.population.n_accounts + 1) * margin // 100
         try:
             self.price.wei_to_usd(most_wei)
         except OverflowError:
@@ -232,17 +231,18 @@ class SimResult:
         self.records.append(ActionRecord(len(self.records), period, kind, actor, contract.contract_address,
                                          fee, payment, usd, contract.current_cost_wei))
 
-    def close_period(self, period: int, actions: int, active_requesters: int, active_tokens: Iterable[int]) -> None:
-        """Book the period's totals, and a snapshot of each dataset with its next count of active tokens."""
+    def close_period(self, period: int, actions: int) -> None:
+        """Book the period's totals, and a snapshot of each dataset: its holders are its active tokens."""
         datasets = self.datasets
         current = sum(c.current_cost_wei for c in datasets)
         cost = sum(c.provider_cost_wei for c in datasets)
         earnings = sum(c.provider_earnings_wei for c in datasets)
-        self.series.append(PeriodStats(period, current, cost, earnings, earnings - cost, active_requesters, actions))
+        requesters = sum(len(c.holders) for c in datasets)
+        self.series.append(PeriodStats(period, current, cost, earnings, earnings - cost, requesters, actions))
         self.contract_snapshots += (
             ContractSnapshot(period, c.contract_address, c.current_cost_wei, c.provider_cost_wei,
-                             c.provider_earnings_wei, tokens, c.meta_version)
-            for c, tokens in zip(datasets, active_tokens)
+                             c.provider_earnings_wei, len(c.holders), c.meta_version)
+            for c in datasets
         )
 
     def failure(self, period: int, exc: LedgerError) -> EngineError:
@@ -283,8 +283,8 @@ def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, c
 def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
     """Funded accounts and the registry bootstrap: providers first, then users."""
     chain = ChainState(cfg.schedule, cfg.price)
-    accounts = chain.create_accounts(cfg.population.n_accounts, cfg.prefund_wei)
-    authority = chain.create_named_account("authority", cfg.prefund_wei)
+    accounts = chain.create_accounts(cfg.population.n_accounts, PREFUND_WEI)
+    authority = chain.create_named_account("authority", PREFUND_WEI)
     registry = Registry.deploy(chain, authority)
     for address in accounts[: cfg.population.max_providers]:
         registry.new_data_provider(authority, address)
@@ -300,7 +300,7 @@ class SharedStart:
 
     def fork(self, cfg: SimConfig) -> tuple[ChainState, Registry]:
         # A GasSchedule holds a dict, so the settings are compared, not hashed.
-        key = (cfg.population.n_accounts, cfg.population.max_providers, cfg.prefund_wei, cfg.price, cfg.schedule)
+        key = (cfg.population.n_accounts, cfg.population.max_providers, cfg.price, cfg.schedule)
         if self.bootstrap[0] != key:
             self.bootstrap = (key, *build_start(cfg))
         _, chain, registry = self.bootstrap
@@ -389,7 +389,7 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
                         if len(records) >= ticker:
                             break
 
-            run.close_period(period, len(records) - actions_at_start, len(roster), [len(c.holders) for c in datasets])
+            run.close_period(period, len(records) - actions_at_start)
             period += 1
     except LedgerError as exc:
         raise run.failure(period, exc) from exc
@@ -399,8 +399,8 @@ def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResu
 def settle(cfg: SimConfig, trace: SimResult, shared: SharedStart) -> SimResult:
     """Run cfg by billing again the actions of trace, a completed run of its stream (see Sharing).
 
-    Only the economics of cfg and trace.config may differ. The run draws,
-    mints and logs nothing: it shares the trace's tokens, holders and population.
+    Only the economics of cfg and trace.config may differ. The run draws, mints
+    and logs nothing: it shares the trace's population and hands out its tokens.
     """
     cfg.validate()
     if _STREAM(cfg) != _STREAM(trace.config):
@@ -410,27 +410,26 @@ def settle(cfg: SimConfig, trace: SimResult, shared: SharedStart) -> SimResult:
     datasets = run.datasets
     contracts: dict[Address, DatasetContract] = {}
     actions = iter(trace.records)
-    # Each close_period takes the next count of every dataset in turn.
-    active_tokens = (s.active_tokens for s in trace.contract_snapshots)
+    tokens = iter(trace.token_store.tokens.values())
     try:
         for stats in trace.series:
             period = chain.period = stats.period
             for r in islice(actions, stats.actions_this_period):
                 if r.kind is ActionKind.PUBLISH:
                     contract, cost = _publish_dataset(chain, registry, run.token_store, cfg, r.actor, len(datasets) + 1)
-                    contract.holders = trace.datasets[len(datasets)].holders
                     datasets.append(contract)
                     contracts[r.dataset] = contract
                 else:
                     contract = contracts[r.dataset]
-                    t = trace.chain.receipts[len(chain.receipts)]  # an update's gas, a payment's function
                     if r.kind is ActionKind.UPDATE:
-                        cost = contract.bill_update(r.actor, t.gas_used - chain.schedule.gas_for(t.function))
+                        cost = contract.bill_update(r.actor, len(contract.holders))
+                    elif r.kind is ActionKind.REQUEST:
+                        cost = contract.collect(r.actor, ADD_DATA_REQUESTER, quote_payment(contract, "access"))
+                        contract.holders[r.actor] = next(tokens)
                     else:
-                        kind = "access" if r.kind is ActionKind.REQUEST else "renewal"
-                        cost = contract.collect(r.actor, t.function, quote_payment(contract, kind))
+                        cost = contract.collect(r.actor, RENEW_TOKEN, quote_payment(contract, "renewal"))
                 run.record(period, r.kind, r.actor, contract, cost)
-            run.close_period(period, stats.actions_this_period, stats.active_requesters, active_tokens)
+            run.close_period(period, stats.actions_this_period)
     except LedgerError as exc:
         raise run.failure(period, exc) from exc
     return run

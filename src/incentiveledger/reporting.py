@@ -426,30 +426,39 @@ def config_text(result: SimResult) -> str:
     return "".join(f"{flag}={value}\n" for flag, value in settings(result.config).items())
 
 
+# The files of a run directory, in the order write_run_reports writes them.
+REPORT_NAMES = (
+    "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "actions.csv", "periods.csv",
+    "contracts.csv", "profit.csv", "cost_overlay.csv", "transactions.csv", "tokens.csv", "population.csv",
+    "registry.csv", "summary.txt", "summary.csv", "config.txt",
+)
+
+
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     """Reconcile the run, then write each report under out_dir as soon as it is built."""
     totals = RunTotals(result)
     summary = summarize(result, totals=totals)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = iter(REPORT_NAMES)
 
-    def write(name: str, text: str) -> None:
-        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    def write(text: str) -> None:
+        (out_dir / next(names)).write_text(text, encoding="utf-8", newline="\n")
 
-    write("requester_costs.csv", requester_costs_csv(result, totals))
-    write("top_requesters.csv", top_requesters_csv(result, totals))
-    write("cost_distribution.csv", cost_distribution_csv(totals))
+    write(requester_costs_csv(result, totals))
+    write(top_requesters_csv(result, totals))
+    write(cost_distribution_csv(totals))
     del totals  # the larger builders below reuse its memory rather than raise the peak
-    write("actions.csv", actions_csv(result))
-    write("periods.csv", periods_csv(result))
-    write("contracts.csv", contracts_csv(result))
-    write("profit.csv", profit_series_csv(result))
-    write("cost_overlay.csv", cost_overlay_csv(result))
-    write("transactions.csv", result.chain.log_csv())
-    write("tokens.csv", result.token_store.table_csv())
+    write(actions_csv(result))
+    write(periods_csv(result))
+    write(contracts_csv(result))
+    write(profit_series_csv(result))
+    write(cost_overlay_csv(result))
+    write(result.chain.log_csv())
+    write(result.token_store.table_csv())
     result.population_text = result.population_text or population_csv(result.population)
-    write("population.csv", result.population_text)
-    write("registry.csv", result.registry.snapshot_csv())
-    write("summary.txt", summary_text(result, summary))
-    write("summary.csv", summary_csv(summary))
-    write("config.txt", config_text(result))
+    write(result.population_text)
+    write(result.registry.snapshot_csv())
+    write(summary_text(result, summary))
+    write(summary_csv(summary))
+    write(config_text(result))
     return summary

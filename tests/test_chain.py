@@ -124,6 +124,19 @@ def test_rejected_call_is_atomic_and_burns_no_gas(chain):
     assert chain.receipts == []
 
 
+def test_a_caller_can_spend_exactly_its_balance(chain):
+    fee = chain.price.fee_wei(chain.schedule.gas_for(CHECK_USER))
+    vendor = chain.create_named_account("vendor", 0)
+    short = chain.create_named_account("short", fee + 99)
+    with pytest.raises(InsufficientFundsError):
+        chain.execute(short, CHECK_USER, value_wei=100, recipient=vendor)
+    assert chain.receipts == [] and chain.balance(short) == fee + 99
+    exact = chain.create_named_account("exact", fee + 100)
+    chain.execute(exact, CHECK_USER, value_wei=100, recipient=vendor)
+    assert chain.balance(exact) == 0 and chain.balance(vendor) == 100
+    assert len(chain.receipts) == 1
+
+
 def test_unknown_recipient_rejected_before_any_debit(chain):
     from incentiveledger.chain import Address
 

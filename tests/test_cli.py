@@ -131,6 +131,7 @@ CELL = "scenario-2_fraction-5_margin-100"
 
 # A file is the report directory, lies above it, or takes a directory that a
 # run would write: the run's own, a sweep cell's, or a cell's second seed's.
+# Or a directory takes a report file's path: a run's, or a sweep table's.
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize(("command", "where"), [
     *(pytest.param(command, where, id=f"{command[0]}-{where}")
@@ -138,6 +139,10 @@ CELL = "scenario-2_fraction-5_margin-100"
     pytest.param(RUN, "run-0", id="run-run-dir"),
     pytest.param(SWEEP, CELL, id="sweep-cell-dir"),
     pytest.param(SWEEP, f"{CELL}/run-1", id="sweep-cell-run-dir"),
+    pytest.param(RUN, "run-0/summary.csv", id="run-report"),
+    pytest.param(SWEEP, f"{CELL}/run-1/requester_costs.csv", id="sweep-run-report"),
+    pytest.param(SWEEP, "sweep.csv", id="sweep-table"),
+    pytest.param(SWEEP, "break_even.csv", id="sweep-break-even"),
 ])
 def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
                                                                       command, where, via):
@@ -153,6 +158,9 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, m
         out = tmp_path / "out"
         blocker = named = out / where
         blocker.parent.mkdir(parents=True)
+    if where.endswith((".csv", ".txt")):
+        blocker.mkdir()
+        blocker = blocker / "kept"
     blocker.write_text("not a directory")
     before = sorted(tmp_path.rglob("*"))
     argv = [*command, *SMALL, "--quiet"]

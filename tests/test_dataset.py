@@ -28,7 +28,7 @@ from incentiveledger.errors import (
     NotPublishedError,
     OutOfRangeError,
 )
-from incentiveledger.tokens import quote_payment, request_access
+from incentiveledger.tokens import BurnCause, burn_token, quote_payment, renew_access_time, request_access
 
 # Frozen from the default gas schedule at 72 Gwei: deployment plus
 # publication, margin 100, computed once by hand and pinned.
@@ -107,15 +107,20 @@ def test_publication_pct_validation(market):
 
 
 def test_publication_checks_affordability_upfront(market):
-    poor = market.chain.create_named_account("poor-provider", WEI_PER_ETH // 10)
-    market.registry.new_data_provider(market.authority, poor)
-    receipts_before = len(market.chain.receipts)
-    with pytest.raises(InsufficientFundsError):
-        DatasetContract.deploy_and_publish(
-            market.chain, market.registry, poor,
-            link="x", required_license=1, scenario=Scenario.COST_RECOVERY,
-        )
-    assert len(market.chain.receipts) == receipts_before
+    # Short of deployment plus publication by a lot or by one wei, a provider
+    # is refused before either call: no receipt, and no contract account.
+    chain = market.chain
+    fees = chain.price.fee_wei(chain.schedule.gas_for(DEPLOYMENT) + chain.schedule.gas_for(PUBLISH_DATA))
+    for i, funds in enumerate((WEI_PER_ETH // 10, fees - 1)):
+        poor = chain.create_named_account(f"poor-provider-{i}", funds)
+        market.registry.new_data_provider(market.authority, poor)
+        receipts, accounts = len(chain.receipts), set(chain.accounts)
+        with pytest.raises(InsufficientFundsError):
+            DatasetContract.deploy_and_publish(
+                chain, market.registry, poor,
+                link="x", required_license=1, scenario=Scenario.COST_RECOVERY,
+            )
+        assert len(chain.receipts) == receipts and set(chain.accounts) == accounts
 
 
 def test_update_gas_grows_linearly_with_active_tokens(published):
@@ -201,7 +206,7 @@ def test_withdraw_pulls_contract_balance_to_owner(published):
 
 def test_destroy_pays_out_then_bricks_everything(published):
     contract, chain = published.contract, published.chain
-    paid_request(contract, published.users[0])
+    token = paid_request(contract, published.users[0])
     held = contract.contract_balance_wei
     owner_before = chain.balance(published.provider)
     with pytest.raises(NotOwnerError):
@@ -214,10 +219,15 @@ def test_destroy_pays_out_then_bricks_everything(published):
     assert contract.holders == {}
     with pytest.raises(AlreadyDestroyedError):
         contract.destroy(published.provider)
+    # Each call checks destruction first: the cleared contract would
+    # otherwise raise another error (not published, no token).
     for call in (
         lambda: contract.update_data(published.provider),
         lambda: contract.set_price(published.provider, 1),
         lambda: contract.withdraw(published.provider),
+        lambda: request_access(published.users[1], contract, 0),
+        lambda: renew_access_time(published.users[0], contract, 0),
+        lambda: burn_token(contract, token, BurnCause.REQUESTER),
     ):
         with pytest.raises(DestroyedError):
             call()

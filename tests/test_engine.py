@@ -20,7 +20,7 @@ from incentiveledger import (
     with_seed,
 )
 from incentiveledger import engine
-from incentiveledger.chain import WEI_PER_ETH
+from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, default_gas_schedule
 from incentiveledger.engine import SharedStart, build_start, settle
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import write_run_reports
@@ -203,9 +203,9 @@ def test_update_multiplier_saturates_to_an_update_every_period():
 
 
 def test_ledger_failures_carry_the_engine_position():
-    # Enough to register everyone, too little for the first publication,
-    # which costs the provider about half an ether.
-    cfg = small_cfg(prefund_wei=3 * WEI_PER_ETH // 10)
+    # At 20,000 gwei the authority's prefund still registers all 40
+    # accounts, but the first publication costs the provider 136 ether.
+    cfg = small_cfg(price=PriceModel(gas_price_wei=20_000 * GWEI))
     with pytest.raises(EngineError, match=r"period 0, action 0"):
         run_simulation(cfg)
 
@@ -225,7 +225,6 @@ def test_config_validation():
     for overrides in (
         {"action_ticker": 0},
         {"update_multiplier": 0},
-        {"prefund_wei": 0},
         {"access_fraction_pct": 0},
         {"renew_fraction_pct": 101},
         {"access_fraction_pct": 5.0},  # floats are rejected, even whole ones
@@ -291,6 +290,32 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
     assert checkpoint_registry.users == fresh_registry.users
     shared_run = report_bytes(run_simulation(cfg, shared), tmp_path / "shared")
     assert shared_run == report_bytes(run_simulation(cfg), tmp_path / "direct")
+
+
+UPDATE_GAS = default_gas_schedule().gas_for(UPDATE_DATA)
+
+
+@pytest.mark.parametrize("providers", [1, 2])
+def test_settle_reads_only_the_trace_action_stream(tmp_path, providers):
+    # A trace's receipts and contract snapshots are its books, not its
+    # stream: with both cleared once its reports are written, a settled
+    # cell still writes a direct run's bytes, and its contracts end with
+    # the trace's holders in their own dicts.
+    base = small_cfg(population=PopulationConfig(n_accounts=40, max_providers=providers))
+    shared = SharedStart()
+    trace = run_simulation(base, shared)
+    report_bytes(trace, tmp_path / "trace")
+    trace.chain.receipts.clear()
+    trace.contract_snapshots.clear()
+    cfg = replace(base, scenario=Scenario.PROFIT, access_fraction_pct=10)
+    settled = settle(cfg, trace, shared)
+    assert report_bytes(settled, tmp_path / "settled") == report_bytes(run_simulation(cfg), tmp_path / "direct")
+    assert len(trace.datasets) == providers
+    assert any(r.function == UPDATE_DATA and r.gas_used > UPDATE_GAS for r in settled.chain.receipts)  # notified
+    for mine, theirs in zip(settled.datasets, trace.datasets, strict=True):
+        assert mine.holders is not theirs.holders
+        assert list(mine.holders) == list(theirs.holders)
+        assert all(mine.holders[a] is token for a, token in theirs.holders.items())
 
 
 def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):

@@ -118,10 +118,21 @@ def test_reconcile_catches_tampered_payment(run):
     paid = [r for r in run.records if r.payment_wei > 0][0]
     paid.payment_wei += 1
     try:
-        with pytest.raises(ReconciliationFailureError):
+        with pytest.raises(ReconciliationFailureError, match="paid by requesters"):
             reconcile(run)
     finally:
         paid.payment_wei -= 1
+
+
+def test_reconcile_catches_a_tampered_action_fee(run):
+    # Payments and pools still agree; only the agents' outflow gives it away.
+    action = run.records[-1]
+    action.tx_gas_fee_wei += 1
+    try:
+        with pytest.raises(ReconciliationFailureError, match="agents spent"):
+            reconcile(run)
+    finally:
+        action.tx_gas_fee_wei -= 1
 
 
 def test_reconcile_catches_tampered_pool(run):

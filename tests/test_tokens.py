@@ -204,9 +204,10 @@ def test_requester_burn_certifies_compliance(published):
     user = published.users[0]
     token = pay_access(contract, user)
     contract.update_data(published.provider)  # leaves compliance false
+    chain.period = 1
     burn_token(contract, token, BurnCause.REQUESTER)
     assert token.burned and token.compliance
-    assert token.remaining_at_burn == max(0, token.access_until - chain.period)
+    assert token.remaining_at_burn == ACCESS_PERIODS - 1  # minted at period 0
     assert token.user == NULL_ADDRESS
     assert user not in contract.holders
     with pytest.raises(AlreadyBurnedError):
