@@ -27,7 +27,7 @@ from . import __version__
 from .agents import PopulationConfig
 from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
-from .engine import SharedStart, SimConfig, run_simulation, settings, settle, with_seed
+from .engine import SharedStart, SimConfig, run_simulation, settings, settle, simulate, with_seed
 from .errors import ConfigError, EngineError, LedgerError
 from .reporting import REPORT_NAMES, RunSummary, summary_csv, summary_text, write_run_reports
 
@@ -243,20 +243,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     shared = SharedStart()
     by_cell: list[list[RunSummary]] = [[] for _ in cells]
-    # Seed-major, so that each seed is simulated once: its first completed run
-    # is the trace that its other cells settle from. Each run's reports are
-    # written as soon as it finishes, and its result is dropped.
+    # Seed-major, so that each seed is simulated once and every cell settles
+    # from its stream. Each run's reports are written as soon as it finishes,
+    # and its result is dropped.
     for row in grid:
-        trace = None
+        stream = simulate(row[0])
         for cfg, name, summaries in zip(row, names, by_cell):
             try:
-                result = run_simulation(cfg, shared) if trace is None else settle(cfg, trace, shared)
+                result = settle(cfg, stream, shared)
             except EngineError as exc:
                 # The error names the run: seed, grid cell, period and action.
                 failures += 1
                 log.error("run failed: %s", exc)
                 continue
-            trace = trace or result
             summaries.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
 
     even_lines = ["scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod"]

@@ -5,7 +5,7 @@ One contract per published dataset, and the one place its books move.
 ledger: the provider's pure outlay goes to providerCostWei while
 currentCostWei accrues the same gas scaled by the profit margin, the pool
 that `collect` drains by each access or renewal payment it takes into the
-contract's account. `bill_update` also publishes a version. Three
+contract's account. `update_data` also publishes a version. Three
 compensation modes share the bookkeeping:
 
   scenario 1  costs are tracked but requesters are never charged,
@@ -13,7 +13,7 @@ compensation modes share the bookkeeping:
   scenario 3  margin exceeds 100%, payments eventually return a profit.
 
 Update calls grow linearly with the number of live tokens, the contract's
-holders, because each holder must be notified, and `bill_update` prices
+holders, because each holder must be notified, and `update_data` prices
 that per holder: this makes a popular dataset expensive to maintain and
 is the core quantity the simulation measures.
 """
@@ -174,12 +174,6 @@ class DatasetContract:
         self.accrue_cost(receipt.gas_used)
         return receipt
 
-    def bill_update(self, caller: Address, notified: int) -> TxReceipt:
-        """Bill an update that notifies `notified` holders at a notification's gas each, and publish its version."""
-        receipt = self.bill(caller, UPDATE_DATA, self.chain.schedule.per_requester_update_gas * notified)
-        self.meta_version += 1
-        return receipt
-
     def collect(self, payer: Address, function: str, value_wei: int) -> TxReceipt:
         """Execute a requester call that pays value_wei to the contract, and drain the pool by it."""
         receipt = self.chain.execute(payer, function, 0, value_wei, self.contract_address if value_wei else None)
@@ -200,7 +194,8 @@ class DatasetContract:
         self._require_owner(caller)
         if not self.published:
             raise NotPublishedError(f"{self.contract_address} has no published data")
-        receipt = self.bill_update(caller, len(self.holders))
+        receipt = self.bill(caller, UPDATE_DATA, self.chain.schedule.per_requester_update_gas * len(self.holders))
+        self.meta_version += 1
         self.token_store.invalidate_compliance(self.holders.values(), self.chain.period)
         return receipt
 

@@ -1,16 +1,19 @@
-"""Period-loop simulation engine.
+"""Period-loop simulation engine, in two stages: simulate draws, settle books.
 
-Each period runs four phases in a fixed order: publish, update, request,
-renew. Exactly one provider is "in line" to publish and exactly one
-requester is "in line" to request; both retry every period until their
-probability roll succeeds, and the requester queue advances in account
-creation order. A requester requests once, so they hold one token, and
-its expiry ACCESS_PERIODS periods after their last action is their
-cool-down: every expired token gets a renewal chance each period. The
-engine never burns, so the active requesters are the tokens minted so far
-and a dataset's active tokens are its contract's holders. The
-run stops the moment the configured number of actions has occurred,
-mid-period if necessary.
+`simulate` runs the period loop. Each period runs four phases in a fixed
+order: publish, update, request, renew. Exactly one provider is "in line"
+to publish and exactly one requester is "in line" to request; both retry
+every period until their probability roll succeeds, and the requester
+queue advances in account creation order. A requester requests once, so
+they hold one token, and its expiry ACCESS_PERIODS periods after their
+last action is their cool-down: every expired token gets a renewal chance
+each period. The engine never burns, so the active requesters are the
+tokens minted so far and a dataset's active tokens are its contract's
+holders. The loop stops the moment the configured number of actions has
+occurred, mid-period if necessary. It touches no chain, contract or token
+store: its Stream is the population and each action's kind, actor and
+dataset. `settle` then books a stream through the contract API, and a
+run is `settle(cfg, simulate(cfg))`.
 
 Determinism: a single seeded generator drives every draw, in a fixed
 order - population generation first, then per period the publish roll
@@ -21,15 +24,11 @@ scenario, margin or fraction parameters, so runs that share a seed share
 their entire action stream across those settings.
 
 Sharing: the registry bootstrap depends on no seed, so a sweep builds it
-once in a SharedStart, and each run forks it and draws its population
-from its own seed. Nor does the stream depend on economics, so a sweep
-simulates each seed once: its first completed run is the trace, and
-settle bills each later cell of the seed from its actions alone, on a
-fork of the bootstrap. The cell's own contracts gain the trace's tokens
-as requests settle, bill each update for their holders with `bill_update`
-and each quoted payment with `collect`. A cell that cannot pay fails with
-a direct run's error, at the same period and action; until a seed has a
-trace, its next cell runs directly. Every run writes the same bytes as a
+once in a SharedStart, and each run forks it. Nor does the stream depend
+on economics, so a sweep simulates each seed once and settles every cell
+of the seed from that stream, on a fork of the bootstrap and with a token
+store of its own. A cell that cannot pay fails with a direct run's error,
+at the same period and action, and every run writes the same bytes as a
 direct run, which builds its bootstrap fresh.
 """
 
@@ -43,7 +42,6 @@ from operator import attrgetter
 
 from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
 from .chain import (
-    ADD_DATA_REQUESTER,
     GWEI,
     Address,
     ChainState,
@@ -52,8 +50,6 @@ from .chain import (
     PriceModel,
     REGISTER_NEW_USER,
     REGISTRY_DEPLOYMENT,
-    RENEW_TOKEN,
-    TxReceipt,
     WEI_PER_ETH,
     default_gas_schedule,
 )
@@ -61,7 +57,7 @@ from .dataset import FRACTION_PCT, MARGIN_PCT, DatasetContract, Scenario, check_
 from .errors import ConfigError, EngineError, LedgerError
 from .registry import DEFAULT_LICENSE, Registry
 from .tokens import (
-    AccessToken,
+    ACCESS_PERIODS,
     TokenStore,
     confirm_compliance,
     quote_payment,
@@ -72,8 +68,8 @@ from .tokens import (
 # Safety valve only; real runs finish in a few hundred periods.
 MAX_PERIODS = 1_000_000
 PREFUND_WEI = 100 * WEI_PER_ETH  # minted onto each agent and the authority
-# What a run's action stream and gas depend on; a trace settles only runs that share it.
-_STREAM = attrgetter("seed", "population", "action_ticker", "update_multiplier", "schedule")
+# What a run's action stream depends on; a stream settles only runs that share it.
+_STREAM = attrgetter("seed", "population", "action_ticker", "update_multiplier")
 
 
 class ActionKind(Enum):
@@ -205,6 +201,18 @@ def settings(cfg: SimConfig) -> dict[str, int | float]:
     }
 
 
+@dataclass(slots=True)
+class Stream:
+    """A seed's draws: its population, each action as (kind, actor, dataset ordinal), and the
+    number of actions in each period. Fewer actions than the ticker means the loop stalled."""
+
+    config: SimConfig
+    population: list[AgentProfile]
+    actions: list[tuple[ActionKind, Address, int]]
+    counts: list[int]
+    population_text: str | None = None  # population.csv, formatted by the first run to write its reports
+
+
 @dataclass
 class SimResult:
     """A run's outcome, and its books while it runs."""
@@ -218,18 +226,7 @@ class SimResult:
     token_store: TokenStore
     population: list[AgentProfile]
     datasets: list[DatasetContract]
-    # population.csv, formatted when the run's reports are first written; a settled run has its trace's.
-    population_text: str | None = None
-
-    def record(self, period: int, kind: ActionKind, actor: Address, contract: DatasetContract,
-               cost: TxReceipt | int) -> None:
-        """Book an action at its receipt's fee, payment and USD cost, or a publication at its summed fees."""
-        if isinstance(cost, int):
-            fee, payment, usd = cost, 0, self.chain.price.wei_to_usd(cost)
-        else:
-            fee, payment, usd = cost.gas_fee_wei, cost.value_wei, cost.usd_cost
-        self.records.append(ActionRecord(len(self.records), period, kind, actor, contract.contract_address,
-                                         fee, payment, usd, contract.current_cost_wei))
+    stream: Stream | None = None  # what the run settled; its population.csv text is formatted once
 
     def close_period(self, period: int, actions: int) -> None:
         """Book the period's totals, and a snapshot of each dataset: its holders are its active tokens."""
@@ -245,19 +242,10 @@ class SimResult:
             for c in datasets
         )
 
-    def failure(self, period: int, exc: LedgerError) -> EngineError:
-        """The error of a run that stopped at period, naming the run and the position."""
-        cfg = self.config
-        return EngineError(
-            f"seed {cfg.seed}, scenario {cfg.scenario.value}, margin {cfg.resolved_margin_pct}, "
-            f"access fraction {cfg.access_fraction_pct}, renew fraction {cfg.renew_fraction_pct}, "
-            f"period {period}, action {len(self.records)}: {exc}"
-        )
-
 
 def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, cfg: SimConfig,
-                     provider: Address, ordinal: int) -> tuple[DatasetContract, int]:
-    """Deploy, publish and configure one dataset, returning its provider cost: the five calls' fees.
+                     provider: Address, ordinal: int) -> DatasetContract:
+    """Deploy, publish and configure one dataset; its provider cost is the five calls' fees.
 
     The three parameter-setting calls happen once at publication and are
     billed like any owner call but never count as simulation actions.
@@ -277,7 +265,7 @@ def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, c
     contract.set_registry_address(provider, registry)
     contract.set_profit_margin(provider, cfg.resolved_margin_pct)
     contract.set_multis(provider, cfg.access_fraction_pct, cfg.renew_fraction_pct)
-    return contract, contract.provider_cost_wei
+    return contract
 
 
 def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
@@ -308,131 +296,125 @@ class SharedStart:
         return chain, registry.fork(chain)
 
 
-def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
-    """Run cfg from a fork of the bootstrap of shared, or from a fresh one."""
+def simulate(cfg: SimConfig) -> Stream:
+    """Draw the action stream of cfg; book nothing."""
     cfg.validate()
-    chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
     rng = random.Random(cfg.seed)
     draw = rng.random
     population = generate_population(cfg.population, rng)
-
-    store = TokenStore()
-    run = SimResult(cfg, [], [], [], chain, registry, store, population, [])
-    records, datasets, ticker = run.records, run.datasets, cfg.action_ticker
+    stream = Stream(cfg, population, [], [])
+    actions, counts, ticker = stream.actions, stream.counts, cfg.action_ticker
     providers = [p for p in population if p.role is Role.PROVIDER]
     # A requester at probability 0.0 could never request and would hold the
     # queue forever, so they never join it.
     requesters = [p for p in population if p.role is Role.REQUESTER and p.current_prob > 0.0]
-    # Every token the run mints, with its holder and contract, in mint
-    # order, which is token-id order. The engine never burns or destroys.
-    roster: list[tuple[AccessToken, AgentProfile, DatasetContract]] = []
-    next_provider = 0
+    # Each request's token as [expiry, holder, dataset ordinal], in request
+    # order, which is the token-id order settle mints in. Nothing burns.
+    roster: list[list] = []
+    published = 0
     next_requester = 0
-    period = 0
 
-    try:
-        while len(records) < ticker:
-            if period >= MAX_PERIODS:
-                raise EngineError(f"no progress after {MAX_PERIODS} periods")
-            chain.period = period
-            actions_at_start = len(records)
+    while len(actions) < ticker and len(counts) < MAX_PERIODS:
+        period = len(counts)
+        actions_at_start = len(actions)
 
-            # Publish: the next provider in line rolls; the very first
-            # publication of the run happens unconditionally.
-            if next_provider < len(providers):
-                provider = providers[next_provider]
-                goes = not records or draw() < provider.current_prob
-                if goes:
-                    contract, fees = _publish_dataset(chain, registry, store, cfg, provider.address, next_provider + 1)
-                    datasets.append(contract)
-                    run.record(period, ActionKind.PUBLISH, provider.address, contract, fees)
-                    next_provider += 1
+        # Publish: the next provider in line rolls; the very first
+        # publication of the run happens unconditionally.
+        if published < len(providers):
+            provider = providers[published]
+            if not actions or draw() < provider.current_prob:
+                actions.append((ActionKind.PUBLISH, provider.address, published))
+                published += 1
 
-            # Update: every provider with a published dataset rolls;
-            # provider i published datasets[i].
-            if len(records) < ticker:
-                for contract, owner in zip(datasets, providers):
-                    if len(records) >= ticker:
+        # Update: every provider with a published dataset rolls;
+        # provider i published dataset i.
+        for ordinal, owner in enumerate(providers[:published]):
+            if len(actions) >= ticker:
+                break
+            if draw() < min(1.0, owner.base_prob * cfg.update_multiplier):
+                actions.append((ActionKind.UPDATE, owner.address, ordinal))
+
+        # Request: the requester in line rolls; on decline the same
+        # requester tries again next period. They have never requested,
+        # so every dataset is open to them.
+        if len(actions) < ticker and next_requester < len(requesters):
+            requester = requesters[next_requester]
+            if draw() < requester.current_prob:
+                ordinal = rng.randrange(published)
+                actions.append((ActionKind.REQUEST, requester.address, ordinal))
+                roster.append([period + ACCESS_PERIODS, requester, ordinal])
+                next_requester += 1
+
+        # Renew: each holder of an expired token rolls. A holder's one
+        # token was granted or last renewed by their last action, so its
+        # expiry is their cool-down of ACCESS_PERIODS periods.
+        if len(actions) < ticker:
+            for token in roster:
+                if token[0] > period:
+                    continue
+                holder = token[1]
+                if draw() < holder.current_prob:
+                    token[0] = period + ACCESS_PERIODS
+                    decay_renewal_prob(holder)
+                    actions.append((ActionKind.RENEW, holder.address, token[2]))
+                    if len(actions) >= ticker:
                         break
-                    update_prob = min(1.0, owner.base_prob * cfg.update_multiplier)
-                    if draw() < update_prob:
-                        receipt = contract.update_data(owner.address)
-                        run.record(period, ActionKind.UPDATE, owner.address, contract, receipt)
 
-            # Request: the requester in line rolls; on decline the same
-            # requester tries again next period. They have never requested,
-            # so every dataset is open to them.
-            if len(records) < ticker and next_requester < len(requesters):
-                requester = requesters[next_requester]
-                if draw() < requester.current_prob:
-                    contract = datasets[rng.randrange(len(datasets))]
-                    payment = quote_payment(contract, "access")
-                    token = request_access(requester.address, contract, payment)
-                    roster.append((token, requester, contract))
-                    run.record(period, ActionKind.REQUEST, requester.address, contract, chain.receipts[-1])
-                    next_requester += 1
-
-            # Renew: each holder of an expired token rolls. A holder's one
-            # token was granted or last renewed by their last action, so its
-            # expiry is their cool-down of ACCESS_PERIODS periods.
-            if len(records) < ticker:
-                for token, holder, contract in roster:
-                    if token.access_until > period:
-                        continue
-                    if draw() < holder.current_prob:
-                        if not token.compliance:
-                            confirm_compliance(holder.address, contract)
-                        payment = quote_payment(contract, "renewal")
-                        renew_access_time(holder.address, contract, payment)
-                        decay_renewal_prob(holder)
-                        run.record(period, ActionKind.RENEW, holder.address, contract, chain.receipts[-1])
-                        if len(records) >= ticker:
-                            break
-
-            run.close_period(period, len(records) - actions_at_start)
-            period += 1
-    except LedgerError as exc:
-        raise run.failure(period, exc) from exc
-    return run
+        counts.append(len(actions) - actions_at_start)
+    return stream
 
 
-def settle(cfg: SimConfig, trace: SimResult, shared: SharedStart) -> SimResult:
-    """Run cfg by billing again the actions of trace, a completed run of its stream (see Sharing).
-
-    Only the economics of cfg and trace.config may differ. The run draws, mints
-    and logs nothing: it shares the trace's population and hands out its tokens.
-    """
+def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) -> SimResult:
+    """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared,
+    or from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
     cfg.validate()
-    if _STREAM(cfg) != _STREAM(trace.config):
-        raise ValueError("a trace settles only runs of its own stream and gas schedule")
-    chain, registry = shared.fork(cfg)
-    run = SimResult(cfg, [], [], [], chain, registry, trace.token_store, trace.population, [], trace.population_text)
-    datasets = run.datasets
-    contracts: dict[Address, DatasetContract] = {}
-    actions = iter(trace.records)
-    tokens = iter(trace.token_store.tokens.values())
+    if _STREAM(cfg) != _STREAM(stream.config):
+        raise ValueError("a stream settles only runs of its own seed, population, ticker and multiplier")
+    chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
+    store = TokenStore()
+    run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [], stream)
+    records, datasets = run.records, run.datasets
+    actions = iter(stream.actions)
     try:
-        for stats in trace.series:
-            period = chain.period = stats.period
-            for r in islice(actions, stats.actions_this_period):
-                if r.kind is ActionKind.PUBLISH:
-                    contract, cost = _publish_dataset(chain, registry, run.token_store, cfg, r.actor, len(datasets) + 1)
+        for period, count in enumerate(stream.counts):
+            chain.period = period
+            for kind, actor, ordinal in islice(actions, count):
+                # Book each action at its receipt's fee, payment and USD cost; a publication at its fees.
+                if kind is ActionKind.PUBLISH:
+                    contract = _publish_dataset(chain, registry, store, cfg, actor, ordinal + 1)
                     datasets.append(contract)
-                    contracts[r.dataset] = contract
+                    fee = contract.provider_cost_wei
+                    payment, usd = 0, chain.price.wei_to_usd(fee)
                 else:
-                    contract = contracts[r.dataset]
-                    if r.kind is ActionKind.UPDATE:
-                        cost = contract.bill_update(r.actor, len(contract.holders))
-                    elif r.kind is ActionKind.REQUEST:
-                        cost = contract.collect(r.actor, ADD_DATA_REQUESTER, quote_payment(contract, "access"))
-                        contract.holders[r.actor] = next(tokens)
+                    contract = datasets[ordinal]
+                    if kind is ActionKind.UPDATE:
+                        contract.update_data(actor)
+                    elif kind is ActionKind.REQUEST:
+                        request_access(actor, contract, quote_payment(contract, "access"))
                     else:
-                        cost = contract.collect(r.actor, RENEW_TOKEN, quote_payment(contract, "renewal"))
-                run.record(period, r.kind, r.actor, contract, cost)
-            run.close_period(period, stats.actions_this_period)
+                        if not contract.holders[actor].compliance:
+                            confirm_compliance(actor, contract)
+                        renew_access_time(actor, contract, quote_payment(contract, "renewal"))
+                    receipt = chain.receipts[-1]
+                    fee, payment, usd = receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost
+                records.append(ActionRecord(len(records), period, kind, actor, contract.contract_address,
+                                            fee, payment, usd, contract.current_cost_wei))
+            run.close_period(period, count)
+        period = len(stream.counts)
+        if len(records) < cfg.action_ticker:
+            raise EngineError(f"no progress after {period} periods")
     except LedgerError as exc:
-        raise run.failure(period, exc) from exc
+        raise EngineError(
+            f"seed {cfg.seed}, scenario {cfg.scenario.value}, margin {cfg.resolved_margin_pct}, "
+            f"access fraction {cfg.access_fraction_pct}, renew fraction {cfg.renew_fraction_pct}, "
+            f"period {period}, action {len(records)}: {exc}"
+        ) from exc
     return run
+
+
+def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
+    """Simulate cfg and settle its stream, from a fork of the bootstrap of shared or from a fresh one."""
+    return settle(cfg, simulate(cfg), shared)
 
 
 def break_even_period(result: SimResult) -> int | None:

@@ -455,8 +455,9 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     write(cost_overlay_csv(result))
     write(result.chain.log_csv())
     write(result.token_store.table_csv())
-    result.population_text = result.population_text or population_csv(result.population)
-    write(result.population_text)
+    stream = result.stream
+    stream.population_text = stream.population_text or population_csv(result.population)
+    write(stream.population_text)
     write(result.registry.snapshot_csv())
     write(summary_text(result, summary))
     write(summary_csv(summary))

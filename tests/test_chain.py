@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 
 import pytest
@@ -35,6 +36,7 @@ from incentiveledger.chain import (
     default_gas_schedule,
 )
 from incentiveledger.errors import (
+    ConfigError,
     InsufficientFundsError,
     UnknownAccountError,
     UnknownFunctionError,
@@ -203,6 +205,8 @@ def test_account_creation_rules(chain):
     assert len(set(addrs)) == 3
     assert chain.minted_wei == 150
     assert all(chain.funding[a] == 50 for a in addrs)
+    [unfunded] = chain.create_accounts(1, 0)  # one account, and a prefund of zero, are allowed
+    assert chain.balance(unfunded) == chain.funding[unfunded] == 0
     with pytest.raises(ValueError):
         chain.create_named_account(addrs[0], 0)
     with pytest.raises(UnknownAccountError):
@@ -222,6 +226,10 @@ def test_price_and_schedule_validation():
         PriceModel(gas_price_wei=0)
     with pytest.raises(ValueError):
         PriceModel(eth_usd=0)
+    with pytest.raises(ConfigError, match="gas price"):
+        PriceModel(gas_price_wei=math.inf)
+    with pytest.raises(ConfigError, match="exchange rate"):
+        PriceModel(eth_usd=math.inf)
     with pytest.raises(ValueError):
         GasSchedule(transaction_gas={"f": 0})
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from incentiveledger import cli, reporting
+from incentiveledger import cli, engine, reporting
 from incentiveledger.agents import PopulationConfig
 from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
@@ -395,14 +395,14 @@ def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
 
 
 def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
-    real = cli.run_simulation
+    real = cli.settle
 
-    def fail_seed_1(cfg, shared=None):
+    def fail_seed_1(cfg, stream, shared=None):
         if cfg.seed == 1:
             raise EngineError("period 2, action 5: injected")
-        return real(cfg, shared)
+        return real(cfg, stream, shared)
 
-    monkeypatch.setattr(cli, "run_simulation", fail_seed_1)
+    monkeypatch.setattr(cli, "settle", fail_seed_1)
     code = run_cli("sweep", *SMALL, "--seeds", "3", "--out", str(tmp_path), "--quiet")
     assert code == 1
     cell = tmp_path / "scenario-2_fraction-5_margin-100"
@@ -440,15 +440,32 @@ def test_sweep_logs_the_grid_cell_of_a_failed_run(tmp_path, caplog):
     assert not (tmp_path / "scenario-3_fraction-10_margin-150").exists()
 
 
+def test_a_stalled_stream_fails_every_cell_of_its_seed(tmp_path, monkeypatch, caplog):
+    # The seed's stream stops short of the ticker, so each cell settled from
+    # it fails with the stall, named by the cell's own scenario and margin.
+    monkeypatch.setattr(engine, "MAX_PERIODS", 2)
+    with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
+        code = run_cli("sweep", *SMALL, "--scenarios", "2,3", "--seeds", "1", "--out", str(tmp_path), "--quiet")
+    assert code == 1
+    messages = [entry.getMessage() for entry in caplog.records]
+    assert len(messages) == 2
+    for message, (scenario, margin) in zip(messages, ((2, 100), (3, 200))):
+        assert re.fullmatch(
+            rf"run failed: seed 0, scenario {scenario}, margin {margin}, access fraction 5, renew fraction 5, "
+            r"period 2, action \d+: no progress after 2 periods",
+            message,
+        ), message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["break_even.csv"]
+
+
 PAYMENT_FAILURE = ["--accounts", "40", "--actions", "60", "--scenario", "3", "--gas-price-gwei", "1000"]
 
 
 @pytest.mark.parametrize("margins", ["150,10000", "10000,150"])
 def test_a_settled_cell_fails_as_a_direct_run_does(tmp_path, caplog, margins):
-    # At margin 10000 the first requester cannot pay. With margins
-    # 150,10000 that cell settles from the margin-150 trace; with 10000,150
-    # it runs first and fails with no trace, and margin 150 runs directly.
-    # Either way the sweep logs what a direct run of each failing cell says.
+    # At margin 10000 the first requester cannot pay. Each seed is simulated
+    # once and both cells settle from its stream, whichever margin comes
+    # first. Either way the sweep logs what a direct run of each failing cell says.
     with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
         code = run_cli("sweep", *PAYMENT_FAILURE, "--seeds", "2", "--access-fractions", "100", "--margins", margins,
                        "--out", str(tmp_path / "sweep"), "--quiet")

@@ -187,6 +187,8 @@ def test_setter_validation(published):
         contract.set_multis(published.provider, 0, 5)
     with pytest.raises(OutOfRangeError):
         contract.set_price(published.provider, -1)
+    contract.set_price(published.provider, 0)  # a free dataset is allowed
+    assert contract.price_wei == 0
     with pytest.raises(NotOwnerError):
         contract.set_price(published.users[0], 1)
 

@@ -21,7 +21,7 @@ from incentiveledger import (
 )
 from incentiveledger import engine
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, default_gas_schedule
-from incentiveledger.engine import SharedStart, build_start, settle
+from incentiveledger.engine import SharedStart, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import write_run_reports
 
@@ -110,10 +110,10 @@ def test_economics_change_payments_only():
 
 def test_a_trace_settles_only_runs_of_its_own_stream():
     shared = SharedStart()
-    trace = run_simulation(small_cfg(), shared)
+    stream = simulate(small_cfg())
     for other in (with_seed(small_cfg(), 4), small_cfg(action_ticker=59), small_cfg(update_multiplier=6)):
         with pytest.raises(ValueError, match="stream"):
-            settle(other, trace, shared)
+            settle(other, stream, shared)
 
 
 def test_no_compensation_scenario_never_collects_payments():
@@ -297,25 +297,23 @@ UPDATE_GAS = default_gas_schedule().gas_for(UPDATE_DATA)
 
 @pytest.mark.parametrize("providers", [1, 2])
 def test_settle_reads_only_the_trace_action_stream(tmp_path, providers):
-    # A trace's receipts and contract snapshots are its books, not its
-    # stream: with both cleared once its reports are written, a settled
-    # cell still writes a direct run's bytes, and its contracts end with
-    # the trace's holders in their own dicts.
+    # A stream holds draws, not books: a second cell settled from it, after
+    # the first cell's reports are written, still writes a direct run's
+    # bytes, and its contracts end with the first cell's holders in their
+    # own dicts.
     base = small_cfg(population=PopulationConfig(n_accounts=40, max_providers=providers))
     shared = SharedStart()
-    trace = run_simulation(base, shared)
+    stream = simulate(base)
+    trace = settle(base, stream, shared)
     report_bytes(trace, tmp_path / "trace")
-    trace.chain.receipts.clear()
-    trace.contract_snapshots.clear()
     cfg = replace(base, scenario=Scenario.PROFIT, access_fraction_pct=10)
-    settled = settle(cfg, trace, shared)
+    settled = settle(cfg, stream, shared)
     assert report_bytes(settled, tmp_path / "settled") == report_bytes(run_simulation(cfg), tmp_path / "direct")
     assert len(trace.datasets) == providers
     assert any(r.function == UPDATE_DATA and r.gas_used > UPDATE_GAS for r in settled.chain.receipts)  # notified
     for mine, theirs in zip(settled.datasets, trace.datasets, strict=True):
         assert mine.holders is not theirs.holders
         assert list(mine.holders) == list(theirs.holders)
-        assert all(mine.holders[a] is token for a, token in theirs.holders.items())
 
 
 def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):

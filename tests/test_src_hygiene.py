@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import of the package is used, and
-only the dataset contract books its ledgers."""
+"""Source hygiene: every module-level import of the package is used, only
+the dataset contract books its ledgers, and only engine.settle books a run."""
 
 import ast
 from pathlib import Path
@@ -37,7 +37,7 @@ LEDGER_FIELDS = {"current_cost_wei", "provider_cost_wei", "provider_earnings_wei
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dataset.py"], ids=lambda p: p.name)
 def test_only_the_dataset_contract_books_its_ledgers(path):
-    """A pool or version moves only through DatasetContract: bill, bill_update and collect.
+    """A pool or version moves only through DatasetContract: bill, collect and update_data.
 
     Only the two contracts, dataset and registry, run metered calls.
     """
@@ -49,3 +49,23 @@ def test_only_the_dataset_contract_books_its_ledgers(path):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in LEDGER_FIELDS:
             found.append(f"line {node.lineno}: assigns {node.attr}")
     assert not found, found
+
+
+BOOKING_CALLS = {"_publish_dataset", "update_data", "request_access", "renew_access_time", "confirm_compliance",
+                 "quote_payment", "execute", "bill", "collect"}
+
+
+def test_settle_is_the_one_booking_driver():
+    """engine.simulate only draws: it names no booking call and reads no chain, contract
+    or token store. settle is the one engine function that names a booking call."""
+    path = next(p for p in MODULES if p.name == "engine.py")
+    functions = {node.name: node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)}
+
+    def names(function):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(function) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    assert sorted(name for name, function in functions.items() if names(function) & BOOKING_CALLS) == ["settle"]
+    read = names(functions["simulate"])
+    assert not read & {"chain", "contract", "token_store", "TokenStore", "DatasetContract"}, read
