@@ -196,7 +196,7 @@ class DatasetContract:
             raise NotPublishedError(f"{self.contract_address} has no published data")
         receipt = self.bill(caller, UPDATE_DATA, self.chain.schedule.per_requester_update_gas * len(self.holders))
         self.meta_version += 1
-        self.token_store.invalidate_compliance(self.holders.values(), self.chain.period)
+        self.token_store.invalidate_compliance(self.holders, self.chain.period)
         return receipt
 
     def set_license(self, caller: Address, new_license: int) -> TxReceipt:

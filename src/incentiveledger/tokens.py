@@ -9,7 +9,8 @@ and renewals; the contract's `collect` takes it in and books it.
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
 clears it. The TokenStore keeps every token a run mints, the id counter
-and the event log.
+and the event log, which holds one entry per update; `TokenStore.events`
+expands it into the per-holder trail, a new list on every read.
 
 Access grants run in periods, not wall-clock time: every grant or renewal
 adds ACCESS_PERIODS periods of access. Payments must match the quote
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .chain import ADD_DATA_REQUESTER, Address, NULL_ADDRESS, RENEW_TOKEN
 from .errors import (
@@ -63,12 +64,10 @@ class AccessToken:
 
 @dataclass(slots=True)
 class TokenEvent:
-    """Audit-trail entry: mint, renewal, compliance and burn history.
+    """Audit-trail entry: mint, update notice, renewal, compliance and burn.
 
-    Not frozen: an update logs one event per holder, and a frozen
-    dataclass builds through object.__setattr__ at about four times the
-    cost. A NamedTuple would build at twice the cost and take 16 bytes more
-    per event. Nothing changes an event once it is recorded.
+    Not frozen: a frozen dataclass builds through object.__setattr__ at
+    about four times the cost. Nothing changes an event once it is built.
     """
 
     kind: str
@@ -82,7 +81,7 @@ class TokenStore:
 
     def __init__(self) -> None:
         self.tokens: dict[int, AccessToken] = {}
-        self.events: list[TokenEvent] = []
+        self._log: list[TokenEvent | tuple[int, tuple[Address, ...], tuple[AccessToken, ...]]] = []
         self._next_id = 1
 
     def mint(
@@ -112,13 +111,23 @@ class TokenStore:
                 yield token
 
     def record(self, kind: str, period: int, token_id: int, user: Address) -> None:
-        self.events.append(TokenEvent(kind, period, token_id, user))
+        self._log.append(TokenEvent(kind, period, token_id, user))
 
-    def invalidate_compliance(self, tokens: Iterable[AccessToken], period: int) -> None:
-        append = self.events.append
+    def invalidate_compliance(self, holders: dict[Address, AccessToken], period: int) -> None:
+        tokens = tuple(holders.values())
         for token in tokens:
             token.compliance = False
-            append(TokenEvent("updateNotice", period, token.token_id, token.user))
+        self._log.append((period, tuple(holders), tokens))
+
+    @property
+    def events(self) -> list[TokenEvent]:
+        """The per-holder trail, a new list on every read. A notice names the holder an
+        update notified from its entry, since a later burn nulls the token's user."""
+        events: list[TokenEvent] = []
+        for entry in self._log:
+            events += (entry,) if type(entry) is TokenEvent else (
+                TokenEvent("updateNotice", entry[0], t.token_id, u) for u, t in zip(entry[1], entry[2]))
+        return events
 
     def table_csv(self) -> str:
         lines = ["tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"]

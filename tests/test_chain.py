@@ -247,6 +247,27 @@ def test_log_csv_shape(chain):
     assert len(lines) == 2
 
 
+def test_a_fork_and_its_parent_format_their_shared_log_once(chain):
+    # fork() formats the receipt log once for both copies, so neither
+    # copy's log_csv formats a shared receipt again.
+    caller = chain.create_named_account("caller", WEI_PER_ETH)
+    formatted = []
+
+    class Usd(float):
+        def __format__(self, spec):
+            formatted.append(self)
+            return float.__format__(self, spec)
+
+    for _ in range(3):
+        receipt = chain.execute(caller, CHECK_USER)
+        receipt.usd_cost = Usd(receipt.usd_cost)
+    other = chain.fork()
+    other.execute(caller, CHECK_USER)
+    mine, theirs = chain.log_csv(), other.log_csv()
+    assert len(formatted) == 3
+    assert theirs.startswith(mine) and len(theirs.splitlines()) == len(mine.splitlines()) + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     prefunds=st.lists(st.integers(min_value=0, max_value=10**18), min_size=2, max_size=6),

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import of the package is used, only
-the dataset contract books its ledgers, and only engine.settle books a run."""
+the dataset contract books its ledgers, only engine.settle books a run, and
+only the token store builds token events."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,21 @@ def test_settle_is_the_one_booking_driver():
     assert sorted(name for name, function in functions.items() if names(function) & BOOKING_CALLS) == ["settle"]
     read = names(functions["simulate"])
     assert not read & {"chain", "contract", "token_store", "TokenStore", "DatasetContract"}, read
+
+
+def test_only_the_token_store_builds_token_events():
+    """TokenStore.record builds each recorded event, and TokenStore.events builds the
+    notices of each update entry on read: an update stores no event per holder."""
+    def builds(node):
+        return sum(isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None))
+                   == "TokenEvent" for call in ast.walk(node))
+
+    total, builders = 0, {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += builds(tree)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in (node for node in cls.body if isinstance(node, ast.FunctionDef) and builds(node)):
+                builders[f"{path.stem}.{cls.name}.{method.name}"] = builds(method)
+    assert sorted(builders) == ["tokens.TokenStore.events", "tokens.TokenStore.record"]
+    assert sum(builders.values()) == total

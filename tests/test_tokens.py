@@ -36,7 +36,7 @@ from incentiveledger.errors import (
     NoTokenError,
     NotPublishedError,
 )
-from incentiveledger.tokens import TokenStore, _ceil_div
+from incentiveledger.tokens import TokenEvent, TokenStore, _ceil_div
 
 # Hand-derived 5% quotes against the frozen publication pool of
 # 491,024,880,000,000,000 wei (margin 100): ceil(pool*5/100), then the
@@ -197,6 +197,41 @@ def test_update_notifies_every_holder_and_confirm_is_free(published):
     kinds = [e.kind for e in contract.token_store.events]
     assert kinds.count("updateNotice") == 3
     assert kinds.count("complianceConfirmed") == 3
+
+
+def test_update_entries_expand_to_the_per_holder_trail(published):
+    # The store keeps one entry per update; events expands each into one
+    # notice per holder, in log order, under the address it notified.
+    contract, chain, store = published.contract, published.chain, published.contract.token_store
+    alice, bob, carol = published.users
+    a, b = pay_access(contract, alice), pay_access(contract, bob)
+    chain.period = 1
+    contract.update_data(published.provider)
+    confirm_compliance(alice, contract)
+    renew_access_time(alice, contract, quote_payment(contract, "renewal"))
+    chain.period = 2
+    c = pay_access(contract, carol)
+    contract.set_license(published.provider, DEFAULT_LICENSE + 1)  # burns all three
+    trail = [
+        TokenEvent("minted", 0, a.token_id, alice),
+        TokenEvent("minted", 0, b.token_id, bob),
+        TokenEvent("updateNotice", 1, a.token_id, alice),
+        TokenEvent("updateNotice", 1, b.token_id, bob),
+        TokenEvent("complianceConfirmed", 1, a.token_id, alice),
+        TokenEvent("renewed", 1, a.token_id, alice),
+        TokenEvent("minted", 2, c.token_id, carol),
+        TokenEvent("burnNotice", 2, a.token_id, alice),
+        TokenEvent("burnNotice", 2, b.token_id, bob),
+        TokenEvent("burnNotice", 2, c.token_id, carol),
+    ]
+    assert a.user == b.user == NULL_ADDRESS
+    assert store.events == trail
+    chain.period = 3
+    contract.update_data(published.provider)  # no holders left: no notice
+    assert store.events == trail
+    read = store.events
+    read.clear()
+    assert read is not store.events and store.events == trail
 
 
 def test_requester_burn_certifies_compliance(published):
