@@ -158,6 +158,9 @@ class TxReceipt:
     value_wei: int
     recipient: Address | None
     usd_cost: float
+    # The booking dataset contract, and an owner call's margin; not in transactions.csv.
+    contract: Address | None = None
+    margin_pct: int | None = None
 
 
 class ChainState:
@@ -207,9 +210,9 @@ class ChainState:
         self.minted_wei += prefund_wei
         return addr
 
-    def next_contract_address(self, prefix: str = "dataset") -> Address:
+    def next_contract_address(self) -> Address:
         self._contract_seq += 1
-        return self.create_named_account(f"{prefix}-{self._contract_seq:02d}")
+        return self.create_named_account(f"dataset-{self._contract_seq:02d}")
 
     def balance(self, addr: Address) -> int:
         try:

@@ -17,11 +17,10 @@ from pathlib import Path
 
 from .agents import population_csv
 from .chain import (
-    ADD_DATA_REQUESTER,
     DEPLOYMENT,
+    DESTROY,
     MINER_ADDRESS,
     PUBLISH_DATA,
-    RENEW_TOKEN,
     SET_LICENSE,
     SET_MULTIS,
     SET_PRICE,
@@ -30,6 +29,7 @@ from .chain import (
     UPDATE_DATA,
     Address,
     ChainState,
+    TxReceipt,
 )
 from .engine import ActionKind, SimResult, break_even_period, settings
 from .errors import ReconciliationFailureError
@@ -70,30 +70,26 @@ def replay_balances(chain: ChainState) -> dict[Address, int]:
     return balances
 
 
-def replay_cost_ledgers(result: SimResult) -> dict[Address, tuple[int, int, int]]:
-    """Recompute (currentCost, providerCost, earnings) per contract from receipts.
+def replay_cost_ledgers(receipts: list[TxReceipt]) -> dict[Address, tuple[int, int, int]]:
+    """Recompute (currentCost, providerCost, earnings) per contract from receipts alone.
 
-    Owner calls are attributed through ownership, so this replay requires
-    the run's one-dataset-per-provider shape; payments carry the contract
-    address on the receipt itself.
+    Each receipt a dataset contract books names that contract. An accruing
+    owner call adds its fee at the margin it carries, any other call pays the
+    contract and drains its pool, and a contract's destroy receipt zeroes its
+    ledgers.
     """
-    owner_to_contract: dict[Address, Address] = {}
-    margin: dict[Address, int] = {}
-    for c in result.datasets:
-        if c.owner in owner_to_contract:
-            raise ReconciliationFailureError(f"{c.owner} owns more than one contract")
-        owner_to_contract[c.owner] = c.contract_address
-        margin[c.contract_address] = c.profit_margin_pct
-    ledgers = {c.contract_address: [0, 0, 0] for c in result.datasets}
-    for r in result.chain.receipts:
-        if r.function in ACCRUING_FUNCTIONS and r.caller in owner_to_contract:
-            addr = owner_to_contract[r.caller]
-            ledgers[addr][0] += r.gas_fee_wei * margin[addr] // 100
-            ledgers[addr][1] += r.gas_fee_wei
-        elif r.function in (ADD_DATA_REQUESTER, RENEW_TOKEN) and r.recipient in ledgers:
-            addr = r.recipient
-            ledgers[addr][0] = max(0, ledgers[addr][0] - r.value_wei)
-            ledgers[addr][2] += r.value_wei
+    ledgers: dict[Address, list[int]] = {}
+    for r in receipts:
+        if r.function == DESTROY:
+            ledgers[r.caller] = [0, 0, 0]
+        elif r.contract is not None:
+            books = ledgers.setdefault(r.contract, [0, 0, 0])
+            if r.function in ACCRUING_FUNCTIONS:
+                books[0] += r.gas_fee_wei * r.margin_pct // 100
+                books[1] += r.gas_fee_wei
+            else:
+                books[0] = max(0, books[0] - r.value_wei)
+                books[2] += r.value_wei
     return {addr: tuple(v) for addr, v in ledgers.items()}
 
 
@@ -110,11 +106,9 @@ def reconcile(result: SimResult) -> None:
         raise ReconciliationFailureError(
             f"replayed balance of {addr} is {replayed.get(addr)} wei, it holds {chain.accounts.get(addr)}"
         )
-    replayed_ledgers = replay_cost_ledgers(result)
+    replayed_ledgers = replay_cost_ledgers(chain.receipts)
     final_cc = {r.dataset: r.current_cost_after_wei for r in result.records}
     for c in result.datasets:
-        if c.destroyed:
-            continue
         expected = replayed_ledgers[c.contract_address]
         actual = (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei)
         if expected != actual:
@@ -216,6 +210,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     cost = sum(c.provider_cost_wei for c in result.datasets)
     earnings = sum(c.provider_earnings_wei for c in result.datasets)
     top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked[:TOP_REQUESTERS])
+    miner_take = result.chain.balance(MINER_ADDRESS)  # every gas fee, as reconcile's balance replay proves
     return RunSummary(
         seed=result.config.seed,
         scenario=result.config.scenario.value,
@@ -242,9 +237,9 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
         profit_wei=earnings - cost,
         current_cost_wei=sum(c.current_cost_wei for c in result.datasets),
         break_even_period=break_even_period(result),
-        total_gas_fee_wei=sum(r.gas_fee_wei for r in result.chain.receipts),
+        total_gas_fee_wei=miner_take,
         total_payment_wei=sum(paid for _, _, paid in totals.requester_kinds.values()),
-        miner_take_wei=result.chain.balance(MINER_ADDRESS),
+        miner_take_wei=miner_take,
         top_requesters=top,
     )
 

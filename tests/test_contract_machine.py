@@ -10,8 +10,6 @@ transaction log, and a call that raises must have changed nothing.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -69,7 +67,6 @@ class ContractAPI(RuleBasedStateMachine):
             for i, provider in enumerate(self.providers)
         ]
         self.contract_at = {c.contract_address: c for c in self.contracts}
-        self.repriced: set[str] = set()
         # Every user starts out holding a token, so the token rules have
         # something to act on from the first step.
         for i, user in enumerate(self.users):
@@ -150,10 +147,7 @@ class ContractAPI(RuleBasedStateMachine):
     @rule(caller=CALLERS, which=CONTRACTS, pct=st.sampled_from([99, 100, 150, 300, 10_000, 10_001]))
     def set_profit_margin(self, caller, which, pct):
         c = self.contracts[which]
-        margin = c.profit_margin_pct
         self.attempt(c, lambda: c.set_profit_margin(self.caller(c, caller), pct))
-        if c.profit_margin_pct != margin:
-            self.repriced.add(c.contract_address)
 
     @rule(caller=CALLERS, which=CONTRACTS, access=PCTS, renew=PCTS)
     def set_multis(self, caller, which, access, renew):
@@ -206,17 +200,11 @@ class ContractAPI(RuleBasedStateMachine):
 
     @invariant()
     def cost_ledgers_match_their_replay(self):
-        replayed = replay_cost_ledgers(SimpleNamespace(datasets=self.contracts, chain=self.chain))
+        # Destroyed and repriced contracts included: the receipts carry the contract and margin.
+        replayed = replay_cost_ledgers(self.chain.receipts)
         for c in self.contracts:
-            if c.destroyed:
-                continue
-            expected = replayed[c.contract_address]
-            assert (c.provider_cost_wei, c.provider_earnings_wei) == expected[1:]
-            # The replay applies the contract's present margin to all of
-            # its accruals, so it can price the pool only while the margin
-            # has never changed.
-            if c.contract_address not in self.repriced:
-                assert c.current_cost_wei == expected[0]
+            actual = (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei)
+            assert replayed[c.contract_address] == actual
 
     @invariant()
     def one_live_token_per_dataset_and_user(self):

@@ -5,14 +5,18 @@ from __future__ import annotations
 import pytest
 
 from incentiveledger import (
+    DEFAULT_LICENSE,
     ActionKind,
     ChainState,
+    DatasetContract,
     PopulationConfig,
     Registry,
     Scenario,
     SimConfig,
     SimResult,
     TokenStore,
+    quote_payment,
+    request_access,
     run_simulation,
     summarize,
 )
@@ -79,7 +83,7 @@ def test_real_runs_reconcile(scenario):
         population=PopulationConfig(n_accounts=40), seed=2,
     ))
     reconcile(result)  # must not raise
-    replayed = replay_cost_ledgers(result)
+    replayed = replay_cost_ledgers(result.chain.receipts)
     for c in result.datasets:
         assert replayed[c.contract_address] == (
             c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei,
@@ -155,13 +159,64 @@ def test_reconcile_catches_tampered_action_trail(run):
         last.current_cost_after_wei -= 1
 
 
-def test_replay_rejects_shared_ownership(run):
-    run.datasets.append(run.datasets[0])
-    try:
-        with pytest.raises(ReconciliationFailureError, match="more than one"):
-            replay_cost_ledgers(run)
-    finally:
-        run.datasets.pop()
+def ledgers(c: DatasetContract) -> tuple[int, int, int]:
+    return (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei)
+
+
+def publish(market, margin: int = 100) -> DatasetContract:
+    return DatasetContract.deploy_and_publish(
+        market.chain, market.registry, market.provider, link="data://unit/books",
+        required_license=DEFAULT_LICENSE, scenario=Scenario.PROFIT, profit_margin_pct=margin,
+    )
+
+
+def hand_built(market, datasets: list[DatasetContract]) -> SimResult:
+    """A result around the market's chain with no action records and no agents."""
+    return SimResult(
+        config=SimConfig(population=PopulationConfig(n_accounts=2)), records=[], series=[],
+        contract_snapshots=[], chain=market.chain, registry=market.registry,
+        token_store=TokenStore(), population=[], datasets=datasets,
+    )
+
+
+def test_replay_prices_each_accrual_at_the_margin_it_was_booked_at(market):
+    c = publish(market, margin=200)
+    c.set_profit_margin(market.provider, 150)
+    c.update_data(market.provider)
+    assert c.current_cost_wei == 991_833_156_000_000_000
+    assert replay_cost_ledgers(market.chain.receipts)[c.contract_address] == ledgers(c)
+    reconcile(hand_built(market, [c]))
+
+
+def test_a_provider_with_two_datasets_reconciles(market):
+    first, second = publish(market), publish(market, margin=300)
+    first.update_data(market.provider)
+    second.set_profit_margin(market.provider, 250)
+    second.update_data(market.provider)
+    result = hand_built(market, [first, second])
+    reconcile(result)
+    second.current_cost_wei += 1
+    with pytest.raises(ReconciliationFailureError, match=f"{second.contract_address} ledgers"):
+        reconcile(result)
+    second.current_cost_wei -= 1
+    # A payment drains only the pool of the contract it names.
+    request_access(market.users[0], second, quote_payment(second, "access"))
+    replayed = replay_cost_ledgers(market.chain.receipts)
+    assert [replayed[c.contract_address] for c in (first, second)] == [ledgers(first), ledgers(second)]
+
+
+@pytest.mark.parametrize("field", ["current_cost_wei", "provider_cost_wei", "provider_earnings_wei"])
+def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
+    c = publish(market)
+    request_access(market.users[0], c, quote_payment(c, "access"))
+    c.update_data(market.provider)
+    c.destroy(market.provider)
+    assert replay_cost_ledgers(market.chain.receipts)[c.contract_address] == (0, 0, 0)
+    result = hand_built(market, [c])
+    reconcile(result)
+    setattr(c, field, 1)
+    with pytest.raises(ReconciliationFailureError, match=f"{c.contract_address} ledgers"):
+        reconcile(result)
 
 
 def test_balance_replay_detects_negative_dips():

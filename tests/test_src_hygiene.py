@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import of the package is used, only
-the dataset contract books its ledgers, only engine.settle books a run, and
-only the token store builds token events."""
+the dataset contract books its ledgers, only engine.settle books a run, the
+cost replay reads the receipts alone, and only the token store builds token
+events."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,18 @@ def used_names(tree: ast.AST) -> set[str]:
                 if isinstance(part, ast.Constant) and isinstance(part.value, str):
                     names |= used_names(ast.parse(part.value, mode="eval"))
     return names
+
+
+def named(node: ast.AST) -> set[str]:
+    """Every name and attribute the node reads or writes."""
+    return {part.id if isinstance(part, ast.Name) else part.attr
+            for part in ast.walk(node) if isinstance(part, (ast.Name, ast.Attribute))}
+
+
+def functions_of(module: str) -> dict[str, ast.FunctionDef]:
+    path = next(p for p in MODULES if p.name == module)
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -59,17 +72,18 @@ BOOKING_CALLS = {"_publish_dataset", "update_data", "request_access", "renew_acc
 def test_settle_is_the_one_booking_driver():
     """engine.simulate only draws: it names no booking call and reads no chain, contract
     or token store. settle is the one engine function that names a booking call."""
-    path = next(p for p in MODULES if p.name == "engine.py")
-    functions = {node.name: node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(node, ast.FunctionDef)}
-
-    def names(function):
-        return {node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(function) if isinstance(node, (ast.Name, ast.Attribute))}
-
-    assert sorted(name for name, function in functions.items() if names(function) & BOOKING_CALLS) == ["settle"]
-    read = names(functions["simulate"])
+    functions = functions_of("engine.py")
+    assert sorted(name for name, function in functions.items() if named(function) & BOOKING_CALLS) == ["settle"]
+    read = named(functions["simulate"])
     assert not read & {"chain", "contract", "token_store", "TokenStore", "DatasetContract"}, read
+
+
+def test_the_cost_replay_reads_the_receipts_alone():
+    """reporting.replay_cost_ledgers takes each receipt's contract and margin off the
+    receipt: it names no dataset list, owner, contract margin or contract class."""
+    inferred = named(functions_of("reporting.py")["replay_cost_ledgers"]) & {
+        "datasets", "owner", "profit_margin_pct", "DatasetContract"}
+    assert not inferred, sorted(inferred)
 
 
 def test_only_the_token_store_builds_token_events():
