@@ -244,7 +244,18 @@ class ChainState:
             raise ValueError("extra gas and value cannot be negative")
         if value_wei > 0 and recipient is None:
             raise ValueError("value transfer needs a recipient")
-        gas = self.schedule.gas_for(function) + extra_gas
+        return self._move(caller, function, self.schedule.gas_for(function) + extra_gas, value_wei, recipient)
+
+    def transfer(self, source: Address, recipient: Address, value_wei: int, tag: str) -> TxReceipt:
+        """Unmetered value movement (contract payouts); logged with zero gas."""
+        if value_wei < 0:
+            raise ValueError("value cannot be negative")
+        if recipient is None:
+            raise UnknownAccountError(f"{tag} needs a recipient")
+        return self._move(source, tag, 0, value_wei, recipient)
+
+    def _move(self, caller: Address, function: str, gas: int, value_wei: int, recipient: Address | None) -> TxReceipt:
+        """The one value-moving path: bill gas, move value, log the receipt; atomic."""
         fee = self.price.fee_wei(gas)
         caller_balance = self.balance(caller)
         if recipient is not None:
@@ -260,21 +271,6 @@ class ChainState:
         # Positional: on this hot path the keyword form cost twice as much.
         receipt = TxReceipt(len(self.receipts), self.period, caller, function, gas, fee, value_wei, recipient,
                             self.price.wei_to_usd(fee + value_wei))
-        self.receipts.append(receipt)
-        return receipt
-
-    def transfer(self, source: Address, recipient: Address, value_wei: int, tag: str) -> TxReceipt:
-        """Unmetered value movement (contract payouts); logged with zero gas."""
-        if value_wei < 0:
-            raise ValueError("value cannot be negative")
-        source_balance = self.balance(source)
-        self.balance(recipient)
-        if source_balance < value_wei:
-            raise InsufficientFundsError(f"{source} holds {source_balance} wei, needs {value_wei}")
-        self.accounts[source] = source_balance - value_wei
-        self.accounts[recipient] += value_wei
-        receipt = TxReceipt(len(self.receipts), self.period, source, tag, 0, 0, value_wei, recipient,
-                            self.price.wei_to_usd(value_wei))
         self.receipts.append(receipt)
         return receipt
 

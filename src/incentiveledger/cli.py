@@ -5,7 +5,8 @@ Two commands: `run` executes one simulation and writes its report set,
 aggregate tables on top. Settings resolve in three layers: built-in
 defaults, then a key=value config file using the exact flag names, then
 explicit flags. The config.txt echoed into every run directory parses
-back as a config file and reproduces the run.
+back as a config file and reproduces the run, given the same --gas-table:
+settings carry no gas table.
 
 `main` runs each command with the cyclic garbage collector off, then restores
 its state: a run's state forms no cycles, so reference counting frees it

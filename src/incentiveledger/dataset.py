@@ -43,7 +43,6 @@ from .errors import (
     InsufficientFundsError,
     NotOwnerError,
     NotProviderError,
-    NotPublishedError,
     OutOfRangeError,
 )
 from .registry import Registry
@@ -93,7 +92,6 @@ class DatasetContract:
         self.access_fraction_pct = access_fraction_pct
         self.renew_fraction_pct = renew_fraction_pct
         self.token_store = token_store
-        self.published = False
         self.destroyed = False
         self.meta_version = 0
         self.price_wei = 0
@@ -121,6 +119,7 @@ class DatasetContract:
 
         Both transactions accrue into the compensation pool: publication is
         the provider's initial investment that early requesters help repay.
+        The step is atomic, so a contract is live from birth until `destroy`.
         """
         if not registry.check_provider(provider):
             raise NotProviderError(f"{provider} is not an approved provider")
@@ -146,7 +145,6 @@ class DatasetContract:
         )
         contract.bill(provider, DEPLOYMENT)
         contract.bill(provider, PUBLISH_DATA)
-        contract.published = True
         return contract
 
     @property
@@ -157,12 +155,11 @@ class DatasetContract:
     def contract_balance_wei(self) -> int:
         return self.chain.balance(self.contract_address)
 
-    def accrue_cost(self, gas_used: int) -> None:
-        """Book one metered owner call into both cost ledgers."""
-        fee = gas_used * self.chain.price.gas_price_wei
+    def accrue_cost(self, fee_wei: int) -> None:
+        """Book one metered owner call's gas fee into both cost ledgers."""
         # Margin scales what requesters reimburse, floored to whole wei.
-        self.current_cost_wei += fee * self.profit_margin_pct // 100
-        self.provider_cost_wei += fee
+        self.current_cost_wei += fee_wei * self.profit_margin_pct // 100
+        self.provider_cost_wei += fee_wei
 
     def apply_payment(self, payment_wei: int) -> None:
         self.current_cost_wei = max(0, self.current_cost_wei - payment_wei)
@@ -172,7 +169,7 @@ class DatasetContract:
         """Execute one owner call, name this contract and its margin on the receipt, and book its gas."""
         receipt = self.chain.execute(caller, function, extra_gas)
         receipt.contract, receipt.margin_pct = self.contract_address, self.profit_margin_pct
-        self.accrue_cost(receipt.gas_used)
+        self.accrue_cost(receipt.gas_fee_wei)
         return receipt
 
     def collect(self, payer: Address, function: str, value_wei: int) -> TxReceipt:
@@ -182,9 +179,13 @@ class DatasetContract:
         self.apply_payment(value_wei)
         return receipt
 
-    def _require_owner(self, caller: Address) -> None:
+    def require_live(self) -> None:
+        """The one liveness guard: every call on a destroyed contract raises here."""
         if self.destroyed:
             raise DestroyedError(f"{self.contract_address} is destroyed")
+
+    def _require_owner(self, caller: Address) -> None:
+        self.require_live()
         if caller != self.owner:
             raise NotOwnerError(f"{caller} does not own {self.contract_address}")
 
@@ -194,8 +195,6 @@ class DatasetContract:
         Gas grows with the number of active tokens, one notification each.
         """
         self._require_owner(caller)
-        if not self.published:
-            raise NotPublishedError(f"{self.contract_address} has no published data")
         receipt = self.bill(caller, UPDATE_DATA, self.chain.schedule.per_requester_update_gas * len(self.holders))
         self.meta_version += 1
         self.token_store.invalidate_compliance(self.holders, self.chain.period)
@@ -257,11 +256,9 @@ class DatasetContract:
         """
         if self.destroyed:
             raise AlreadyDestroyedError(f"{self.contract_address} is already destroyed")
-        if caller != self.owner:
-            raise NotOwnerError(f"{caller} does not own {self.contract_address}")
+        self._require_owner(caller)
         receipt = self.chain.transfer(self.contract_address, self.owner, self.contract_balance_wei, DESTROY)
         self.destroyed = True
-        self.published = False
         self.link = ""
         self.meta_version = 0
         self.price_wei = 0

@@ -44,10 +44,6 @@ class NotOwnerError(LedgerError):
     """Contract mutation attempted by an address other than the owner."""
 
 
-class NotPublishedError(LedgerError):
-    """Dataset contract exists but has not published its data yet."""
-
-
 class DestroyedError(LedgerError):
     """Operation attempted on a destroyed contract."""
 

@@ -417,7 +417,8 @@ def summary_csv(summary: RunSummary) -> str:
 
 
 def config_text(result: SimResult) -> str:
-    """Effective settings in config-file form; feeding it back reproduces the run."""
+    """Effective settings in config-file form; feeding it back with the run's
+    --gas-table, which settings do not carry, reproduces the run."""
     return "".join(f"{flag}={value}\n" for flag, value in settings(result.config).items())
 
 

@@ -28,14 +28,12 @@ from .chain import ADD_DATA_REQUESTER, Address, NULL_ADDRESS, RENEW_TOKEN
 from .errors import (
     AlreadyBurnedError,
     ComplianceRequiredError,
-    DestroyedError,
     DuplicateTokenError,
     ExcessPaymentError,
     ExpiredError,
     InsufficientPaymentError,
     LicenseMismatchError,
     NoTokenError,
-    NotPublishedError,
 )
 
 if TYPE_CHECKING:  # only for annotations; avoids a circular import
@@ -131,8 +129,7 @@ class TokenStore:
 
     def table_csv(self) -> str:
         lines = ["tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"]
-        for token_id in sorted(self.tokens):
-            t = self.tokens[token_id]
+        for t in self.tokens.values():
             lines.append(
                 f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
                 f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"
@@ -151,8 +148,7 @@ def quote_payment(c: "DatasetContract", kind: str) -> int:
     Rounds up to the next wei so that repeated payments against a fixed
     cost always terminate at exactly zero.
     """
-    if c.destroyed:
-        raise DestroyedError(f"{c.contract_address} is destroyed")
+    c.require_live()
     if kind == "access":
         fraction_pct = c.access_fraction_pct
     elif kind == "renewal":
@@ -164,26 +160,33 @@ def quote_payment(c: "DatasetContract", kind: str) -> int:
     return _ceil_div(c.current_cost_wei * fraction_pct, 100)
 
 
-def _check_value(quote_wei: int, value_wei: int) -> None:
+def _pay(requester: Address, c: "DatasetContract", kind: str, function: str, value_wei: int) -> None:
+    """Collect a payment for kind through the contract; it must match the quote exactly."""
+    quote_wei = quote_payment(c, kind)
     if value_wei < quote_wei:
         raise InsufficientPaymentError(f"quoted {quote_wei} wei, got {value_wei}")
     if value_wei > quote_wei:
         raise ExcessPaymentError(f"quoted {quote_wei} wei, got {value_wei}; no refunds")
+    c.collect(requester, function, value_wei)
+
+
+def _held_token(requester: Address, c: "DatasetContract") -> AccessToken:
+    """The requester's live token on a live contract."""
+    c.require_live()
+    token = c.holders.get(requester)
+    if token is None:
+        raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
+    return token
 
 
 def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> AccessToken:
     """Mint an access token against the quoted payment."""
-    if c.destroyed:
-        raise DestroyedError(f"{c.contract_address} is destroyed")
-    if not c.published:
-        raise NotPublishedError(f"{c.contract_address} has no published data")
+    c.require_live()
     if requester in c.holders:
         raise DuplicateTokenError(f"{requester} already holds a token for {c.contract_address}")
     if not c.registry.check_user(requester, c.required_license):
         raise LicenseMismatchError(f"{requester} lacks license {c.required_license}")
-    quote = quote_payment(c, "access")
-    _check_value(quote, value_wei)
-    c.collect(requester, ADD_DATA_REQUESTER, value_wei)
+    _pay(requester, c, "access", ADD_DATA_REQUESTER, value_wei)
     token = c.token_store.mint(c.contract_address, requester, c.required_license, c.chain.period)
     c.holders[requester] = token
     return token
@@ -191,16 +194,10 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
 
 def renew_access_time(requester: Address, c: "DatasetContract", value_wei: int) -> AccessToken:
     """Extend a held token by ACCESS_PERIODS against the quoted payment."""
-    if c.destroyed:
-        raise DestroyedError(f"{c.contract_address} is destroyed")
-    token = c.holders.get(requester)
-    if token is None:
-        raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
+    token = _held_token(requester, c)
     if not token.compliance:
         raise ComplianceRequiredError(f"{requester} must confirm compliance before renewing")
-    quote = quote_payment(c, "renewal")
-    _check_value(quote, value_wei)
-    c.collect(requester, RENEW_TOKEN, value_wei)
+    _pay(requester, c, "renewal", RENEW_TOKEN, value_wei)
     # An expired token restarts from now, an unexpired one stacks on top.
     token.access_until = max(c.chain.period, token.access_until) + ACCESS_PERIODS
     c.token_store.record("renewed", c.chain.period, token.token_id, requester)
@@ -209,11 +206,7 @@ def renew_access_time(requester: Address, c: "DatasetContract", value_wei: int) 
 
 def confirm_compliance(requester: Address, c: "DatasetContract") -> AccessToken:
     """Record that the holder applied the latest update; free of gas."""
-    if c.destroyed:
-        raise DestroyedError(f"{c.contract_address} is destroyed")
-    token = c.holders.get(requester)
-    if token is None:
-        raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
+    token = _held_token(requester, c)
     token.compliance = True
     c.token_store.record("complianceConfirmed", c.chain.period, token.token_id, requester)
     return token
@@ -221,11 +214,7 @@ def confirm_compliance(requester: Address, c: "DatasetContract") -> AccessToken:
 
 def get_link(requester: Address, c: "DatasetContract") -> str:
     """Hand out the data locator to a holder with unexpired access."""
-    if c.destroyed:
-        raise DestroyedError(f"{c.contract_address} is destroyed")
-    token = c.holders.get(requester)
-    if token is None:
-        raise NoTokenError(f"{requester} holds no token for {c.contract_address}")
+    token = _held_token(requester, c)
     if c.chain.period >= token.access_until:
         raise ExpiredError(f"token {token.token_id} expired at period {token.access_until}")
     return c.link
@@ -238,8 +227,7 @@ def burn_token(c: "DatasetContract", token: AccessToken, cause: BurnCause) -> No
     so compliance ends true; a license-change burn evicts the holder with
     compliance false until they react.
     """
-    if c.destroyed:
-        raise DestroyedError(f"{c.contract_address} is destroyed")
+    c.require_live()
     if token.burned:
         raise AlreadyBurnedError(f"token {token.token_id} is already burned")
     holder = token.user

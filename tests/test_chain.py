@@ -181,6 +181,29 @@ def test_execute_argument_validation(chain):
         chain.execute(caller, CHECK_USER, value_wei=1)  # no recipient
     with pytest.raises(UnknownFunctionError):
         chain.execute(caller, "mintUnicorn")
+    # A negative value is refused before the function's gas is looked up.
+    with pytest.raises(ValueError):
+        chain.execute(caller, "mintUnicorn", value_wei=-1)
+    assert chain.receipts == []
+
+
+def test_transfer_never_drops_value_without_a_recipient(chain):
+    a = chain.create_named_account("a", 100)
+    before = dict(chain.accounts)
+    with pytest.raises(UnknownAccountError):
+        chain.transfer(a, None, 1, "withdraw")
+    assert chain.accounts == before
+    assert chain.receipts == []
+
+
+@pytest.mark.parametrize("tag", ["withdraw", "destroy"])
+def test_a_short_transfer_names_its_tag(chain, tag):
+    a = chain.create_named_account("a", 40)
+    b = chain.create_named_account("b", 0)
+    with pytest.raises(InsufficientFundsError, match=f"a holds 40 wei, needs 41 for {tag}$"):
+        chain.transfer(a, b, 41, tag)
+    assert (chain.balance(a), chain.balance(b)) == (40, 0)
+    assert chain.receipts == []
 
 
 def test_transfer_moves_value_without_gas(chain):

@@ -190,6 +190,19 @@ def test_gas_table_overrides_change_fees(tmp_path):
     assert bumped_fee == 2 * base_fee
 
 
+def test_emitted_config_reproduces_a_gas_table_run_with_the_same_table(tmp_path):
+    # Settings have no gas-table key, so config.txt alone runs the default
+    # schedule; with the first run's --gas-table it reproduces every byte.
+    table = tmp_path / "gas.json"
+    table.write_text(json.dumps({"transactionGas": {"updateData": 87_598}}))
+    first, again, without = tmp_path / "first", tmp_path / "again", tmp_path / "without"
+    run_cli("run", "--actions", "60", "--accounts", "40", "--gas-table", str(table), "--out", str(first), "--quiet")
+    config = str(first / "run-0" / "config.txt")
+    assert run_cli("run", "--config", config, "--gas-table", str(table), "--out", str(again), "--quiet") == 0
+    assert run_cli("run", "--config", config, "--out", str(without), "--quiet") == 0
+    assert tree_digest(again) == tree_digest(first) != tree_digest(without)
+
+
 def test_bad_gas_tables_exit_2(tmp_path, capsys):
     table = tmp_path / "gas.json"
     out = tmp_path / "out"

@@ -80,7 +80,7 @@ class ContractAPI(RuleBasedStateMachine):
             dict(self.registry.users),
             [
                 (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei, c.meta_version,
-                 c.published, c.destroyed, c.required_license, c.profit_margin_pct,
+                 c.destroyed, c.required_license, c.profit_margin_pct,
                  c.access_fraction_pct, c.renew_fraction_pct, c.price_wei, dict(c.holders))
                 for c in self.contracts
             ],

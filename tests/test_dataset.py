@@ -25,7 +25,6 @@ from incentiveledger.errors import (
     InsufficientFundsError,
     NotOwnerError,
     NotProviderError,
-    NotPublishedError,
     OutOfRangeError,
 )
 from incentiveledger.tokens import BurnCause, burn_token, quote_payment, renew_access_time, request_access
@@ -54,7 +53,7 @@ def publish(market, scenario=Scenario.COST_RECOVERY, **kwargs):
 
 def test_publication_accrues_deploy_and_publish_fees(market):
     contract = publish(market)
-    assert contract.published and not contract.destroyed
+    assert not contract.destroyed
     assert contract.current_cost_wei == PUBLICATION_POOL_WEI
     assert contract.provider_cost_wei == PUBLICATION_POOL_WEI
     assert [r.function for r in market.chain.receipts[-2:]] == [DEPLOYMENT, PUBLISH_DATA]
@@ -79,8 +78,8 @@ def test_accrual_margin_floors_to_whole_wei(market, margin, gas, expected_pool):
                        profit_margin_pct=margin)
     contract.current_cost_wei = 0
     contract.provider_cost_wei = 0
-    contract.accrue_cost(gas)
-    fee = gas * market.chain.price.gas_price_wei
+    fee = market.chain.price.fee_wei(gas)
+    contract.accrue_cost(fee)
     assert contract.current_cost_wei == expected_pool == fee * margin // 100
     assert contract.provider_cost_wei == fee
 
@@ -133,12 +132,9 @@ def test_update_gas_grows_linearly_with_active_tokens(published):
         assert receipt.gas_used == base.gas_used + per * expected_tokens
 
 
-def test_update_requires_owner_and_publication(published):
+def test_update_requires_owner(published):
     with pytest.raises(NotOwnerError):
         published.contract.update_data(published.users[0])
-    published.contract.published = False
-    with pytest.raises(NotPublishedError):
-        published.contract.update_data(published.provider)
 
 
 def test_update_invalidates_compliance(published):
@@ -216,13 +212,13 @@ def test_destroy_pays_out_then_bricks_everything(published):
     receipt = contract.destroy(published.provider)
     assert receipt.function == DESTROY
     assert chain.balance(published.provider) == owner_before + held
-    assert contract.destroyed and not contract.published
+    assert contract.destroyed
     assert contract.current_cost_wei == 0 and contract.provider_cost_wei == 0
     assert contract.holders == {}
     with pytest.raises(AlreadyDestroyedError):
         contract.destroy(published.provider)
     # Each call checks destruction first: the cleared contract would
-    # otherwise raise another error (not published, no token).
+    # otherwise raise another error (no token) or succeed.
     for call in (
         lambda: contract.update_data(published.provider),
         lambda: contract.set_price(published.provider, 1),
@@ -267,8 +263,9 @@ def test_cost_ledgers_fold_correctly_under_any_event_order(margin, events):
     fees, payments = 0, 0
     for is_accrual, amount in events:
         if is_accrual:
-            contract.accrue_cost(amount)
-            fees += amount * chain.price.gas_price_wei
+            fee = chain.price.fee_wei(amount)
+            contract.accrue_cost(fee)
+            fees += fee
         else:
             contract.apply_payment(amount)
             payments += amount

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import of the package is used, only
 the dataset contract books its ledgers, only engine.settle books a run, the
-cost replay reads the receipts alone, and only the token store builds token
-events."""
+cost replay reads the receipts alone, only the token store builds token
+events, and each ledger rule (liveness, the fee formula, moving value) has
+one home."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,32 @@ def test_only_the_token_store_builds_token_events():
                 builders[f"{path.stem}.{cls.name}.{method.name}"] = builds(method)
     assert sorted(builders) == ["tokens.TokenStore.events", "tokens.TokenStore.record"]
     assert sum(builders.values()) == total
+
+
+
+def test_one_liveness_guard_raises_destroyed_error():
+    raises = [f"{path.name} line {node.lineno}" for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Raise) and node.exc is not None and "DestroyedError" in named(node.exc)]
+    assert len(raises) == 1, raises
+
+
+def test_the_dataset_contract_accrues_the_receipt_fee():
+    """PriceModel.fee_wei is the one place gas meets the gas price."""
+    path = next(p for p in MODULES if p.name == "dataset.py")
+    assert "gas_price_wei" not in named(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_one_chain_method_moves_balances():
+    """Outside account creation one ChainState method assigns a balance, and both
+    execute and transfer call it: neither does balance arithmetic of its own."""
+    path = next(p for p in MODULES if p.name == "chain.py")
+    chain = next(node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ClassDef) and node.name == "ChainState")
+    methods = {node.name: node for node in chain.body if isinstance(node, ast.FunctionDef)}
+    movers = sorted(name for name, method in methods.items() if name != "create_named_account" and any(
+        isinstance(part, ast.Subscript) and isinstance(part.ctx, ast.Store)
+        and isinstance(part.value, ast.Attribute) and part.value.attr == "accounts" for part in ast.walk(method)))
+    assert len(movers) == 1, movers
+    for caller in ("execute", "transfer"):
+        assert movers[0] in named(methods[caller]), caller

@@ -34,7 +34,6 @@ from incentiveledger.errors import (
     InsufficientPaymentError,
     LicenseMismatchError,
     NoTokenError,
-    NotPublishedError,
 )
 from incentiveledger.tokens import TokenEvent, TokenStore, _ceil_div
 
@@ -107,10 +106,6 @@ def test_request_guards(published):
     pay_access(contract, published.users[0])
     with pytest.raises(DuplicateTokenError):
         pay_access(contract, published.users[0])
-    contract.published = False
-    with pytest.raises(NotPublishedError):
-        pay_access(contract, published.users[1])
-    contract.published = True
     contract.destroyed = True
     for call in (
         lambda: pay_access(contract, published.users[1]),
