@@ -471,6 +471,14 @@ def test_a_stalled_stream_fails_every_cell_of_its_seed(tmp_path, monkeypatch, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["break_even.csv"]
 
 
+def test_a_cell_whose_every_run_failed_has_no_median(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_PERIODS", 2)
+    assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--seeds", "1", "--out", str(tmp_path), "--quiet") == 1
+    assert (tmp_path / "break_even.csv").read_bytes() == (
+        b"scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod\n2,5,100,0,0,\n3,5,200,0,0,\n"
+    )
+
+
 PAYMENT_FAILURE = ["--accounts", "40", "--actions", "60", "--scenario", "3", "--gas-price-gwei", "1000"]
 
 
@@ -598,6 +606,56 @@ def test_sweep_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10",
                    "--seeds", "3", "--out", str(tmp_path), "--quiet") == 0
     assert tree_digest(tmp_path) == "d006d347ebbeba59089f28ac9a09f99f68fea94f355829d637e9de5aeeef2cef"
+
+
+# The byte oracle: each tree below is pinned by the digest of its whole --out
+# directory, so any report byte that changes fails one of these tests.
+
+def test_paper_grid_tree_matches_golden_digest(tmp_path):
+    assert run_cli("sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30",
+                   "--out", str(tmp_path), "--quiet") == 0
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 3602
+    assert tree_digest(tmp_path) == "d2a9c16f01c8c255c8a5c148483e3ce7417c797657b21b806a06c0d135ba816d"
+
+
+def test_three_scenario_sweep_tree_matches_golden_digest(tmp_path):
+    assert run_cli("sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
+                   "--max-providers", "2", "--out", str(tmp_path), "--quiet") == 0
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 362
+    assert tree_digest(tmp_path) == "db9a17c84910a891bb10e6471056a7ccefdbf08f4c469dfef12089c9ec99b043"
+
+
+DEFAULT_RUN_STDOUT = """\
+seed 0, scenario 2, margin 100%, fractions 5%/5%
+500 actions over 173 periods: 1 publish, 51 update, 57 request, 391 renew
+per-period frequencies: publish 0.01, update 0.29, request 0.33, renew 2.26
+1 dataset(s), 57 distinct requesters, 57 live tokens at end
+provider cost $2530.08, earnings $2460.49, profit $-69.60
+open compensation pool $69.60
+break even: never
+top requesters: acct-0003 $322.71, acct-0002 $268.94, acct-0005 $257.92
+gas fees $13782.36 (8029243944000000000 wei to the miner)
+reports in OUT
+"""
+
+
+def test_default_run_tree_and_stdout_match_golden(tmp_path, capsys):
+    assert run_cli("run", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path / "run-0"), "OUT") == DEFAULT_RUN_STDOUT
+    assert len(list((tmp_path / "run-0").iterdir())) == 15
+    assert tree_digest(tmp_path) == "41f80756fa1512d111dff6ad8308411d0076eac29085af897e434c0a9a8c64d2"
+
+
+def test_scale_20k_tree_matches_golden_digest(tmp_path):
+    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
+                   "--gas-price-gwei", "1", "--out", str(tmp_path), "--quiet") == 0
+    assert tree_digest(tmp_path) == "d8fc847d5a6565c02742f498bfb9367d75bc7b8705dcc614c55c0a06bd9efd8f"
+
+
+def test_update_heavy_tree_matches_golden_digest(tmp_path):
+    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
+                   "--provider-prob-max", "0.5", "--out", str(tmp_path), "--quiet") == 0
+    assert tree_digest(tmp_path) == "a820c9946718a128887041b7f1e26c6af52ce5e6d9885fc7179394bafcd00c85"
 
 
 def test_build_sim_config_round_trips_parse(tmp_path):
