@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import Address, account_address
+from .chain import Address, account_address, csv_text
 from .errors import ConfigError
 
 PROVIDER_PROB_MIN = 0.01  # a provider's publish probability is drawn from [this, provider_prob_max]
@@ -30,7 +30,7 @@ class PopulationConfig:
     max_providers: int = 1
     provider_prob_max: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_accounts < 2:
             raise ConfigError("need at least two accounts")
         if self.max_providers < 1 or self.max_providers >= self.n_accounts:
@@ -57,7 +57,6 @@ def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[Agent
     Draw order is fixed for reproducibility: all normal samples first, then
     one uniform redraw per provider slot.
     """
-    cfg.validate()
     samples = [rng.gauss(0.0, 0.1) for _ in range(cfg.n_accounts)]
     lo, hi = min(samples), max(samples)
     probs = [0.5] * len(samples) if hi == lo else [(x - lo) / (hi - lo) for x in samples]
@@ -86,8 +85,4 @@ def decay_renewal_prob(profile: AgentProfile) -> None:
 
 
 def population_csv(profiles: list[AgentProfile]) -> str:
-    lines = ["address,role,baseProb"]
-    for p in profiles:
-        lines.append(f"{p.address},{p.role._value_},{p.base_prob!r}")
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text("address,role,baseProb", (f"{p.address},{p.role._value_},{p.base_prob!r}" for p in profiles))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     ConfigError,
@@ -60,6 +60,11 @@ MINER_ADDRESS = "miner"
 
 def account_address(index: int) -> Address:
     return f"acct-{index:04d}"
+
+
+def csv_text(header: str, rows: Iterable[str]) -> str:
+    """The one line renderer of every report: header, then each row, every line ending in LF."""
+    return "\n".join((header, *rows, ""))
 
 
 # Measured transaction gas of each contract function: what a caller is
@@ -278,12 +283,8 @@ class ChainState:
         done, head = self._formatted
         if not done or self.receipts[: len(done)] != done:
             done, head = [], "index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"
-        lines = [head]
-        for r in self.receipts[len(done):]:
-            recipient = r.recipient if r.recipient is not None else ""
-            lines.append(
-                f"{r.index},{r.period},{r.caller},{r.function},{r.gas_used},"
-                f"{r.gas_fee_wei},{r.value_wei},{recipient},{r.usd_cost:.2f}"
-            )
-        lines.append("")
-        return "\n".join(lines)
+        return csv_text(head, (
+            f"{r.index},{r.period},{r.caller},{r.function},{r.gas_used},"
+            f"{r.gas_fee_wei},{r.value_wei},{r.recipient or ''},{r.usd_cost:.2f}"
+            for r in self.receipts[len(done):]
+        ))

@@ -20,7 +20,6 @@ import gc
 import json
 import logging
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
 from .engine import SharedStart, SimConfig, run_simulation, settings, settle, simulate, with_seed
 from .errors import ConfigError, EngineError, LedgerError
-from .reporting import REPORT_NAMES, RunSummary, summary_csv, summary_text, write_run_reports
+from .reporting import REPORT_NAMES, break_even_csv, summary_text, sweep_csv, write_report, write_run_reports
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
 
@@ -110,7 +109,7 @@ def build_sim_config(values: dict, schedule: GasSchedule) -> SimConfig:
         scenario = Scenario(values["scenario"])
     except ValueError:
         raise ConfigError(f"scenario must be 1, 2 or 3, got {values['scenario']}") from None
-    cfg = SimConfig(
+    return SimConfig(
         scenario=scenario,
         action_ticker=values["actions"],
         access_fraction_pct=values["access-fraction"],
@@ -127,8 +126,6 @@ def build_sim_config(values: dict, schedule: GasSchedule) -> SimConfig:
         price=PriceModel(gas_price_wei=values["gas-price-gwei"] * GWEI, eth_usd=values["eth-usd"]),
         schedule=schedule,
     )
-    cfg.validate()
-    return cfg
 
 
 def _grid_list(text: str) -> list[int]:
@@ -243,7 +240,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     failures = 0
     shared = SharedStart()
-    by_cell: list[list[RunSummary]] = [[] for _ in cells]
+    by_cell = [[] for _ in cells]  # each cell's run summaries, in seed order
     # Seed-major, so that each seed is simulated once and every cell settles
     # from its stream. Each run's reports are written as soon as it finishes,
     # and its result is dropped.
@@ -259,23 +256,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 continue
             summaries.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
 
-    even_lines = ["scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod"]
-    for base, summaries in zip(cells, by_cell):
-        scenario, fraction, margin = base.scenario.value, base.access_fraction_pct, base.resolved_margin_pct
-        evens = [float("inf") if s.break_even_period is None else s.break_even_period for s in summaries]
-        attained = sum(1 for e in evens if e != float("inf"))
-        median = statistics.median(evens) if evens else float("inf")
-        median_text = "" if median == float("inf") else f"{median:g}"
-        even_lines.append(f"{scenario},{fraction},{margin},{len(evens)},{attained},{median_text}")
-
-    rows = [summary_csv(summary).partition("\n") for summaries in by_cell for summary in summaries]
-    if rows:
-        (out / "sweep.csv").write_text(rows[0][0] + "\n" + "".join(row for _, _, row in rows),
-                                       encoding="utf-8", newline="\n")
-    (out / "break_even.csv").write_text("\n".join(even_lines) + "\n",
-                                        encoding="utf-8", newline="\n")
+    if any(by_cell):
+        write_report(out / "sweep.csv", sweep_csv(summary for summaries in by_cell for summary in summaries))
+    even = break_even_csv(zip(cells, by_cell))
+    write_report(out / "break_even.csv", even)
     if not args.quiet:
-        sys.stdout.write("\n".join(even_lines) + "\n")
+        sys.stdout.write(even)
         sys.stdout.write(f"reports in {out}\n")
     return 1 if failures else 0
 

@@ -135,7 +135,7 @@ class SimConfig:
             return self.profit_margin_pct
         return 200 if self.scenario is Scenario.PROFIT else 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # random.Random(-n) seeds exactly like random.Random(n).
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
@@ -153,7 +153,6 @@ class SimConfig:
             raise ConfigError("scenario 3 needs a profit margin above 100")
         if self.scenario is not Scenario.PROFIT and margin != 100:
             raise ConfigError("scenarios 1 and 2 track pure costs; margin must be 100")
-        self.population.validate()
         # The authority is funded with the same prefund as every agent and
         # pays the whole registry bootstrap before the first period.
         providers = self.population.max_providers
@@ -298,7 +297,6 @@ class SharedStart:
 
 def simulate(cfg: SimConfig) -> Stream:
     """Draw the action stream of cfg; book nothing."""
-    cfg.validate()
     rng = random.Random(cfg.seed)
     draw = rng.random
     population = generate_population(cfg.population, rng)
@@ -367,7 +365,6 @@ def simulate(cfg: SimConfig) -> Stream:
 def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) -> SimResult:
     """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared,
     or from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
-    cfg.validate()
     if _STREAM(cfg) != _STREAM(stream.config):
         raise ValueError("a stream settles only runs of its own seed, population, ticker and multiplier")
     chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)

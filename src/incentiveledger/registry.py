@@ -17,6 +17,7 @@ from .chain import (
     REGISTRY_DEPLOYMENT,
     TxReceipt,
     UPDATE_USER_LICENSE,
+    csv_text,
 )
 from .errors import AlreadyRegisteredError, NotAuthorityError, NotRegisteredError
 
@@ -86,17 +87,8 @@ class Registry:
     def snapshot_csv(self) -> str:
         if self._formatted and self._formatted[:2] == (self.users, self.providers):
             return self._formatted[2]
-        rows: dict[Address, tuple[str, str]] = {}
-        for addr in self.providers:
-            rows[addr] = ("provider", "")
+        rows: dict[Address, tuple[str, int | str]] = {addr: ("provider", "") for addr in self.providers}
         for addr, license_code in self.users.items():
-            if addr in rows:
-                rows[addr] = ("provider+user", str(license_code))
-            else:
-                rows[addr] = ("user", str(license_code))
-        lines = ["address,role,license"]
-        for addr in sorted(rows):
-            role, license_code = rows[addr]
-            lines.append(f"{addr},{role},{license_code}")
-        lines.append("")
-        return "\n".join(lines)
+            rows[addr] = ("provider+user" if addr in rows else "user", license_code)
+        return csv_text("address,role,license",
+                        (f"{addr},{role},{code}" for addr, (role, code) in sorted(rows.items())))

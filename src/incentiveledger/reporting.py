@@ -5,15 +5,19 @@ log alone, with none of the contract code involved, and refuses to write
 reports when the two disagree. Builders are pure functions of the run
 result and of RunTotals, one aggregation pass over its action records.
 Every output is byte-deterministic: LF line endings, no timestamps, fixed
-column orders, USD at two decimals with wei columns authoritative.
+column orders, USD at two decimals with wei columns authoritative. One
+renderer, chain.csv_text, makes every report's lines, and one writer,
+write_report, writes every report's bytes; the sweep's tables are built here.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from .agents import population_csv
 from .chain import (
@@ -30,8 +34,9 @@ from .chain import (
     Address,
     ChainState,
     TxReceipt,
+    csv_text,
 )
-from .engine import ActionKind, SimResult, break_even_period, settings
+from .engine import ActionKind, SimConfig, SimResult, break_even_period, settings
 from .errors import ReconciliationFailureError
 
 TOP_REQUESTERS = 3  # how many of the most-spending requesters summaries name
@@ -245,55 +250,40 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
 
 
 def actions_csv(result: SimResult) -> str:
-    lines = ["index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei"]
-    for r in result.records:
-        lines.append(
-            f"{r.index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
-            f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text("index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei", (
+        f"{r.index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
+        f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
+        for r in result.records
+    ))
 
 
 def periods_csv(result: SimResult) -> str:
     price = result.chain.price
-    lines = [
-        "period,currentCostWei,currentCostUsd,providerCostWei,providerEarningsWei,"
-        "profitWei,profitUsd,activeRequesters,actions"
-    ]
-    for s in result.series:
-        lines.append(
-            f"{s.period},{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f},"
-            f"{s.provider_cost_wei},{s.provider_earnings_wei},"
-            f"{s.profit_wei},{price.wei_to_usd(s.profit_wei):.2f},"
-            f"{s.active_requesters},{s.actions_this_period}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+    header = ("period,currentCostWei,currentCostUsd,providerCostWei,providerEarningsWei,"
+              "profitWei,profitUsd,activeRequesters,actions")
+    return csv_text(header, (
+        f"{s.period},{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f},"
+        f"{s.provider_cost_wei},{s.provider_earnings_wei},"
+        f"{s.profit_wei},{price.wei_to_usd(s.profit_wei):.2f},"
+        f"{s.active_requesters},{s.actions_this_period}"
+        for s in result.series
+    ))
 
 
 def contracts_csv(result: SimResult) -> str:
-    lines = [
-        "period,contract,currentCostWei,providerCostWei,providerEarningsWei,"
-        "activeTokens,metaVersion"
-    ]
-    for s in result.contract_snapshots:
-        lines.append(
-            f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
-            f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text("period,contract,currentCostWei,providerCostWei,providerEarningsWei,activeTokens,metaVersion", (
+        f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
+        f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
+        for s in result.contract_snapshots
+    ))
 
 
 def profit_series_csv(result: SimResult) -> str:
     price = result.chain.price
     scenario = result.config.scenario.value
-    lines = ["period,scenario,profitWei,profitUsd"]
-    for s in result.series:
-        lines.append(f"{s.period},{scenario},{s.profit_wei},{price.wei_to_usd(s.profit_wei):.2f}")
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text("period,scenario,profitWei,profitUsd", (
+        f"{s.period},{scenario},{s.profit_wei},{price.wei_to_usd(s.profit_wei):.2f}" for s in result.series
+    ))
 
 
 def cost_overlay_csv(result: SimResult) -> str:
@@ -308,55 +298,47 @@ def cost_overlay_csv(result: SimResult) -> str:
     # Records and series are both in period order, so one walk pairs them.
     records = iter(result.records)
     r = next(records, None)
-    lines = ["rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd"]
+    rows = []
     for s in result.series:
         while r is not None and r.period == s.period:
-            lines.append(
+            rows.append(
                 f"action,{r.period},{r.kind._value_},{r.dataset},{r.usd_total:.2f},"
                 f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}"
             )
             r = next(records, None)
-        lines.append(
-            f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+        rows.append(f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}")
+    return csv_text("rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd", rows)
 
 
 def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
     """Base gas cost vs additional compensation payment, per requester and kind."""
     price = result.chain.price
-    lines = ["address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd"]
-    for (address, kind), (n, fees, paid) in sorted(totals.requester_kinds.items()):
-        lines.append(
-            f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},"
-            f"{price.wei_to_usd(paid):.2f},{price.wei_to_usd(fees + paid):.2f}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text("address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd", (
+        f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},"
+        f"{price.wei_to_usd(paid):.2f},{price.wei_to_usd(fees + paid):.2f}"
+        for (address, kind), (n, fees, paid) in sorted(totals.requester_kinds.items())
+    ))
 
 
 def top_requesters_csv(result: SimResult, totals: RunTotals) -> str:
     """The provider's lifetime cost against the TOP_REQUESTERS most-spending requesters."""
     price = result.chain.price
-    lines = ["role,address,actions,totalWei,totalUsd"]
     provider_spend: dict[Address, int] = {}
     for c in result.datasets:
         provider_spend[c.owner] = provider_spend.get(c.owner, 0) + c.provider_cost_wei
-    for addr, total in sorted(provider_spend.items()):
-        lines.append(
-            f"provider,{addr},{totals.provider_actions.get(addr, 0)},{total},"
-            f"{price.wei_to_usd(total):.2f}"
-        )
-    for addr, n, total in totals.ranked[:TOP_REQUESTERS]:
-        lines.append(f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}")
-    lines.append("")
-    return "\n".join(lines)
+    rows = [
+        f"provider,{addr},{totals.provider_actions.get(addr, 0)},{total},"
+        f"{price.wei_to_usd(total):.2f}"
+        for addr, total in sorted(provider_spend.items())
+    ]
+    rows += (f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}"
+             for addr, n, total in totals.ranked[:TOP_REQUESTERS])
+    return csv_text("role,address,actions,totalWei,totalUsd", rows)
 
 
 def cost_distribution_csv(totals: RunTotals) -> str:
     """Per action kind: quartiles of the total USD cost of one action."""
-    lines = ["kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd"]
+    rows = []
     for kind in sorted(totals.usd_samples):
         values = sorted(totals.usd_samples[kind])
         if len(values) == 1:
@@ -364,16 +346,15 @@ def cost_distribution_csv(totals: RunTotals) -> str:
         else:
             q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
             cuts = [values[0], q1, q2, q3, values[-1]]
-        lines.append(f"{kind},{len(values)}," + ",".join(f"{v:.2f}" for v in cuts))
-    lines.append("")
-    return "\n".join(lines)
+        rows.append(f"{kind},{len(values)}," + ",".join(f"{v:.2f}" for v in cuts))
+    return csv_text("kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd", rows)
 
 
 def summary_text(result: SimResult, summary: RunSummary) -> str:
     price = result.chain.price
     even = "never" if summary.break_even_period is None else f"period {summary.break_even_period}"
     top = ", ".join(f"{addr} ${usd:.2f}" for addr, usd in summary.top_requesters) or "none"
-    lines = [
+    header, *rows = [
         f"seed {summary.seed}, scenario {summary.scenario}, "
         f"margin {summary.profit_margin_pct}%, "
         f"fractions {summary.access_fraction_pct}%/{summary.renew_fraction_pct}%",
@@ -394,8 +375,7 @@ def summary_text(result: SimResult, summary: RunSummary) -> str:
         f"gas fees ${price.wei_to_usd(summary.total_gas_fee_wei):.2f} "
         f"({summary.total_gas_fee_wei} wei to the miner)",
     ]
-    lines.append("")
-    return "\n".join(lines)
+    return csv_text(header, rows)
 
 
 # Built once: camelCasing the header on every call would cost more than the row.
@@ -403,7 +383,8 @@ _SUMMARY_FIELDS = [f.name for f in fields(RunSummary) if f.name != "top_requeste
 _SUMMARY_HEADER = ",".join(re.sub(r"_(.)", lambda m: m[1].upper(), name) for name in _SUMMARY_FIELDS)
 
 
-def summary_csv(summary: RunSummary) -> str:
+def _summary_row(summary: RunSummary) -> str:
+    """One run's row of summary.csv and sweep.csv."""
     cells = []
     for name in _SUMMARY_FIELDS:
         value = getattr(summary, name)
@@ -413,7 +394,29 @@ def summary_csv(summary: RunSummary) -> str:
             cells.append(f"{value:.4f}" if name.startswith("freq_") else f"{value:.2f}")
         else:
             cells.append(str(value))
-    return _SUMMARY_HEADER + "\n" + ",".join(cells) + "\n"
+    return ",".join(cells)
+
+
+def summary_csv(summary: RunSummary) -> str:
+    return csv_text(_SUMMARY_HEADER, [_summary_row(summary)])
+
+
+def sweep_csv(summaries: Iterable[RunSummary]) -> str:
+    """summary.csv of every run of a sweep under one header, in the order given."""
+    return csv_text(_SUMMARY_HEADER, map(_summary_row, summaries))
+
+
+def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> str:
+    """Per sweep cell: finished runs, those that broke even, and the median break-even period, if finite."""
+    rows = []
+    for cfg, summaries in cells:
+        evens = [math.inf if s.break_even_period is None else s.break_even_period for s in summaries]
+        median = statistics.median(evens) if evens else math.inf
+        median_text = "" if median == math.inf else f"{median:g}"
+        attained = sum(1 for e in evens if e != math.inf)
+        rows.append(f"{cfg.scenario.value},{cfg.access_fraction_pct},{cfg.resolved_margin_pct},"
+                    f"{len(evens)},{attained},{median_text}")
+    return csv_text("scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod", rows)
 
 
 def config_text(result: SimResult) -> str:
@@ -430,6 +433,11 @@ REPORT_NAMES = (
 )
 
 
+def write_report(path: Path, text: str) -> None:
+    """The one report writer: UTF-8, and LF line endings on every platform."""
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     """Reconcile the run, then write each report under out_dir as soon as it is built."""
     totals = RunTotals(result)
@@ -438,7 +446,7 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     names = iter(REPORT_NAMES)
 
     def write(text: str) -> None:
-        (out_dir / next(names)).write_text(text, encoding="utf-8", newline="\n")
+        write_report(out_dir / next(names), text)
 
     write(requester_costs_csv(result, totals))
     write(top_requesters_csv(result, totals))

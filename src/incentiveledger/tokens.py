@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
-from .chain import ADD_DATA_REQUESTER, Address, NULL_ADDRESS, RENEW_TOKEN
+from .chain import ADD_DATA_REQUESTER, Address, NULL_ADDRESS, RENEW_TOKEN, csv_text
 from .errors import (
     AlreadyBurnedError,
     ComplianceRequiredError,
@@ -128,14 +128,11 @@ class TokenStore:
         return events
 
     def table_csv(self) -> str:
-        lines = ["tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn"]
-        for t in self.tokens.values():
-            lines.append(
-                f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
-                f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"
-            )
-        lines.append("")
-        return "\n".join(lines)
+        return csv_text("tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn", (
+            f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
+            f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"
+            for t in self.tokens.values()
+        ))
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:

@@ -66,8 +66,8 @@ def test_generation_is_deterministic_per_seed():
     {"provider_prob_max": 1.5},
 ])
 def test_config_validation_rejects_bad_values(overrides):
-    with pytest.raises(ConfigError):
-        generate_population(PopulationConfig(**overrides), random.Random(0))
+    with pytest.raises(ConfigError):  # on construction: no invalid config exists
+        PopulationConfig(**overrides)
 
 
 def test_decay_follows_power_law_exactly():

@@ -232,8 +232,8 @@ def test_config_validation():
         {"scenario": Scenario.PROFIT, "profit_margin_pct": 100},
         {"scenario": Scenario.COST_RECOVERY, "profit_margin_pct": 150},
     ):
-        with pytest.raises(ConfigError):
-            run_simulation(small_cfg(**overrides))
+        with pytest.raises(ConfigError):  # on construction: no invalid config exists
+            small_cfg(**overrides)
 
 
 def test_margin_resolution_defaults_per_scenario():

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import of the package is used, only
 the dataset contract books its ledgers, only engine.settle books a run, the
 cost replay reads the receipts alone, only the token store builds token
-events, and each ledger rule (liveness, the fee formula, moving value) has
-one home."""
+events, each ledger rule (liveness, the fee formula, moving value) has
+one home, one renderer and one writer make every report's lines and bytes,
+and each configuration checks itself when it is built."""
 
 import ast
 from pathlib import Path
@@ -132,3 +133,36 @@ def test_one_chain_method_moves_balances():
     assert len(movers) == 1, movers
     for caller in ("execute", "transfer"):
         assert movers[0] in named(methods[caller]), caller
+
+
+def call_sites(attr: str, receiver: str | None = None) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each call of .attr in src/, made on the
+    string constant receiver if one is given."""
+    sites = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr
+                    and (receiver is None or getattr(child.func.value, "value", None) == receiver)):
+                sites.append((module, function))
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return sites
+
+
+def test_one_renderer_joins_report_lines():
+    assert call_sites("join", "\n") == [("chain", "csv_text")]
+
+
+def test_one_writer_writes_report_files():
+    assert call_sites("write_text") == [("reporting", "write_report")]
+
+
+def test_no_configuration_has_a_validate_method():
+    """Each config checks itself in __post_init__, so an invalid one cannot be built."""
+    defined = [f"{path.stem}.{cls.name}" for path in MODULES
+               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(cls, ast.ClassDef)
+               if any(isinstance(node, ast.FunctionDef) and node.name == "validate" for node in cls.body)]
+    assert not defined, defined
