@@ -658,6 +658,18 @@ def test_update_heavy_tree_matches_golden_digest(tmp_path):
     assert tree_digest(tmp_path) == "a820c9946718a128887041b7f1e26c6af52ce5e6d9885fc7179394bafcd00c85"
 
 
+def test_scale_20k_seed_1_tree_matches_golden_digest(tmp_path):
+    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
+                   "--gas-price-gwei", "1", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
+    assert tree_digest(tmp_path) == "94b8481947d13b696ae3aea68a34e69054520605d1afe68e7f262bdaef901dbf"
+
+
+def test_update_heavy_seed_1_tree_matches_golden_digest(tmp_path):
+    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
+                   "--provider-prob-max", "0.5", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
+    assert tree_digest(tmp_path) == "f8e34ace81d88fb940d6f1b32f2ec3748addc6c38c8c1a1f6c1eadf6e61829ad"
+
+
 def test_build_sim_config_round_trips_parse(tmp_path):
     config = tmp_path / "settings.cfg"
     config.write_text(

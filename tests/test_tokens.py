@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,9 @@ from incentiveledger import (
     renew_access_time,
     request_access,
 )
-from incentiveledger.chain import ADD_DATA_REQUESTER, NULL_ADDRESS, RENEW_TOKEN
+from incentiveledger.agents import PopulationConfig
+from incentiveledger.chain import ADD_DATA_REQUESTER, GWEI, NULL_ADDRESS, RENEW_TOKEN, PriceModel
+from incentiveledger.engine import SimConfig, run_simulation
 from incentiveledger.errors import (
     AlreadyBurnedError,
     ComplianceRequiredError,
@@ -227,6 +230,30 @@ def test_update_entries_expand_to_the_per_holder_trail(published):
     read = store.events
     read.clear()
     assert read is not store.events and store.events == trail
+
+
+# The expanded trail of the two benchmark runs at seed 0, one line
+# "kind,period,token_id,user" per event. Neither run burns a token.
+GOLDEN_EVENT_TRAILS = {
+    "scale-20k": (
+        SimConfig(action_ticker=20_000, population=PopulationConfig(n_accounts=20_000, max_providers=2),
+                  price=PriceModel(gas_price_wei=GWEI)),
+        192_246, "a99527b5bd00acdfd0159ec422cad6b6a16dff9907019972089cd6a816f0dc69",
+    ),
+    "update-heavy": (
+        SimConfig(action_ticker=20_000,
+                  population=PopulationConfig(n_accounts=20_000, max_providers=20, provider_prob_max=0.5)),
+        152_409, "45f8bfb2230a1555021e52f4b9e181fc6744d178aa03f00fea780d3dcb86d9b7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_EVENT_TRAILS)
+def test_token_event_trail_matches_golden_digest(name):
+    cfg, count, digest = GOLDEN_EVENT_TRAILS[name]
+    events = run_simulation(cfg).token_store.events
+    trail = "".join(f"{e.kind},{e.period},{e.token_id},{e.user}\n" for e in events)
+    assert (len(events), hashlib.sha256(trail.encode()).hexdigest()) == (count, digest)
 
 
 def test_requester_burn_certifies_compliance(published):
