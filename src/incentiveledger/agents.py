@@ -84,5 +84,5 @@ def decay_renewal_prob(profile: AgentProfile) -> None:
     profile.current_prob = prob if prob < profile.current_prob else 0.0
 
 
-def population_csv(profiles: list[AgentProfile]) -> str:
+def population_csv(profiles: list[AgentProfile]) -> list[str]:
     return csv_text("address,role,baseProb", (f"{p.address},{p.role._value_},{p.base_prob!r}" for p in profiles))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -56,15 +57,20 @@ Address = str
 
 NULL_ADDRESS = "0x0"
 MINER_ADDRESS = "miner"
+REPORT_BLOCK_ROWS = 2_048  # rows per text block of a report
 
 
 def account_address(index: int) -> Address:
     return f"acct-{index:04d}"
 
 
-def csv_text(header: str, rows: Iterable[str]) -> str:
-    """The one line renderer of every report: header, then each row, every line ending in LF."""
-    return "\n".join((header, *rows, ""))
+def csv_text(header: str, rows: Iterable[str]) -> list[str]:
+    """The one line renderer of every report: the header line, then blocks of at most
+    REPORT_BLOCK_ROWS rows, every line ending in LF. So no report is held as one string."""
+    blocks, rows = [header + "\n"], iter(rows)
+    while block := list(islice(rows, REPORT_BLOCK_ROWS)):
+        blocks.append("\n".join((*block, "")))
+    return blocks
 
 
 # Measured transaction gas of each contract function: what a caller is
@@ -191,7 +197,7 @@ class ChainState:
         """A copy to run on independently. It shares the receipt objects,
         which are never mutated, and their transactions.csv text."""
         if len(self._formatted[0]) != len(self.receipts):
-            self._formatted = (self.receipts[:], self.log_csv()[:-1])
+            self._formatted = (self.receipts[:], "".join(self.log_csv())[:-1])
         other = copy.copy(self)
         other.accounts, other.funding, other.receipts = dict(self.accounts), dict(self.funding), self.receipts[:]
         return other
@@ -279,7 +285,7 @@ class ChainState:
         self.receipts.append(receipt)
         return receipt
 
-    def log_csv(self) -> str:
+    def log_csv(self) -> list[str]:
         done, head = self._formatted
         if not done or self.receipts[: len(done)] != done:
             done, head = [], "index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"

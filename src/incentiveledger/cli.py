@@ -201,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_simulation(cfg)
     summary = write_run_reports(result, run_dir)
     if not args.quiet:
-        sys.stdout.write(summary_text(result, summary))
+        sys.stdout.writelines(summary_text(result, summary))
         sys.stdout.write(f"reports in {run_dir}\n")
     return 0
 
@@ -261,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     even = break_even_csv(zip(cells, by_cell))
     write_report(out / "break_even.csv", even)
     if not args.quiet:
-        sys.stdout.write(even)
+        sys.stdout.writelines(even)
         sys.stdout.write(f"reports in {out}\n")
     return 1 if failures else 0
 

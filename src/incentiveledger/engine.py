@@ -209,7 +209,7 @@ class Stream:
     population: list[AgentProfile]
     actions: list[tuple[ActionKind, Address, int]]
     counts: list[int]
-    population_text: str | None = None  # population.csv, formatted by the first run to write its reports
+    population_text: list[str] | None = None  # population.csv blocks, built by the first run to write its reports
 
 
 @dataclass

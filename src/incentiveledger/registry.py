@@ -32,8 +32,8 @@ class Registry:
         self.authority = authority
         self.users: dict[Address, int] = {}
         self.providers: set[Address] = set()
-        # Members and registry.csv text as of the first fork.
-        self._formatted: tuple[dict[Address, int], set[Address], str] | None = None
+        # Members and registry.csv blocks as of the first fork.
+        self._formatted: tuple[dict[Address, int], set[Address], list[str]] | None = None
 
     def fork(self, chain: ChainState) -> Registry:
         """A copy on a fork of this registry's chain, to run on independently."""
@@ -84,7 +84,7 @@ class Registry:
         """Free read: is this address an approved provider?"""
         return addr in self.providers
 
-    def snapshot_csv(self) -> str:
+    def snapshot_csv(self) -> list[str]:
         if self._formatted and self._formatted[:2] == (self.users, self.providers):
             return self._formatted[2]
         rows: dict[Address, tuple[str, int | str]] = {addr: ("provider", "") for addr in self.providers}

@@ -6,8 +6,8 @@ reports when the two disagree. Builders are pure functions of the run
 result and of RunTotals, one aggregation pass over its action records.
 Every output is byte-deterministic: LF line endings, no timestamps, fixed
 column orders, USD at two decimals with wei columns authoritative. One
-renderer, chain.csv_text, makes every report's lines, and one writer,
-write_report, writes every report's bytes; the sweep's tables are built here.
+renderer, chain.csv_text, makes every report's lines in blocks, and one
+writer, write_report, writes them in order; the sweep's tables are built here.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     )
 
 
-def actions_csv(result: SimResult) -> str:
+def actions_csv(result: SimResult) -> list[str]:
     return csv_text("index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei", (
         f"{r.index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
         f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
@@ -257,7 +257,7 @@ def actions_csv(result: SimResult) -> str:
     ))
 
 
-def periods_csv(result: SimResult) -> str:
+def periods_csv(result: SimResult) -> list[str]:
     price = result.chain.price
     header = ("period,currentCostWei,currentCostUsd,providerCostWei,providerEarningsWei,"
               "profitWei,profitUsd,activeRequesters,actions")
@@ -270,7 +270,7 @@ def periods_csv(result: SimResult) -> str:
     ))
 
 
-def contracts_csv(result: SimResult) -> str:
+def contracts_csv(result: SimResult) -> list[str]:
     return csv_text("period,contract,currentCostWei,providerCostWei,providerEarningsWei,activeTokens,metaVersion", (
         f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
         f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
@@ -278,7 +278,7 @@ def contracts_csv(result: SimResult) -> str:
     ))
 
 
-def profit_series_csv(result: SimResult) -> str:
+def profit_series_csv(result: SimResult) -> list[str]:
     price = result.chain.price
     scenario = result.config.scenario.value
     return csv_text("period,scenario,profitWei,profitUsd", (
@@ -286,7 +286,7 @@ def profit_series_csv(result: SimResult) -> str:
     ))
 
 
-def cost_overlay_csv(result: SimResult) -> str:
+def cost_overlay_csv(result: SimResult) -> list[str]:
     """Running-cost trajectory with one scatter row per action.
 
     Per period: the period's action rows, each carrying the acted-on
@@ -294,23 +294,22 @@ def cost_overlay_csv(result: SimResult) -> str:
     period-end pool summed over contracts. Updates show as upward jumps,
     payments as downward steps.
     """
-    price = result.chain.price
-    # Records and series are both in period order, so one walk pairs them.
-    records = iter(result.records)
-    r = next(records, None)
-    rows = []
-    for s in result.series:
-        while r is not None and r.period == s.period:
-            rows.append(
-                f"action,{r.period},{r.kind._value_},{r.dataset},{r.usd_total:.2f},"
-                f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}"
-            )
-            r = next(records, None)
-        rows.append(f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}")
-    return csv_text("rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd", rows)
+    def rows():
+        price = result.chain.price
+        # Records and series are both in period order, so one walk pairs them.
+        records = iter(result.records)
+        r = next(records, None)
+        for s in result.series:
+            while r is not None and r.period == s.period:
+                yield (f"action,{r.period},{r.kind._value_},{r.dataset},{r.usd_total:.2f},"
+                       f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}")
+                r = next(records, None)
+            yield f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
+
+    return csv_text("rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd", rows())
 
 
-def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
+def requester_costs_csv(result: SimResult, totals: RunTotals) -> list[str]:
     """Base gas cost vs additional compensation payment, per requester and kind."""
     price = result.chain.price
     return csv_text("address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd", (
@@ -320,7 +319,7 @@ def requester_costs_csv(result: SimResult, totals: RunTotals) -> str:
     ))
 
 
-def top_requesters_csv(result: SimResult, totals: RunTotals) -> str:
+def top_requesters_csv(result: SimResult, totals: RunTotals) -> list[str]:
     """The provider's lifetime cost against the TOP_REQUESTERS most-spending requesters."""
     price = result.chain.price
     provider_spend: dict[Address, int] = {}
@@ -336,7 +335,7 @@ def top_requesters_csv(result: SimResult, totals: RunTotals) -> str:
     return csv_text("role,address,actions,totalWei,totalUsd", rows)
 
 
-def cost_distribution_csv(totals: RunTotals) -> str:
+def cost_distribution_csv(totals: RunTotals) -> list[str]:
     """Per action kind: quartiles of the total USD cost of one action."""
     rows = []
     for kind in sorted(totals.usd_samples):
@@ -350,7 +349,7 @@ def cost_distribution_csv(totals: RunTotals) -> str:
     return csv_text("kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd", rows)
 
 
-def summary_text(result: SimResult, summary: RunSummary) -> str:
+def summary_text(result: SimResult, summary: RunSummary) -> list[str]:
     price = result.chain.price
     even = "never" if summary.break_even_period is None else f"period {summary.break_even_period}"
     top = ", ".join(f"{addr} ${usd:.2f}" for addr, usd in summary.top_requesters) or "none"
@@ -397,16 +396,16 @@ def _summary_row(summary: RunSummary) -> str:
     return ",".join(cells)
 
 
-def summary_csv(summary: RunSummary) -> str:
+def summary_csv(summary: RunSummary) -> list[str]:
     return csv_text(_SUMMARY_HEADER, [_summary_row(summary)])
 
 
-def sweep_csv(summaries: Iterable[RunSummary]) -> str:
+def sweep_csv(summaries: Iterable[RunSummary]) -> list[str]:
     """summary.csv of every run of a sweep under one header, in the order given."""
     return csv_text(_SUMMARY_HEADER, map(_summary_row, summaries))
 
 
-def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> str:
+def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> list[str]:
     """Per sweep cell: finished runs, those that broke even, and the median break-even period, if finite."""
     rows = []
     for cfg, summaries in cells:
@@ -419,10 +418,10 @@ def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> str:
     return csv_text("scenario,accessFractionPct,profitMarginPct,runs,attained,medianPeriod", rows)
 
 
-def config_text(result: SimResult) -> str:
+def config_text(result: SimResult) -> list[str]:
     """Effective settings in config-file form; feeding it back with the run's
-    --gas-table, which settings do not carry, reproduces the run."""
-    return "".join(f"{flag}={value}\n" for flag, value in settings(result.config).items())
+    --gas-table, which settings do not carry, reproduces the run. One block."""
+    return ["".join(f"{flag}={value}\n" for flag, value in settings(result.config).items())]
 
 
 # The files of a run directory, in the order write_run_reports writes them.
@@ -433,9 +432,12 @@ REPORT_NAMES = (
 )
 
 
-def write_report(path: Path, text: str) -> None:
-    """The one report writer: UTF-8, and LF line endings on every platform."""
-    path.write_text(text, encoding="utf-8", newline="\n")
+def write_report(path: Path, blocks: list[str]) -> None:
+    """The one report writer: the blocks in order, UTF-8, and LF line endings on every platform."""
+    if isinstance(blocks, str):  # writelines would write it one character at a time
+        raise TypeError("write_report takes a list of text blocks, not a str")
+    with path.open("w", encoding="utf-8", newline="\n") as file:
+        file.writelines(blocks)
 
 
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
@@ -445,8 +447,8 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     names = iter(REPORT_NAMES)
 
-    def write(text: str) -> None:
-        write_report(out_dir / next(names), text)
+    def write(blocks: list[str]) -> None:
+        write_report(out_dir / next(names), blocks)
 
     write(requester_costs_csv(result, totals))
     write(top_requesters_csv(result, totals))

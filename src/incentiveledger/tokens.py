@@ -9,8 +9,9 @@ and renewals; the contract's `collect` takes it in and books it.
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
 clears it. The TokenStore keeps every token a run mints, the id counter
-and the event log, which holds one entry per update; `TokenStore.events`
-expands it into the per-holder trail, a new list on every read.
+and the event log. An update logs one fixed-size entry and each token the
+log positions of its mint and burn, from which `TokenStore.events` builds
+the per-holder trail, a new list on every read.
 
 Access grants run in periods, not wall-clock time: every grant or renewal
 adds ACCESS_PERIODS periods of access. Payments must match the quote
@@ -58,6 +59,8 @@ class AccessToken:
     compliance: bool = True
     burned: bool = False
     remaining_at_burn: int = 0
+    minted_at: int = 0  # log positions of the mint and burn events; not in tokens.csv
+    burned_at: int = 0
 
 
 @dataclass(slots=True)
@@ -79,7 +82,7 @@ class TokenStore:
 
     def __init__(self) -> None:
         self.tokens: dict[int, AccessToken] = {}
-        self._log: list[TokenEvent | tuple[int, tuple[Address, ...], tuple[AccessToken, ...]]] = []
+        self._log: list[TokenEvent | tuple[int, Address, int]] = []  # an update: (period, dataset, position)
         self._next_id = 1
 
     def mint(
@@ -99,7 +102,7 @@ class TokenStore:
         )
         self._next_id += 1
         self.tokens[token.token_id] = token
-        self.record("minted", period, token.token_id, user)
+        token.minted_at = self.record("minted", period, token.token_id, user)
         return token
 
     def live_tokens(self) -> Iterator[AccessToken]:
@@ -108,26 +111,38 @@ class TokenStore:
             if not token.burned:
                 yield token
 
-    def record(self, kind: str, period: int, token_id: int, user: Address) -> None:
+    def record(self, kind: str, period: int, token_id: int, user: Address) -> int:
         self._log.append(TokenEvent(kind, period, token_id, user))
+        return len(self._log) - 1
 
     def invalidate_compliance(self, holders: dict[Address, AccessToken], period: int) -> None:
-        tokens = tuple(holders.values())
-        for token in tokens:
+        for token in holders.values():
             token.compliance = False
-        self._log.append((period, tuple(holders), tokens))
+        if holders:
+            self._log.append((period, next(iter(holders.values())).dataset_address, len(self._log)))
 
     @property
     def events(self) -> list[TokenEvent]:
-        """The per-holder trail, a new list on every read. A notice names the holder an
-        update notified from its entry, since a later burn nulls the token's user."""
-        events: list[TokenEvent] = []
-        for entry in self._log:
-            events += (entry,) if type(entry) is TokenEvent else (
-                TokenEvent("updateNotice", entry[0], t.token_id, u) for u, t in zip(entry[1], entry[2]))
+        """The per-holder trail, a new list on every read. An update notified its dataset's tokens
+        minted before its entry and not burned before it: holders leave only by burn, or by destroy,
+        after which no update runs. A burn nulls a token's user, so its burn event names the holder."""
+        log, by_dataset, events = self._log, {}, []
+        for token in self.tokens.values():
+            by_dataset.setdefault(token.dataset_address, []).append(token)
+        for entry in log:
+            if type(entry) is TokenEvent:
+                events.append(entry)
+                continue
+            period, dataset, at = entry
+            for t in by_dataset[dataset]:
+                if t.minted_at > at:
+                    break
+                if not t.burned or t.burned_at > at:
+                    events.append(TokenEvent("updateNotice", period, t.token_id,
+                                             log[t.burned_at].user if t.burned else t.user))
         return events
 
-    def table_csv(self) -> str:
+    def table_csv(self) -> list[str]:
         return csv_text("tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn", (
             f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
             f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"
@@ -236,4 +251,4 @@ def burn_token(c: "DatasetContract", token: AccessToken, cause: BurnCause) -> No
     token.compliance = cause is BurnCause.REQUESTER
     del c.holders[holder]
     token.user = NULL_ADDRESS
-    c.token_store.record("burnNotice", period, token.token_id, holder)
+    token.burned_at = c.token_store.record("burnNotice", period, token.token_id, holder)

@@ -16,6 +16,11 @@ from incentiveledger import (
 PREFUND = 1_000 * WEI_PER_ETH
 
 
+def report_text(blocks: list[str]) -> str:
+    """A report builder's blocks joined into the text of its file."""
+    return "".join(blocks)
+
+
 @pytest.fixture
 def chain() -> ChainState:
     return ChainState()

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import report_text
+
 from incentiveledger import (
     AgentProfile,
     PopulationConfig,
@@ -104,7 +106,7 @@ def test_decay_is_strictly_decreasing_while_positive(base, decay, n):
 
 def test_population_csv_lists_every_account():
     pop = generate_population(PopulationConfig(n_accounts=5, max_providers=2), random.Random(0))
-    lines = population_csv(pop).splitlines()
+    lines = report_text(population_csv(pop)).splitlines()
     assert lines[0] == "address,role,baseProb"
     assert len(lines) == 6
     assert lines[1].startswith("acct-0000,provider,")

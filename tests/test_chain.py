@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import report_text
+
 from incentiveledger.chain import (
     ADD_DATA_REQUESTER,
     CHECK_PROVIDER,
@@ -264,7 +266,7 @@ def test_price_and_schedule_validation():
 def test_log_csv_shape(chain):
     caller = chain.create_named_account("caller", WEI_PER_ETH)
     chain.execute(caller, CHECK_USER)
-    lines = chain.log_csv().splitlines()
+    lines = report_text(chain.log_csv()).splitlines()
     assert lines[0] == "index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"
     assert lines[1].startswith(f"0,0,caller,{CHECK_USER},")
     assert len(lines) == 2
@@ -286,7 +288,7 @@ def test_a_fork_and_its_parent_format_their_shared_log_once(chain):
         receipt.usd_cost = Usd(receipt.usd_cost)
     other = chain.fork()
     other.execute(caller, CHECK_USER)
-    mine, theirs = chain.log_csv(), other.log_csv()
+    mine, theirs = report_text(chain.log_csv()), report_text(other.log_csv())
     assert len(formatted) == 3
     assert theirs.startswith(mine) and len(theirs.splitlines()) == len(mine.splitlines()) + 1
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import report_text
+
 from incentiveledger import DEFAULT_LICENSE, Registry, WEI_PER_ETH
 from incentiveledger.chain import (
     NEW_DATA_PROVIDER,
@@ -96,7 +98,7 @@ def test_snapshot_csv_sorted_with_merged_roles(deployed):
     registry.register_new_user(authority, member, 3)
     registry.new_data_provider(authority, member)
     registry.new_data_provider(authority, outsider)
-    lines = registry.snapshot_csv().splitlines()
+    lines = report_text(registry.snapshot_csv()).splitlines()
     assert lines[0] == "address,role,license"
     assert lines[1:] == sorted(lines[1:])
     assert "member,provider+user,3" in lines

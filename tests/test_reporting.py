@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
+
+from conftest import report_text
 
 from incentiveledger import (
     DEFAULT_LICENSE,
@@ -250,7 +254,7 @@ def test_summary_of_an_empty_run_is_all_zero():
     assert summary.freq_publish == summary.freq_renew == 0.0
     assert summary.break_even_period is None
     assert summary.top_requesters == ()
-    assert profit_series_csv(empty_result()) == "period,scenario,profitWei,profitUsd\n"
+    assert report_text(profit_series_csv(empty_result())) == "period,scenario,profitWei,profitUsd\n"
 
 
 def test_builders_are_pure(run):
@@ -262,7 +266,7 @@ def test_builders_are_pure(run):
 
 
 def test_actions_csv_mirrors_records(run):
-    lines = actions_csv(run).splitlines()
+    lines = report_text(actions_csv(run)).splitlines()
     assert lines[0] == "index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei"
     assert len(lines) == len(run.records) + 1
     first = run.records[0]
@@ -272,14 +276,14 @@ def test_actions_csv_mirrors_records(run):
 
 
 def test_profit_series_has_one_row_per_period(run):
-    lines = profit_series_csv(run).splitlines()
+    lines = report_text(profit_series_csv(run)).splitlines()
     assert lines[0] == "period,scenario,profitWei,profitUsd"
     assert len(lines) == len(run.series) + 1
     assert all(line.split(",")[1] == str(run.config.scenario.value) for line in lines[1:])
 
 
 def test_cost_overlay_interleaves_actions_and_period_costs(run):
-    lines = cost_overlay_csv(run).splitlines()
+    lines = report_text(cost_overlay_csv(run)).splitlines()
     assert lines[0] == "rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd"
     action_rows = [l for l in lines[1:] if l.startswith("action,")]
     cost_rows = [l for l in lines[1:] if l.startswith("cost,")]
@@ -302,7 +306,7 @@ def test_cost_overlay_interleaves_actions_and_period_costs(run):
 
 
 def test_requester_costs_split_gas_from_payments(run):
-    lines = requester_costs_csv(run, RunTotals(run)).splitlines()
+    lines = report_text(requester_costs_csv(run, RunTotals(run))).splitlines()
     assert lines[0] == "address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd"
     gas = payment = actions = 0
     for line in lines[1:]:
@@ -318,7 +322,7 @@ def test_requester_costs_split_gas_from_payments(run):
 
 
 def test_top_requesters_lists_provider_rows_first(run):
-    lines = top_requesters_csv(run, RunTotals(run)).splitlines()
+    lines = report_text(top_requesters_csv(run, RunTotals(run))).splitlines()
     assert lines[0] == "role,address,actions,totalWei,totalUsd"
     roles = [line.split(",")[0] for line in lines[1:]]
     n_providers = len(run.datasets)
@@ -343,13 +347,13 @@ def test_requester_ranking_breaks_spend_ties_by_lower_address():
         ("acct-0003", 37_460_016_000_000_000),
         ("acct-0002", 34_204_824_000_000_000),
     ]
-    rows = [line.split(",") for line in top_requesters_csv(result, RunTotals(result)).splitlines()]
+    rows = [line.split(",") for line in report_text(top_requesters_csv(result, RunTotals(result))).splitlines()]
     assert [(row[1], int(row[3])) for row in rows if row[0] == "requester"] == ranked
     assert [addr for addr, _ in summarize(result).top_requesters] == [addr for addr, _ in ranked]
 
 
 def test_cost_distribution_quartiles_are_ordered(run):
-    lines = cost_distribution_csv(RunTotals(run)).splitlines()
+    lines = report_text(cost_distribution_csv(RunTotals(run))).splitlines()
     assert lines[0] == "kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd"
     kinds = [line.split(",")[0] for line in lines[1:]]
     assert kinds == sorted(kinds)
@@ -364,10 +368,10 @@ def test_cost_distribution_quartiles_are_ordered(run):
 
 def test_summary_texts_agree_with_summary(run):
     summary = summarize(run)
-    text = summary_text(run, summary)
+    text = report_text(summary_text(run, summary))
     assert f"seed {summary.seed}" in text
     assert f"{summary.actions} actions over {summary.periods} periods" in text
-    csv_lines = summary_csv(summary).splitlines()
+    csv_lines = report_text(summary_csv(summary)).splitlines()
     assert len(csv_lines) == 2
     header, row = (line.split(",") for line in csv_lines)
     fields = dict(zip(header, row))
@@ -377,7 +381,7 @@ def test_summary_texts_agree_with_summary(run):
 
 
 def test_config_text_uses_flag_names(run):
-    text = config_text(run)
+    text = report_text(config_text(run))
     for key in ("scenario=", "actions=", "access-fraction=", "profit-margin=",
                 "gas-price-gwei=", "eth-usd=", "seed="):
         assert any(line.startswith(key) for line in text.splitlines())
@@ -399,12 +403,31 @@ def test_write_run_reports_emits_the_full_set(run, tmp_path):
         assert raw.endswith(b"\n") and b"\r" not in raw
 
 
+def test_writing_reports_holds_about_one_copy_of_the_largest(tmp_path):
+    # Measured over the settled run: a report held as its rows, its joined
+    # text and its encoded bytes at once peaked at 2.91 times the largest file.
+    result = run_simulation(SimConfig(
+        action_ticker=5_000,
+        population=PopulationConfig(n_accounts=5_000, max_providers=20, provider_prob_max=0.5),
+    ))
+    tracemalloc.start()
+    try:
+        settled = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_run_reports(result, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - settled
+    finally:
+        tracemalloc.stop()
+    largest = max(p.stat().st_size for p in tmp_path.iterdir())
+    assert peak < 2.3 * largest, (peak, largest)
+
+
 def test_no_compensation_reports_zero_payment_columns():
     result = run_simulation(SimConfig(
         scenario=Scenario.NO_COMPENSATION, action_ticker=40,
         population=PopulationConfig(n_accounts=30), seed=6,
     ))
-    for line in requester_costs_csv(result, RunTotals(result)).splitlines()[1:]:
+    for line in report_text(requester_costs_csv(result, RunTotals(result))).splitlines()[1:]:
         assert line.split(",")[4] == "0"
     summary = summarize(result)
     assert summary.provider_earnings_wei == 0 and summary.total_payment_wei == 0

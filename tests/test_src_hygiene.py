@@ -157,7 +157,7 @@ def test_one_renderer_joins_report_lines():
 
 
 def test_one_writer_writes_report_files():
-    assert call_sites("write_text") == [("reporting", "write_report")]
+    assert call_sites("open") == [("reporting", "write_report")] and not call_sites("write_text")
 
 
 def test_no_configuration_has_a_validate_method():
