@@ -119,7 +119,7 @@ class TokenStore:
         for token in holders.values():
             token.compliance = False
         if holders:
-            self._log.append((period, next(iter(holders.values())).dataset_address, len(self._log)))
+            self._log.append((period, token.dataset_address, len(self._log)))
 
     @property
     def events(self) -> list[TokenEvent]:
