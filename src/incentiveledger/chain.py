@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Mapping
 
@@ -174,24 +174,23 @@ class TxReceipt:
     margin_pct: int | None = None
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class ChainState:
     """Account balances, miner sink and the append-only transaction log."""
 
-    def __init__(self, schedule: GasSchedule | None = None, price: PriceModel | None = None) -> None:
-        self.schedule = schedule if schedule is not None else default_gas_schedule()
-        self.price = price if price is not None else PriceModel()
-        self.accounts: dict[Address, int] = {MINER_ADDRESS: 0}
-        # Wei minted onto each account at creation; receipts only ever move
-        # this money around, which is what reconciliation replays.
-        self.funding: dict[Address, int] = {MINER_ADDRESS: 0}
-        self.receipts: list[TxReceipt] = []
-        self.period = 0
-        self.minted_wei = 0
-        self._account_seq = 0
-        self._contract_seq = 0
-        # A prefix of the receipt log and its transactions.csv text, less the
-        # final newline.
-        self._formatted: tuple[list[TxReceipt], str] = ([], "")
+    schedule: GasSchedule = field(default_factory=default_gas_schedule)
+    price: PriceModel = field(default_factory=PriceModel)
+    accounts: dict[Address, int] = field(init=False, default_factory=lambda: {MINER_ADDRESS: 0})
+    # Wei minted onto each account at creation; receipts only ever move
+    # this money around, which is what reconciliation replays.
+    funding: dict[Address, int] = field(init=False, default_factory=lambda: {MINER_ADDRESS: 0})
+    receipts: list[TxReceipt] = field(init=False, default_factory=list)
+    period: int = field(init=False, default=0)
+    minted_wei: int = field(init=False, default=0)
+    _account_seq: int = field(init=False, default=0)
+    _contract_seq: int = field(init=False, default=0)
+    # A prefix of the receipt log and its transactions.csv text, less the final newline.
+    _formatted: tuple[list[TxReceipt], str] = field(init=False, default=([], ""))
 
     def fork(self) -> ChainState:
         """A copy to run on independently. It shares the receipt objects,

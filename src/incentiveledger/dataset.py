@@ -20,6 +20,7 @@ is the core quantity the simulation measures.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .chain import (
@@ -66,40 +67,27 @@ def check_pct(name: str, value: int, bounds: tuple[int, int], error: type[Except
         raise error(f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class DatasetContract:
-    def __init__(
-        self,
-        chain: ChainState,
-        registry: Registry,
-        owner: Address,
-        contract_address: Address,
-        link: str,
-        required_license: int,
-        scenario: Scenario,
-        profit_margin_pct: int,
-        access_fraction_pct: int,
-        renew_fraction_pct: int,
-        token_store: TokenStore,
-    ) -> None:
-        self.chain = chain
-        self.registry = registry
-        self.owner = owner
-        self.contract_address = contract_address
-        self.link = link
-        self.required_license = required_license
-        self.scenario = scenario
-        self.profit_margin_pct = profit_margin_pct
-        self.access_fraction_pct = access_fraction_pct
-        self.renew_fraction_pct = renew_fraction_pct
-        self.token_store = token_store
-        self.destroyed = False
-        self.meta_version = 0
-        self.price_wei = 0
-        self.current_cost_wei = 0
-        self.provider_cost_wei = 0
-        self.provider_earnings_wei = 0
-        # Each holder's live token, in mint order, which is token-id order.
-        self.holders: dict[Address, AccessToken] = {}
+    chain: ChainState
+    registry: Registry
+    owner: Address
+    contract_address: Address
+    link: str
+    required_license: int
+    scenario: Scenario
+    profit_margin_pct: int
+    access_fraction_pct: int
+    renew_fraction_pct: int
+    token_store: TokenStore
+    destroyed: bool = field(init=False, default=False)
+    meta_version: int = field(init=False, default=0)
+    price_wei: int = field(init=False, default=0)
+    current_cost_wei: int = field(init=False, default=0)
+    provider_cost_wei: int = field(init=False, default=0)
+    provider_earnings_wei: int = field(init=False, default=0)
+    # Each holder's live token, in mint order, which is token-id order.
+    holders: dict[Address, AccessToken] = field(init=False, default_factory=dict)
 
     @classmethod
     def deploy_and_publish(

@@ -209,10 +209,10 @@ class Stream:
     population: list[AgentProfile]
     actions: list[tuple[ActionKind, Address, int]]
     counts: list[int]
-    population_text: list[str] | None = None  # population.csv blocks, built by the first run to write its reports
+    population_text: list[str] | None = None  # population.csv blocks, built by the first cell to write its reports
 
 
-@dataclass
+@dataclass(slots=True)
 class SimResult:
     """A run's outcome, and its books while it runs."""
 
@@ -225,7 +225,7 @@ class SimResult:
     token_store: TokenStore
     population: list[AgentProfile]
     datasets: list[DatasetContract]
-    stream: Stream | None = None  # what the run settled; its population.csv text is formatted once
+    stream: Stream | None = None  # a sweep cell's, for its seed's population.csv text; a direct run frees it
 
     def close_period(self, period: int, actions: int) -> None:
         """Book the period's totals, and a snapshot of each dataset: its holders are its active tokens."""
@@ -280,10 +280,11 @@ def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
     return chain, registry
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class SharedStart:
     """The registry bootstrap of a sweep's runs, built once and forked by each."""
 
-    bootstrap: tuple = (None, None, None)  # (settings, chain, registry)
+    bootstrap: tuple = field(init=False, default=(None, None, None))  # (settings, chain, registry)
 
     def fork(self, cfg: SimConfig) -> tuple[ChainState, Registry]:
         # A GasSchedule holds a dict, so the settings are compared, not hashed.
@@ -363,13 +364,13 @@ def simulate(cfg: SimConfig) -> Stream:
 
 
 def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) -> SimResult:
-    """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared,
-    or from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
+    """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared, whose
+    runs keep stream, or from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
     if _STREAM(cfg) != _STREAM(stream.config):
         raise ValueError("a stream settles only runs of its own seed, population, ticker and multiplier")
     chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
     store = TokenStore()
-    run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [], stream)
+    run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [], stream if shared else None)
     records, datasets = run.records, run.datasets
     actions = iter(stream.actions)
     try:
@@ -409,9 +410,9 @@ def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) ->
     return run
 
 
-def run_simulation(cfg: SimConfig, shared: SharedStart | None = None) -> SimResult:
-    """Simulate cfg and settle its stream, from a fork of the bootstrap of shared or from a fresh one."""
-    return settle(cfg, simulate(cfg), shared)
+def run_simulation(cfg: SimConfig) -> SimResult:
+    """Simulate cfg and settle its stream on a fresh bootstrap."""
+    return settle(cfg, simulate(cfg))
 
 
 def break_even_period(result: SimResult) -> int | None:

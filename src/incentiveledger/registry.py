@@ -9,6 +9,8 @@ dataset contracts perform internally are free reads.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .chain import (
     Address,
     ChainState,
@@ -26,14 +28,14 @@ from .errors import AlreadyRegisteredError, NotAuthorityError, NotRegisteredErro
 DEFAULT_LICENSE = 1
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Registry:
-    def __init__(self, chain: ChainState, authority: Address) -> None:
-        self.chain = chain
-        self.authority = authority
-        self.users: dict[Address, int] = {}
-        self.providers: set[Address] = set()
-        # Members and registry.csv blocks as of the first fork.
-        self._formatted: tuple[dict[Address, int], set[Address], list[str]] | None = None
+    chain: ChainState
+    authority: Address
+    users: dict[Address, int] = field(init=False, default_factory=dict)
+    providers: set[Address] = field(init=False, default_factory=set)
+    # Members and registry.csv blocks as of the first fork.
+    _formatted: tuple[dict[Address, int], set[Address], list[str]] | None = field(init=False, default=None)
 
     def fork(self, chain: ChainState) -> Registry:
         """A copy on a fork of this registry's chain, to run on independently."""

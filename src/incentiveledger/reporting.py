@@ -1,9 +1,10 @@
 """Reconciliation and report generation for finished runs.
 
-Reconciliation re-derives balances and cost ledgers from the transaction
-log alone, with none of the contract code involved, and refuses to write
-reports when the two disagree. Builders are pure functions of the run
-result and of RunTotals, one aggregation pass over its action records.
+Reconciliation re-derives balances and cost ledgers in one replay of the
+transaction log alone, with none of the contract code involved, and refuses
+to write reports when the replay and the run disagree. Builders are pure
+functions of the run result and of RunTotals, one aggregation pass over its
+action records.
 Every output is byte-deterministic: LF line endings, no timestamps, fixed
 column orders, USD at two decimals with wei columns authoritative. One
 renderer, chain.csv_text, makes every report's lines in blocks, and one
@@ -33,7 +34,6 @@ from .chain import (
     UPDATE_DATA,
     Address,
     ChainState,
-    TxReceipt,
     csv_text,
 )
 from .engine import ActionKind, SimConfig, SimResult, break_even_period, settings
@@ -56,13 +56,17 @@ ACCRUING_FUNCTIONS = frozenset(
 )
 
 
-def replay_balances(chain: ChainState) -> dict[Address, int]:
-    """Recompute every balance from initial funding plus the receipt log.
+def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[int, int, int]]]:
+    """Recompute every balance from initial funding, and (currentCost, providerCost, earnings) per
+    contract, in one walk of the receipt log alone.
 
     Also proves atomicity after the fact: no account may dip below zero at
-    any point of the replay.
+    any point of the replay. Each receipt a dataset contract books names that
+    contract. An accruing owner call adds its fee at the margin it carries,
+    any other call pays the contract and drains its pool, and a contract's
+    destroy receipt zeroes its ledgers.
     """
-    balances = dict(chain.funding)
+    balances, ledgers = dict(chain.funding), {}
     for r in chain.receipts:
         balances[r.caller] -= r.gas_fee_wei + r.value_wei
         balances[MINER_ADDRESS] += r.gas_fee_wei
@@ -72,19 +76,6 @@ def replay_balances(chain: ChainState) -> dict[Address, int]:
             raise ReconciliationFailureError(
                 f"receipt {r.index} drives {r.caller} to {balances[r.caller]} wei"
             )
-    return balances
-
-
-def replay_cost_ledgers(receipts: list[TxReceipt]) -> dict[Address, tuple[int, int, int]]:
-    """Recompute (currentCost, providerCost, earnings) per contract from receipts alone.
-
-    Each receipt a dataset contract books names that contract. An accruing
-    owner call adds its fee at the margin it carries, any other call pays the
-    contract and drains its pool, and a contract's destroy receipt zeroes its
-    ledgers.
-    """
-    ledgers: dict[Address, list[int]] = {}
-    for r in receipts:
         if r.function == DESTROY:
             ledgers[r.caller] = [0, 0, 0]
         elif r.contract is not None:
@@ -95,23 +86,22 @@ def replay_cost_ledgers(receipts: list[TxReceipt]) -> dict[Address, tuple[int, i
             else:
                 books[0] = max(0, books[0] - r.value_wei)
                 books[2] += r.value_wei
-    return {addr: tuple(v) for addr, v in ledgers.items()}
+    return balances, {addr: tuple(v) for addr, v in ledgers.items()}
 
 
 def reconcile(result: SimResult) -> None:
-    """Cross-check the run against independent replays of its own log."""
+    """Cross-check the run against an independent replay of its own log."""
     chain = result.chain
     if not chain.conservation_holds():
         raise ReconciliationFailureError(
             f"{chain.total_wei()} wei on accounts, {chain.minted_wei} minted"
         )
-    replayed = replay_balances(chain)
+    replayed, replayed_ledgers = replay(chain)
     if replayed != chain.accounts:
         addr = next(a for a in (*chain.accounts, *replayed) if replayed.get(a) != chain.accounts.get(a))
         raise ReconciliationFailureError(
             f"replayed balance of {addr} is {replayed.get(addr)} wei, it holds {chain.accounts.get(addr)}"
         )
-    replayed_ledgers = replay_cost_ledgers(chain.receipts)
     final_cc = {r.dataset: r.current_cost_after_wei for r in result.records}
     for c in result.datasets:
         expected = replayed_ledgers[c.contract_address]
@@ -126,7 +116,7 @@ def reconcile(result: SimResult) -> None:
                 f"{final_cc[c.contract_address]}, replay says {expected[0]}"
             )
     payments = sum(r.payment_wei for r in result.records)
-    earnings = sum(c.provider_earnings_wei for c in result.datasets)
+    earnings = sum(books[2] for books in replayed_ledgers.values())
     if payments != earnings:
         raise ReconciliationFailureError(
             f"{payments} wei paid by requesters, {earnings} wei booked as earnings"
@@ -181,6 +171,8 @@ class RunSummary:
 
 class RunTotals:
     """What the report builders count, from one pass over a run's records."""
+
+    __slots__ = ("usd_samples", "requester_kinds", "provider_actions", "ranked")
 
     def __init__(self, result: SimResult) -> None:
         # Kinds go by their _value_ strings: .value and enum hashing run Python-level code.
@@ -461,9 +453,9 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     write(cost_overlay_csv(result))
     write(result.chain.log_csv())
     write(result.token_store.table_csv())
-    stream = result.stream
-    stream.population_text = stream.population_text or population_csv(result.population)
-    write(stream.population_text)
+    if (stream := result.stream) and not stream.population_text:  # a sweep cell: its seed's cells share it
+        stream.population_text = population_csv(result.population)
+    write(stream.population_text if stream else population_csv(result.population))
     write(result.registry.snapshot_csv())
     write(summary_text(result, summary))
     write(summary_csv(summary))

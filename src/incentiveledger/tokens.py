@@ -8,10 +8,11 @@ and renewals; the contract's `collect` takes it in and books it.
 
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
-clears it. The TokenStore keeps every token a run mints, the id counter
-and the event log. An update logs one fixed-size entry and each token the
-log positions of its mint and burn, from which `TokenStore.events` builds
-the per-holder trail, a new list on every read.
+clears it. The TokenStore keeps the event log and every token a run
+mints, so the next id is one past their count. An update logs one
+fixed-size entry and each token the log positions of its mint and burn,
+from which `TokenStore.events` builds the per-holder trail, a new list on
+every read.
 
 Access grants run in periods, not wall-clock time: every grant or renewal
 adds ACCESS_PERIODS periods of access. Payments must match the quote
@@ -21,7 +22,7 @@ conservation stays trivial to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
@@ -77,13 +78,13 @@ class TokenEvent:
     user: Address
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class TokenStore:
     """All tokens of a run and their event log; token ids are unique and never reused."""
 
-    def __init__(self) -> None:
-        self.tokens: dict[int, AccessToken] = {}
-        self._log: list[TokenEvent | tuple[int, Address, int]] = []  # an update: (period, dataset, position)
-        self._next_id = 1
+    tokens: dict[int, AccessToken] = field(init=False, default_factory=dict)  # never shrinks: ids run 1, 2, ...
+    # The recorded events, and per update one (period, dataset, position) entry.
+    _log: list[TokenEvent | tuple[int, Address, int]] = field(init=False, default_factory=list)
 
     def mint(
         self,
@@ -93,14 +94,13 @@ class TokenStore:
         period: int,
     ) -> AccessToken:
         token = AccessToken(
-            token_id=self._next_id,
+            token_id=len(self.tokens) + 1,
             dataset_address=dataset_address,
             user=user,
             license_code=license_code,
             minted_period=period,
             access_until=period + ACCESS_PERIODS,
         )
-        self._next_id += 1
         self.tokens[token.token_id] = token
         token.minted_at = self.record("minted", period, token.token_id, user)
         return token

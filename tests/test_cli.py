@@ -358,6 +358,23 @@ def test_sweep_rejects_repeated_grid_values(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweep_rejects_a_grid_that_is_not_integers(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", *SMALL, "--access-fractions", "1,x", "--out", str(out))
+    assert exc.value.code == 2
+    assert "--access-fractions: expected comma-separated integers, got '1,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_prints_break_even_then_where_its_reports_are(tmp_path, capsys):
+    assert run_cli("sweep", *SMALL, "--seeds", "2", "--scenarios", "2,3", "--out", str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == (tmp_path / "break_even.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[-1] == f"reports in {tmp_path}"
+    assert len(lines) == 4  # header, one row per cell, then the location
+
+
 @pytest.mark.parametrize("providers", [[], ["--max-providers", "2"]])
 def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
     # Sweep runs share their bootstrap, and each seed's settled cells share

@@ -17,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from incentiveledger import DEFAULT_LICENSE, WEI_PER_ETH, ChainState, DatasetContract, Registry, Scenario
 from incentiveledger.errors import LedgerError, NoTokenError
-from incentiveledger.reporting import replay_balances, replay_cost_ledgers
+from incentiveledger.reporting import replay
 from incentiveledger.tokens import (
     BurnCause,
     TokenStore,
@@ -196,12 +196,12 @@ class ContractAPI(RuleBasedStateMachine):
     @invariant()
     def balances_match_their_replay(self):
         assert self.chain.conservation_holds()
-        assert replay_balances(self.chain) == self.chain.accounts
+        assert replay(self.chain)[0] == self.chain.accounts
 
     @invariant()
     def cost_ledgers_match_their_replay(self):
         # Destroyed and repriced contracts included: the receipts carry the contract and margin.
-        replayed = replay_cost_ledgers(self.chain.receipts)
+        replayed = replay(self.chain)[1]
         for c in self.contracts:
             actual = (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei)
             assert replayed[c.contract_address] == actual

@@ -271,10 +271,10 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
 
         monkeypatch.setattr(engine, "quote_payment", quote_then_fail)
         with pytest.raises(EngineError, match="injected"):
-            run_simulation(cfg, shared)
+            settle(cfg, simulate(cfg), shared)
         monkeypatch.undo()
     else:
-        spoiled = run_simulation(cfg, shared)
+        spoiled = settle(cfg, simulate(cfg), shared)
         for address in spoiled.chain.accounts:
             spoiled.chain.accounts[address] = 0
         spoiled.chain.receipts.clear()
@@ -288,7 +288,7 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
     assert len(checkpoint.receipts) == len(fresh.receipts)
     assert checkpoint.accounts == fresh.accounts
     assert checkpoint_registry.users == fresh_registry.users
-    shared_run = report_bytes(run_simulation(cfg, shared), tmp_path / "shared")
+    shared_run = report_bytes(settle(cfg, simulate(cfg), shared), tmp_path / "shared")
     assert shared_run == report_bytes(run_simulation(cfg), tmp_path / "direct")
 
 
@@ -328,14 +328,14 @@ def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):
     ]
     shared = SharedStart()
     for i, cfg in enumerate(cfgs):
-        shared_run = report_bytes(run_simulation(cfg, shared), tmp_path / f"shared-{i}")
+        shared_run = report_bytes(settle(cfg, simulate(cfg), shared), tmp_path / f"shared-{i}")
         direct_run = report_bytes(run_simulation(cfg), tmp_path / f"direct-{i}")
         for name in ("population.csv", "registry.csv"):
             assert shared_run[name] == direct_run[name], (i, name)
         assert shared_run == direct_run
 
 
-# One record of each per-event or per-account kind that a run keeps.
+# One record of each per-event or per-account kind that a run keeps, and each ledger object.
 RECORDS = {
     "TxReceipt": lambda run: run.chain.receipts[-1],
     "ActionRecord": lambda run: run.records[-1],
@@ -344,6 +344,11 @@ RECORDS = {
     "AccessToken": lambda run: next(iter(run.token_store.tokens.values())),
     "TokenEvent": lambda run: run.token_store.events[-1],
     "AgentProfile": lambda run: run.population[-1],
+    "ChainState": lambda run: run.chain,
+    "Registry": lambda run: run.registry,
+    "DatasetContract": lambda run: run.datasets[-1],
+    "TokenStore": lambda run: run.token_store,
+    "SimResult": lambda run: run,
 }
 
 
@@ -355,3 +360,18 @@ def test_records_reject_an_attribute_they_do_not_declare(kind):
     assert type(record).__name__ == kind
     with pytest.raises(AttributeError):
         record.curent_prob = 0.0
+
+
+def test_a_direct_run_keeps_no_sweep_cache(tmp_path):
+    # Only a settled sweep cell keeps its stream, for the population.csv text
+    # its seed's other cells reuse. A direct run keeps neither, so both are
+    # freed: the action list once settled, the text once written.
+    cfg = small_cfg()
+    direct = run_simulation(cfg)
+    assert direct.stream is None
+    write_run_reports(direct, tmp_path / "direct")
+    stream = simulate(cfg)
+    cell = settle(cfg, stream, SharedStart())
+    assert cell.stream is stream and stream.population_text is None
+    write_run_reports(cell, tmp_path / "cell")
+    assert "".join(stream.population_text) == (tmp_path / "direct" / "population.csv").read_text(encoding="utf-8")

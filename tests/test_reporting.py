@@ -44,12 +44,12 @@ from incentiveledger.reporting import (
     periods_csv,
     profit_series_csv,
     reconcile,
-    replay_balances,
-    replay_cost_ledgers,
+    replay,
     requester_costs_csv,
     summary_csv,
     summary_text,
     top_requesters_csv,
+    write_report,
     write_run_reports,
 )
 
@@ -87,7 +87,7 @@ def test_real_runs_reconcile(scenario):
         population=PopulationConfig(n_accounts=40), seed=2,
     ))
     reconcile(result)  # must not raise
-    replayed = replay_cost_ledgers(result.chain.receipts)
+    replayed = replay(result.chain)[1]
     for c in result.datasets:
         assert replayed[c.contract_address] == (
             c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei,
@@ -188,7 +188,7 @@ def test_replay_prices_each_accrual_at_the_margin_it_was_booked_at(market):
     c.set_profit_margin(market.provider, 150)
     c.update_data(market.provider)
     assert c.current_cost_wei == 991_833_156_000_000_000
-    assert replay_cost_ledgers(market.chain.receipts)[c.contract_address] == ledgers(c)
+    assert replay(market.chain)[1][c.contract_address] == ledgers(c)
     reconcile(hand_built(market, [c]))
 
 
@@ -205,7 +205,7 @@ def test_a_provider_with_two_datasets_reconciles(market):
     second.current_cost_wei -= 1
     # A payment drains only the pool of the contract it names.
     request_access(market.users[0], second, quote_payment(second, "access"))
-    replayed = replay_cost_ledgers(market.chain.receipts)
+    replayed = replay(market.chain)[1]
     assert [replayed[c.contract_address] for c in (first, second)] == [ledgers(first), ledgers(second)]
 
 
@@ -215,7 +215,7 @@ def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
     request_access(market.users[0], c, quote_payment(c, "access"))
     c.update_data(market.provider)
     c.destroy(market.provider)
-    assert replay_cost_ledgers(market.chain.receipts)[c.contract_address] == (0, 0, 0)
+    assert replay(market.chain)[1][c.contract_address] == (0, 0, 0)
     result = hand_built(market, [c])
     reconcile(result)
     setattr(c, field, 1)
@@ -231,7 +231,7 @@ def test_balance_replay_detects_negative_dips():
         gas_used=1, gas_fee_wei=6, value_wei=0, recipient=None, usd_cost=0.0,
     ))
     with pytest.raises(ReconciliationFailureError, match="drives"):
-        replay_balances(chain)
+        replay(chain)
 
 
 def test_summary_counts_and_frequencies_add_up(run):
@@ -401,6 +401,14 @@ def test_write_run_reports_emits_the_full_set(run, tmp_path):
     for name in names:
         raw = (tmp_path / "run-11" / name).read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw
+
+
+def test_write_report_refuses_a_bare_string(tmp_path):
+    # writelines would write a str one character at a time, so a caller that
+    # joined its blocks gets an error instead of a slow, correct-looking file.
+    with pytest.raises(TypeError, match="list of text blocks"):
+        write_report(tmp_path / "joined.csv", "a,b\n1,2\n")
+    assert not (tmp_path / "joined.csv").exists()
 
 
 def test_writing_reports_holds_about_one_copy_of_the_largest(tmp_path):

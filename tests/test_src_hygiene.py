@@ -3,9 +3,12 @@ the dataset contract books its ledgers, only engine.settle books a run, the
 cost replay reads the receipts alone, only the token store builds token
 events, each ledger rule (liveness, the fee formula, moving value) has
 one home, one renderer and one writer make every report's lines and bytes,
-and each configuration checks itself when it is built."""
+each configuration checks itself when it is built, one replay walks the
+receipt log, and every class rejects an attribute it does not declare."""
 
 import ast
+import importlib
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -81,11 +84,35 @@ def test_settle_is_the_one_booking_driver():
 
 
 def test_the_cost_replay_reads_the_receipts_alone():
-    """reporting.replay_cost_ledgers takes each receipt's contract and margin off the
+    """reporting.replay takes each receipt's contract and margin off the
     receipt: it names no dataset list, owner, contract margin or contract class."""
-    inferred = named(functions_of("reporting.py")["replay_cost_ledgers"]) & {
+    inferred = named(functions_of("reporting.py")["replay"]) & {
         "datasets", "owner", "profit_margin_pct", "DatasetContract"}
     assert not inferred, sorted(inferred)
+
+
+def test_reporting_walks_the_receipt_log_once():
+    """One replay derives both the balances and the cost ledgers: reporting has one loop
+    over a receipt log."""
+    tree = ast.parse(next(p for p in MODULES if p.name == "reporting.py").read_text(encoding="utf-8"))
+    loops = [node.iter.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))
+             and "receipts" in named(node.iter)]
+    assert len(loops) == 1, loops
+
+
+def test_every_class_rejects_an_attribute_it_does_not_declare():
+    """Each class in src/ is an Enum, an exception, a frozen dataclass or a class with slots, so
+    a misspelt attribute fails at the assignment instead of becoming state that nothing reads."""
+    loose = []
+    for path in MODULES:
+        module = importlib.import_module(f"incentiveledger.{path.stem}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            params = getattr(cls, "__dataclass_params__", None)
+            if not (issubclass(cls, (Enum, BaseException)) or (params and params.frozen) or "__slots__" in vars(cls)):
+                loose.append(f"{path.stem}.{cls.__name__}")
+    assert not loose, loose
 
 
 def test_only_the_token_store_builds_token_events():
