@@ -136,6 +136,10 @@ class SimConfig:
         return 200 if self.scenario is Scenario.PROFIT else 100
 
     def __post_init__(self) -> None:
+        # bool is an int subclass; config.txt would write True, which does not parse back.
+        for flag, value in settings(self).items():
+            if type(value) is bool:
+                raise ConfigError(f"{flag} must be a number, got {value!r}")
         # random.Random(-n) seeds exactly like random.Random(n).
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")

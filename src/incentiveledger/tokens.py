@@ -9,10 +9,9 @@ and renewals; the contract's `collect` takes it in and books it.
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
 clears it. The TokenStore keeps the event log and every token a run
-mints, so the next id is one past their count. An update logs one
-fixed-size entry and each token the log positions of its mint and burn,
-from which `TokenStore.events` builds the per-holder trail, a new list on
-every read.
+mints, so the next id is one past their count. The log holds the recorded
+events and one (period, dataset) entry per update; `TokenStore.events`
+replays it into the per-holder trail, a new list on every read.
 
 Access grants run in periods, not wall-clock time: every grant or renewal
 adds ACCESS_PERIODS periods of access. Payments must match the quote
@@ -60,8 +59,6 @@ class AccessToken:
     compliance: bool = True
     burned: bool = False
     remaining_at_burn: int = 0
-    minted_at: int = 0  # log positions of the mint and burn events; not in tokens.csv
-    burned_at: int = 0
 
 
 @dataclass(slots=True)
@@ -83,8 +80,8 @@ class TokenStore:
     """All tokens of a run and their event log; token ids are unique and never reused."""
 
     tokens: dict[int, AccessToken] = field(init=False, default_factory=dict)  # never shrinks: ids run 1, 2, ...
-    # The recorded events, and per update one (period, dataset, position) entry.
-    _log: list[TokenEvent | tuple[int, Address, int]] = field(init=False, default_factory=list)
+    # The recorded events, and per update one (period, dataset) entry.
+    _log: list[TokenEvent | tuple[int, Address]] = field(init=False, default_factory=list)
 
     def mint(
         self,
@@ -102,7 +99,7 @@ class TokenStore:
             access_until=period + ACCESS_PERIODS,
         )
         self.tokens[token.token_id] = token
-        token.minted_at = self.record("minted", period, token.token_id, user)
+        self.record("minted", period, token.token_id, user)
         return token
 
     def live_tokens(self) -> Iterator[AccessToken]:
@@ -111,35 +108,31 @@ class TokenStore:
             if not token.burned:
                 yield token
 
-    def record(self, kind: str, period: int, token_id: int, user: Address) -> int:
+    def record(self, kind: str, period: int, token_id: int, user: Address) -> None:
         self._log.append(TokenEvent(kind, period, token_id, user))
-        return len(self._log) - 1
 
     def invalidate_compliance(self, holders: dict[Address, AccessToken], period: int) -> None:
         for token in holders.values():
             token.compliance = False
         if holders:
-            self._log.append((period, token.dataset_address, len(self._log)))
+            self._log.append((period, token.dataset_address))
 
     @property
     def events(self) -> list[TokenEvent]:
-        """The per-holder trail, a new list on every read. An update notified its dataset's tokens
-        minted before its entry and not burned before it: holders leave only by burn, or by destroy,
-        after which no update runs. A burn nulls a token's user, so its burn event names the holder."""
-        log, by_dataset, events = self._log, {}, []
-        for token in self.tokens.values():
-            by_dataset.setdefault(token.dataset_address, []).append(token)
-        for entry in log:
-            if type(entry) is TokenEvent:
-                events.append(entry)
+        """The per-holder trail, a new list on every read: one forward walk of the log that keeps
+        each dataset's holders by token id, in mint order. A mint adds one, a burn removes it,
+        and an update entry notifies each. Destroy drops none, but no update follows it."""
+        tokens, holders, events = self.tokens, {}, []
+        for entry in self._log:
+            if type(entry) is not TokenEvent:
+                period, dataset = entry
+                events += [TokenEvent("updateNotice", period, i, user) for i, user in holders[dataset].items()]
                 continue
-            period, dataset, at = entry
-            for t in by_dataset[dataset]:
-                if t.minted_at > at:
-                    break
-                if not t.burned or t.burned_at > at:
-                    events.append(TokenEvent("updateNotice", period, t.token_id,
-                                             log[t.burned_at].user if t.burned else t.user))
+            events.append(entry)
+            if entry.kind == "minted":
+                holders.setdefault(tokens[entry.token_id].dataset_address, {})[entry.token_id] = entry.user
+            elif entry.kind == "burnNotice":
+                del holders[tokens[entry.token_id].dataset_address][entry.token_id]
         return events
 
     def table_csv(self) -> list[str]:
@@ -251,4 +244,4 @@ def burn_token(c: "DatasetContract", token: AccessToken, cause: BurnCause) -> No
     token.compliance = cause is BurnCause.REQUESTER
     del c.holders[holder]
     token.user = NULL_ADDRESS
-    token.burned_at = c.token_store.record("burnNotice", period, token.token_id, holder)
+    c.token_store.record("burnNotice", period, token.token_id, holder)

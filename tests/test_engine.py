@@ -228,6 +228,14 @@ def test_config_validation():
         {"access_fraction_pct": 0},
         {"renew_fraction_pct": 101},
         {"access_fraction_pct": 5.0},  # floats are rejected, even whole ones
+        {"access_fraction_pct": True},  # and bools, which config.txt would write as True
+        {"renew_fraction_pct": True},
+        {"action_ticker": True},
+        {"update_multiplier": True},
+        {"seed": True},
+        {"population": PopulationConfig(n_accounts=40, max_providers=True)},
+        {"population": PopulationConfig(n_accounts=40, provider_prob_max=True)},
+        {"price": PriceModel(eth_usd=True)},
         {"profit_margin_pct": 99},
         {"scenario": Scenario.PROFIT, "profit_margin_pct": 100},
         {"scenario": Scenario.COST_RECOVERY, "profit_margin_pct": 150},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import tracemalloc
 from dataclasses import replace
@@ -261,12 +262,14 @@ def test_token_event_trail_matches_golden_digest(name):
 
 def test_an_update_entry_has_a_fixed_size():
     # An entry must not copy the holder list: 1,000 updates of 100 holders
-    # cost 1,735 KiB when each entry held two tuples of the holders.
+    # cost 1,735 KiB when each entry held two tuples of the holders, and
+    # 117 KiB when each also held its log position.
     store = TokenStore()
     holders = {}
     for i in range(100):
         token = store.mint("dataset-01", f"acct-{i:04d}", DEFAULT_LICENSE, 0)
         holders[token.user] = token
+    gc.collect()  # empties the free lists, so tuples freed by earlier tests cannot hide allocations
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -276,7 +279,7 @@ def test_an_update_entry_has_a_fixed_size():
     finally:
         tracemalloc.stop()
     assert not any(t.compliance for t in holders.values())
-    assert grown < 300 * 1024, grown
+    assert grown < 100 * 1024, grown
 
 
 def test_requester_burn_certifies_compliance(published):
@@ -345,7 +348,7 @@ def test_store_tracks_live_tokens_in_id_order(published):
 
 @settings(max_examples=40, deadline=None)
 @given(ops=st.lists(
-    st.tuples(st.sampled_from(["request", "burn", "license-change"]),
+    st.tuples(st.sampled_from(["request", "burn", "license-change", "update", "confirm", "renew"]),
               st.integers(min_value=0, max_value=3),
               st.integers(min_value=0, max_value=1)),
     max_size=40,
@@ -353,6 +356,10 @@ def test_store_tracks_live_tokens_in_id_order(published):
 def test_store_counts_holders_and_orders_live_tokens_under_any_history(ops):
     # Requests mint (and re-mint after a burn); burns come from the holder
     # or from a license change that evicts every holder of one dataset.
+    # Each op appends the events it expects to a shadow trail; an update
+    # notifies each holder the contract has just before it, in mint order.
+    # The history ends with every user holding a token and one update per
+    # contract, so the trail shows whom each dataset notifies by then.
     chain = ChainState()
     authority = chain.create_named_account("authority", 10**21)
     provider, *users = chain.create_accounts(5, 10**21)
@@ -368,21 +375,36 @@ def test_store_counts_holders_and_orders_live_tokens_under_any_history(ops):
         )
         for i in range(2)
     ]
-    for period, (op, user_index, contract_index) in enumerate(ops):
+    trail = []
+    last = [("request", u, c) for c in range(2) for u in range(4)] + [("update", 0, c) for c in range(2)]
+    for period, (op, user_index, contract_index) in enumerate(ops + last):
         chain.period = period
         user, contract = users[user_index], contracts[contract_index]
         held = contract.holders.get(user)
         if op == "request" and held is None:
-            request_access(user, contract, 0)
+            token = request_access(user, contract, 0)
+            trail.append(TokenEvent("minted", period, token.token_id, user))
         elif op == "burn" and held is not None:
             burn_token(contract, held, BurnCause.REQUESTER)
+            trail.append(TokenEvent("burnNotice", period, held.token_id, user))
         elif op == "license-change":
+            trail += [TokenEvent("burnNotice", period, t.token_id, h) for h, t in contract.holders.items()]
             contract.set_license(provider, DEFAULT_LICENSE + 1)
             contract.set_license(provider, DEFAULT_LICENSE)
+        elif op == "update":
+            trail += [TokenEvent("updateNotice", period, t.token_id, h) for h, t in contract.holders.items()]
+            contract.update_data(provider)
+        elif op == "confirm" and held is not None:
+            confirm_compliance(user, contract)
+            trail.append(TokenEvent("complianceConfirmed", period, held.token_id, user))
+        elif op == "renew" and held is not None and held.compliance:
+            renew_access_time(user, contract, 0)
+            trail.append(TokenEvent("renewed", period, held.token_id, user))
         live = list(store.live_tokens())
         assert [t.token_id for t in live] == sorted(i for i, t in store.tokens.items() if not t.burned)
         for c in contracts:
             assert list(c.holders.items()) == [(t.user, t) for t in live if t.dataset_address == c.contract_address]
+    assert store.events == trail
 
 
 @settings(max_examples=40, deadline=None)
