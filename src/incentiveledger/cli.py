@@ -8,6 +8,10 @@ explicit flags. The config.txt echoed into every run directory parses
 back as a config file and reproduces the run, given the same --gas-table:
 settings carry no gas table.
 
+A sweep's seeds run in worker processes, one per usable CPU and no more
+than there are seeds. Each worker holds one seed at a time, and the report
+bytes and failure lines are those of a serial sweep.
+
 `main` runs each command with the cyclic garbage collector off, then restores
 its state: a run's state forms no cycles, so reference counting frees it
 (tests/test_cli.py checks this). Library calls keep the caller's settings.
@@ -21,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -206,6 +211,46 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: SharedStart) -> list:
+    """Simulate row's seed once, then settle and write each of its cells. Returns,
+    in cell order, each run's RunSummary or the error of a failed run, which names
+    it: seed, grid cell, period and action."""
+    stream = simulate(row[0])
+    outcomes = []
+    for cfg, name in zip(row, names):
+        try:
+            result = settle(cfg, stream, shared)
+        except EngineError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
+    return outcomes
+
+
+_inherited: list = []  # in a sweep worker, its sweep's names, out and bootstrap
+
+
+def _worker_seed(row: list[SimConfig]) -> list:
+    return _sweep_seed(row, *_inherited)
+
+
+def _seed_outcomes(grid: list[list], names: list[str], out: Path, shared: SharedStart) -> Iterator[list]:
+    """Each seed's outcomes, in seed order. The seeds run in worker processes,
+    one per usable CPU and at most one per seed; one worker is this process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(grid))
+    if workers == 1:
+        yield from (_sweep_seed(row, names, out, shared) for row in grid)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # not at the top: ~30 ms on every start
+    from multiprocessing import get_context
+    # Forked before the pool starts a thread, workers inherit names, out and the
+    # bootstrap: a task pickles only a row. An error cancels seeds not yet started.
+    with ProcessPoolExecutor(workers, get_context("fork"), initializer=_inherited.extend,
+                             initargs=((names, out, shared),)) as pool:
+        yield from pool.map(_worker_seed, grid)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
@@ -238,23 +283,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports = [f"{run}/{report}" for run in runs for report in REPORT_NAMES]
     out = _resolve_out(args, [*names, *runs], ["sweep.csv", "break_even.csv", *reports])
 
-    failures = 0
     shared = SharedStart()
+    shared.fork(cells[0])  # builds the bootstrap every run of the grid starts from
     by_cell = [[] for _ in cells]  # each cell's run summaries, in seed order
     # Seed-major, so that each seed is simulated once and every cell settles
-    # from its stream. Each run's reports are written as soon as it finishes,
-    # and its result is dropped.
-    for row in grid:
-        stream = simulate(row[0])
-        for cfg, name, summaries in zip(row, names, by_cell):
-            try:
-                result = settle(cfg, stream, shared)
-            except EngineError as exc:
-                # The error names the run: seed, grid cell, period and action.
-                failures += 1
-                log.error("run failed: %s", exc)
-                continue
-            summaries.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
+    # from its stream; failures are logged in that order too.
+    for outcomes in _seed_outcomes(grid, names, out, shared):
+        for summaries, outcome in zip(by_cell, outcomes):
+            if isinstance(outcome, str):
+                log.error("run failed: %s", outcome)
+            else:
+                summaries.append(outcome)
 
     if any(by_cell):
         write_report(out / "sweep.csv", sweep_csv(summary for summaries in by_cell for summary in summaries))
@@ -263,7 +302,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.quiet:
         sys.stdout.writelines(even)
         sys.stdout.write(f"reports in {out}\n")
-    return 1 if failures else 0
+    return 0 if sum(map(len, by_cell)) == len(runs) else 1  # 1 if any run failed
 
 
 def build_parser() -> argparse.ArgumentParser:

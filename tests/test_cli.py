@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import gc
 import hashlib
@@ -9,8 +10,11 @@ import io
 import json
 import logging
 import math
+import multiprocessing
+import os
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,7 @@ from incentiveledger.agents import PopulationConfig
 from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
 from incentiveledger.engine import SimConfig, run_simulation
-from incentiveledger.errors import ConfigError, EngineError
+from incentiveledger.errors import ConfigError, EngineError, ReconciliationFailureError
 from incentiveledger.reporting import write_run_reports
 from incentiveledger.tokens import ACCESS_PERIODS
 
@@ -31,6 +35,25 @@ SMALL = ["--accounts", "30", "--actions", "25"]
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def pin_cpus(monkeypatch, count: int) -> None:
+    """Let a sweep see count usable CPUs, and so run count workers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """The worker count of each process pool a sweep starts."""
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return started
 
 
 def test_run_writes_reports_and_prints_summary(tmp_path, capsys):
@@ -402,6 +425,7 @@ def test_population_csv_is_formatted_once_per_simulated_seed(tmp_path, monkeypat
     calls = []
     real = reporting.population_csv
     monkeypatch.setattr(reporting, "population_csv", lambda profiles: calls.append(1) or real(profiles))
+    pin_cpus(monkeypatch, 1)  # the calls are counted in this process, so the sweep runs in it
     sweep = tmp_path / "sweep"
     assert run_cli("sweep", *SMALL, "--seeds", "2", "--scenarios", "1,2,3",
                    "--out", str(sweep), "--quiet") == 0
@@ -424,15 +448,19 @@ def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
     assert (tmp_path / "scenario-3_fraction-5_margin-200" / "run-0").is_dir()
 
 
-def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
+def _fail_seed_1(monkeypatch):
     real = cli.settle
 
-    def fail_seed_1(cfg, stream, shared=None):
+    def settle(cfg, stream, shared=None):
         if cfg.seed == 1:
-            raise EngineError("period 2, action 5: injected")
+            raise EngineError(f"seed 1, scenario {cfg.scenario.value}, period 2, action 5: injected")
         return real(cfg, stream, shared)
 
-    monkeypatch.setattr(cli, "settle", fail_seed_1)
+    monkeypatch.setattr(cli, "settle", settle)
+
+
+def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
+    _fail_seed_1(monkeypatch)
     code = run_cli("sweep", *SMALL, "--seeds", "3", "--out", str(tmp_path), "--quiet")
     assert code == 1
     cell = tmp_path / "scenario-2_fraction-5_margin-100"
@@ -486,6 +514,84 @@ def test_a_stalled_stream_fails_every_cell_of_its_seed(tmp_path, monkeypatch, ca
             message,
         ), message
     assert sorted(p.name for p in tmp_path.iterdir()) == ["break_even.csv"]
+
+
+def test_sweep_tree_is_the_same_at_one_and_two_workers(tmp_path, monkeypatch, pools):
+    # The sweep of test_sweep_tree_matches_golden_digest, in this process and in two workers.
+    digests = []
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10", "--seeds", "3",
+                       "--out", str(tmp_path / str(cpus)), "--quiet") == 0
+        digests.append(tree_digest(tmp_path / str(cpus)))
+    assert pools == [2]
+    assert digests == ["d006d347ebbeba59089f28ac9a09f99f68fea94f355829d637e9de5aeeef2cef"] * 2
+
+
+# The failing sweeps of the three tests above, run at three seeds so that two
+# workers have seeds to share.
+FAILING_SWEEPS = {
+    "isolated seed": (_fail_seed_1, [*SMALL, "--scenarios", "2,3"]),
+    "grid cell": (lambda monkeypatch: None,
+                  [*SMALL, "--scenario", "3", "--margins", "150", "--access-fraction", "10",
+                   "--renew-fraction", "7", "--gas-price-gwei", "20000"]),
+    "stalled stream": (lambda monkeypatch: monkeypatch.setattr(engine, "MAX_PERIODS", 2),
+                       [*SMALL, "--scenarios", "2,3"]),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_SWEEPS)
+def test_failed_runs_are_logged_alike_at_one_and_two_workers(tmp_path, monkeypatch, caplog, pools, case):
+    # Failures are logged by the parent, seed-major, whichever worker ran the seed.
+    patch, argv = FAILING_SWEEPS[case]
+    patch(monkeypatch)
+    seen = []
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
+            code = run_cli("sweep", *argv, "--seeds", "3", "--out", str(tmp_path / str(cpus)), "--quiet")
+        seen.append((code, [entry.getMessage() for entry in caplog.records], tree_digest(tmp_path / str(cpus))))
+    assert pools == [2]
+    assert seen[0] == seen[1]
+    code, lines, _ = seen[0]
+    assert code == 1
+    seeds = [int(re.search(r"seed (\d+)", line).group(1)) for line in lines]
+    assert seeds == sorted(seeds) and len(lines) >= 2, lines
+
+
+def _raise_in_write(monkeypatch):
+    # Seed 0's reports fail to reconcile; every other seed's writing takes
+    # 50 ms, so the parent sees the error before the workers reach the last seeds.
+    real = cli.write_run_reports
+
+    def write_run_reports(result, out_dir):
+        if result.config.seed == 0:
+            raise ReconciliationFailureError("injected")
+        time.sleep(0.05)
+        return real(result, out_dir)
+
+    monkeypatch.setattr(cli, "write_run_reports", write_run_reports)
+
+
+@pytest.mark.parametrize("code, patch", [
+    (0, lambda monkeypatch: None),
+    (1, _fail_seed_1),
+    (1, _raise_in_write),
+], ids=["success", "engine error", "reconciliation error"])
+def test_no_worker_outlives_a_sweep(tmp_path, monkeypatch, capsys, pools, code, patch):
+    patch(monkeypatch)
+    pin_cpus(monkeypatch, 2)
+    assert run_cli("sweep", *SMALL, "--seeds", "20", "--out", str(tmp_path), "--quiet") == code
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    written = list(tmp_path.glob("*/run-*"))
+    if patch is _raise_in_write:
+        # One error line, and the seeds not yet started were cancelled.
+        assert capsys.readouterr().err == "error: injected\n"
+        assert len(written) < 10, sorted(p.name for p in written)
+    else:
+        assert len(written) == 20 - code
 
 
 def test_a_cell_whose_every_run_failed_has_no_median(tmp_path, monkeypatch):
@@ -820,6 +926,7 @@ def test_a_command_leaves_no_cyclic_garbage(tmp_path, monkeypatch, argv):
     # pytest's log capture would keep a failed run's traceback, and with it
     # the run, reachable; a command's own log handler keeps no record.
     monkeypatch.setattr(logging.getLogger("incentiveledger.cli"), "propagate", False)
+    pin_cpus(monkeypatch, 1)  # the collector sees this process only, so a sweep runs in it
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)

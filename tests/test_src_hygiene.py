@@ -4,10 +4,14 @@ cost replay reads the receipts alone, only the token store builds token
 events, each ledger rule (liveness, the fee formula, moving value) has
 one home, one renderer and one writer make every report's lines and bytes,
 each configuration checks itself when it is built, one replay walks the
-receipt log, and every class rejects an attribute it does not declare."""
+receipt log, every class rejects an attribute it does not declare, and
+importing the command line loads no process pool."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from enum import Enum
 from pathlib import Path
 
@@ -193,3 +197,14 @@ def test_no_configuration_has_a_validate_method():
                for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(cls, ast.ClassDef)
                if any(isinstance(node, ast.FunctionDef) and node.name == "validate" for node in cls.body)]
     assert not defined, defined
+
+
+def test_the_command_line_imports_no_process_pool_until_a_sweep_forks():
+    """The pool modules take about 30 ms to import, against a set-up of about 100 ms,
+    so importing the CLI and building its parser must leave them out."""
+    code = ("import sys, incentiveledger.cli as cli; cli.build_parser(); "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    src = str(MODULES[0].parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
