@@ -34,11 +34,12 @@ from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
 from .engine import SharedStart, SimConfig, run_simulation, settings, settle, simulate, with_seed
 from .errors import ConfigError, EngineError, LedgerError
-from .reporting import REPORT_NAMES, break_even_csv, summary_text, sweep_csv, write_report, write_run_reports
+from .reporting import (REPORT_NAMES, SHARED_NAMES, break_even_csv, summary_text, sweep_csv, write_population,
+                        write_report, write_run_reports)
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("incentiveledger.cli")  # not __name__, which is __main__ under python -m
 
 # Flags, config-file keys, value types and defaults all come from the
 # settings of the default config. An unset profit margin resolves per
@@ -178,23 +179,22 @@ def _resolve_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_out(args: argparse.Namespace, run_dirs: list[str], files: list[str]) -> Path:
-    """Create the report directory before any run. An unusable one exits 2, as does anything but
-    a directory at a run_dirs path, or anything but a regular file at a files path."""
+def _resolve_out(args: argparse.Namespace, layout: dict[str, tuple[str, ...]]) -> Path:
+    """Create the report directory before any run. layout maps each directory a command writes ("" for
+    the report directory, parents first) to its reports. An unusable report directory exits 2, as does
+    anything but a directory at a layout path, or anything but a regular file at a report's."""
     env = os.environ.get(OUT_ENV)
     out = args.out if args.out is not None else Path(env) if env else Path("out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as the report directory: {exc}") from exc
-    for path in (out / name for name in run_dirs):  # parents before children
-        if path.exists() and not path.is_dir():
-            raise ConfigError(f"cannot write reports to {path}: it is not a directory")
-    # Each files path lies in out or a run_dirs path, so only those that exist can hold one.
-    present = {"", *(name for name in run_dirs if (out / name).is_dir())}
-    for path in (out / name for name in files if os.path.dirname(name) in present):
-        if path.exists() and not path.is_file():
-            raise ConfigError(f"cannot write a report to {path}: it is not a regular file")
+    for folder, reports in zip(map(out.joinpath, layout), layout.values()):
+        if folder.exists() and not folder.is_dir():
+            raise ConfigError(f"cannot write reports to {folder}: it is not a directory")
+        for path in (folder / report for report in reports) if folder.is_dir() else ():
+            if path.exists() and not path.is_file():
+                raise ConfigError(f"cannot write a report to {path}: it is not a regular file")
     return out
 
 
@@ -202,9 +202,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     schedule = load_gas_table(args.gas_table) if args.gas_table else default_gas_schedule()
     cfg = build_sim_config(_resolve_values(args), schedule)
     name = f"run-{cfg.seed}"
-    run_dir = _resolve_out(args, [name], [f"{name}/{report}" for report in REPORT_NAMES]) / name
+    run_dir = _resolve_out(args, {name: (*REPORT_NAMES, *SHARED_NAMES)}) / name
     result = run_simulation(cfg)
     summary = write_run_reports(result, run_dir)
+    write_population(result.population, run_dir)
+    write_report(run_dir / "registry.csv", result.registry.snapshot_csv())
     if not args.quiet:
         sys.stdout.writelines(summary_text(result, summary))
         sys.stdout.write(f"reports in {run_dir}\n")
@@ -212,9 +214,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: SharedStart) -> list:
-    """Simulate row's seed once, then settle and write each of its cells. Returns,
-    in cell order, each run's RunSummary or the error of a failed run, which names
-    it: seed, grid cell, period and action."""
+    """Simulate row's seed once, settle and write each of its cells, then, if any was written, the
+    population.csv they share. Returns, in cell order, each run's RunSummary or the error of a
+    failed run, which names it: seed, grid cell, period and action."""
     stream = simulate(row[0])
     outcomes = []
     for cfg, name in zip(row, names):
@@ -224,6 +226,8 @@ def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: Share
             outcomes.append(str(exc))
             continue
         outcomes.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
+    if not all(isinstance(outcome, str) for outcome in outcomes):
+        write_population(stream.population, out / f"seed-{row[0].seed}")
     return outcomes
 
 
@@ -280,11 +284,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = range(values["seed"], values["seed"] + args.seeds)
     grid = [[with_seed(base, seed) for base in cells] for seed in seeds]
     runs = [f"{name}/run-{cfg.seed}" for row in grid for name, cfg in zip(names, row)]
-    reports = [f"{run}/{report}" for run in runs for report in REPORT_NAMES]
-    out = _resolve_out(args, [*names, *runs], ["sweep.csv", "break_even.csv", *reports])
+    out = _resolve_out(args, {"": ("registry.csv", "sweep.csv", "break_even.csv"), **dict.fromkeys(names, ()),
+                              **dict.fromkeys(runs, REPORT_NAMES), **{f"seed-{s}": ("population.csv",) for s in seeds}})
 
     shared = SharedStart()
-    shared.fork(cells[0])  # builds the bootstrap every run of the grid starts from
+    _, registry = shared.fork(cells[0])  # builds the bootstrap every run of the grid starts from
     by_cell = [[] for _ in cells]  # each cell's run summaries, in seed order
     # Seed-major, so that each seed is simulated once and every cell settles
     # from its stream; failures are logged in that order too.
@@ -296,6 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 summaries.append(outcome)
 
     if any(by_cell):
+        write_report(out / "registry.csv", registry.snapshot_csv())
         write_report(out / "sweep.csv", sweep_csv(summary for summaries in by_cell for summary in summaries))
     even = break_even_csv(zip(cells, by_cell))
     write_report(out / "break_even.csv", even)

@@ -28,8 +28,8 @@ once in a SharedStart, and each run forks it. Nor does the stream depend
 on economics, so a sweep simulates each seed once and settles every cell
 of the seed from that stream, on a fork of the bootstrap and with a token
 store of its own. A cell that cannot pay fails with a direct run's error,
-at the same period and action, and every run writes the same bytes as a
-direct run, which builds its bootstrap fresh.
+at the same period and action, and every run's reports hold the same bytes
+as a direct run's, which builds its bootstrap fresh.
 """
 
 from __future__ import annotations
@@ -213,7 +213,6 @@ class Stream:
     population: list[AgentProfile]
     actions: list[tuple[ActionKind, Address, int]]
     counts: list[int]
-    population_text: list[str] | None = None  # population.csv blocks, built by the first cell to write its reports
 
 
 @dataclass(slots=True)
@@ -229,7 +228,6 @@ class SimResult:
     token_store: TokenStore
     population: list[AgentProfile]
     datasets: list[DatasetContract]
-    stream: Stream | None = None  # a sweep cell's, for its seed's population.csv text; a direct run frees it
 
     def close_period(self, period: int, actions: int) -> None:
         """Book the period's totals, and a snapshot of each dataset: its holders are its active tokens."""
@@ -368,13 +366,13 @@ def simulate(cfg: SimConfig) -> Stream:
 
 
 def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) -> SimResult:
-    """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared, whose
-    runs keep stream, or from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
+    """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared or
+    from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
     if _STREAM(cfg) != _STREAM(stream.config):
         raise ValueError("a stream settles only runs of its own seed, population, ticker and multiplier")
     chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
     store = TokenStore()
-    run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [], stream if shared else None)
+    run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [])
     records, datasets = run.records, run.datasets
     actions = iter(stream.actions)
     try:

@@ -34,15 +34,11 @@ class Registry:
     authority: Address
     users: dict[Address, int] = field(init=False, default_factory=dict)
     providers: set[Address] = field(init=False, default_factory=set)
-    # Members and registry.csv blocks as of the first fork.
-    _formatted: tuple[dict[Address, int], set[Address], list[str]] | None = field(init=False, default=None)
 
     def fork(self, chain: ChainState) -> Registry:
         """A copy on a fork of this registry's chain, to run on independently."""
-        if self._formatted is None:
-            self._formatted = (dict(self.users), set(self.providers), self.snapshot_csv())
         other = Registry(chain, self.authority)
-        other.users, other.providers, other._formatted = dict(self.users), set(self.providers), self._formatted
+        other.users, other.providers = dict(self.users), set(self.providers)
         return other
 
     @classmethod
@@ -87,8 +83,6 @@ class Registry:
         return addr in self.providers
 
     def snapshot_csv(self) -> list[str]:
-        if self._formatted and self._formatted[:2] == (self.users, self.providers):
-            return self._formatted[2]
         rows: dict[Address, tuple[str, int | str]] = {addr: ("provider", "") for addr in self.providers}
         for addr, license_code in self.users.items():
             rows[addr] = ("provider+user" if addr in rows else "user", license_code)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .agents import population_csv
+from .agents import AgentProfile, population_csv
 from .chain import (
     DEPLOYMENT,
     DESTROY,
@@ -403,7 +403,7 @@ def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> list[
     for cfg, summaries in cells:
         evens = [math.inf if s.break_even_period is None else s.break_even_period for s in summaries]
         median = statistics.median(evens) if evens else math.inf
-        median_text = "" if median == math.inf else f"{median:g}"
+        median_text = "" if median == math.inf else str(median).removesuffix(".0")  # exact: n or n.5
         attained = sum(1 for e in evens if e != math.inf)
         rows.append(f"{cfg.scenario.value},{cfg.access_fraction_pct},{cfg.resolved_margin_pct},"
                     f"{len(evens)},{attained},{median_text}")
@@ -416,12 +416,13 @@ def config_text(result: SimResult) -> list[str]:
     return ["".join(f"{flag}={value}\n" for flag, value in settings(result.config).items())]
 
 
-# The files of a run directory, in the order write_run_reports writes them.
+# The files of every run directory, in the order write_run_reports writes them.
 REPORT_NAMES = (
-    "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "actions.csv", "periods.csv",
-    "contracts.csv", "profit.csv", "cost_overlay.csv", "transactions.csv", "tokens.csv", "population.csv",
-    "registry.csv", "summary.txt", "summary.csv", "config.txt",
+    "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "actions.csv", "periods.csv", "contracts.csv",
+    "profit.csv", "cost_overlay.csv", "transactions.csv", "tokens.csv", "summary.txt", "summary.csv", "config.txt",
 )
+# Shared by runs: a direct run writes both, a sweep population.csv once per seed and registry.csv once.
+SHARED_NAMES = ("population.csv", "registry.csv")
 
 
 def write_report(path: Path, blocks: list[str]) -> None:
@@ -433,7 +434,7 @@ def write_report(path: Path, blocks: list[str]) -> None:
 
 
 def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
-    """Reconcile the run, then write each report under out_dir as soon as it is built."""
+    """Reconcile the run, then write each of REPORT_NAMES under out_dir as soon as it is built."""
     totals = RunTotals(result)
     summary = summarize(result, totals=totals)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,11 +454,13 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     write(cost_overlay_csv(result))
     write(result.chain.log_csv())
     write(result.token_store.table_csv())
-    if (stream := result.stream) and not stream.population_text:  # a sweep cell: its seed's cells share it
-        stream.population_text = population_csv(result.population)
-    write(stream.population_text if stream else population_csv(result.population))
-    write(result.registry.snapshot_csv())
     write(summary_text(result, summary))
     write(summary_csv(summary))
     write(config_text(result))
     return summary
+
+
+def write_population(population: list[AgentProfile], out_dir: Path) -> None:
+    """population.csv: a direct run's, or the one copy a sweep writes for each seed."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_report(out_dir / "population.csv", population_csv(population))

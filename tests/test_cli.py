@@ -13,6 +13,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -27,7 +29,7 @@ from incentiveledger.cli import build_sim_config, main, parse_config_file
 from incentiveledger.chain import default_gas_schedule
 from incentiveledger.engine import SimConfig, run_simulation
 from incentiveledger.errors import ConfigError, EngineError, ReconciliationFailureError
-from incentiveledger.reporting import write_run_reports
+from incentiveledger.reporting import REPORT_NAMES, SHARED_NAMES, write_run_reports
 from incentiveledger.tokens import ACCESS_PERIODS
 
 SMALL = ["--accounts", "30", "--actions", "25"]
@@ -153,8 +155,9 @@ CELL = "scenario-2_fraction-5_margin-100"
 
 
 # A file is the report directory, lies above it, or takes a directory that a
-# run would write: the run's own, a sweep cell's, or a cell's second seed's.
-# Or a directory takes a report file's path: a run's, or a sweep table's.
+# run would write: the run's own, a sweep cell's, a cell's second seed's, or
+# the directory of that seed's shared population.csv. Or a directory takes a
+# report file's path: a run's, a sweep run's, a sweep table's, or a shared one.
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize(("command", "where"), [
     *(pytest.param(command, where, id=f"{command[0]}-{where}")
@@ -162,10 +165,14 @@ CELL = "scenario-2_fraction-5_margin-100"
     pytest.param(RUN, "run-0", id="run-run-dir"),
     pytest.param(SWEEP, CELL, id="sweep-cell-dir"),
     pytest.param(SWEEP, f"{CELL}/run-1", id="sweep-cell-run-dir"),
+    pytest.param(SWEEP, "seed-1", id="sweep-seed-dir"),
     pytest.param(RUN, "run-0/summary.csv", id="run-report"),
+    pytest.param(RUN, "run-0/registry.csv", id="run-shared-report"),
     pytest.param(SWEEP, f"{CELL}/run-1/requester_costs.csv", id="sweep-run-report"),
     pytest.param(SWEEP, "sweep.csv", id="sweep-table"),
     pytest.param(SWEEP, "break_even.csv", id="sweep-break-even"),
+    pytest.param(SWEEP, "registry.csv", id="sweep-registry"),
+    pytest.param(SWEEP, "seed-1/population.csv", id="sweep-seed-population"),
 ])
 def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
                                                                       command, where, via):
@@ -332,9 +339,14 @@ def test_sweep_lays_out_grid_cells(tmp_path, capsys):
         "--access-fractions", "5", "--out", str(tmp_path), "--quiet",
     )
     assert code == 0
-    for cell in ("scenario-2_fraction-5_margin-100", "scenario-3_fraction-5_margin-200"):
-        assert (tmp_path / cell / "run-0" / "summary.csv").exists()
-        assert (tmp_path / cell / "run-1" / "summary.csv").exists()
+    cells = ["scenario-2_fraction-5_margin-100", "scenario-3_fraction-5_margin-200"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "break_even.csv", "registry.csv", *cells, "seed-0", "seed-1", "sweep.csv"]
+    for cell in cells:
+        for run in ("run-0", "run-1"):
+            assert sorted(p.name for p in (tmp_path / cell / run).iterdir()) == sorted(REPORT_NAMES)
+    for seed in ("seed-0", "seed-1"):
+        assert [p.name for p in (tmp_path / seed).iterdir()] == ["population.csv"]
     sweep_rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(sweep_rows) == 1 + 4
     even = (tmp_path / "break_even.csv").read_text().splitlines()
@@ -398,10 +410,28 @@ def test_sweep_prints_break_even_then_where_its_reports_are(tmp_path, capsys):
     assert len(lines) == 4  # header, one row per cell, then the location
 
 
+def sweep_run_reports(run_dir: Path) -> dict[str, bytes]:
+    """A sweep run's reports as a direct run of it writes them: the run directory's own,
+    its seed's population.csv and the sweep's registry.csv."""
+    sweep = run_dir.parent.parent
+    reports = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert sorted(reports) == sorted(REPORT_NAMES)
+    reports["population.csv"] = (sweep / f"seed-{run_dir.name.removeprefix('run-')}" / "population.csv").read_bytes()
+    reports["registry.csv"] = (sweep / "registry.csv").read_bytes()
+    return reports
+
+
+def direct_run_reports(run_dir: Path) -> dict[str, bytes]:
+    reports = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert sorted(reports) == sorted((*REPORT_NAMES, *SHARED_NAMES))
+    return reports
+
+
 @pytest.mark.parametrize("providers", [[], ["--max-providers", "2"]])
 def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
     # Sweep runs share their bootstrap, and each seed's settled cells share
-    # its trace; every run directory must still equal a direct run of its settings.
+    # its trace; every run directory, with the shared reports, must still
+    # equal a direct run of its settings.
     sweep = tmp_path / "sweep"
     assert run_cli("sweep", *SMALL, *providers, "--scenarios", "1,2,3", "--access-fractions", "1,10",
                    "--seeds", "3", "--out", str(sweep), "--quiet") == 0
@@ -413,15 +443,14 @@ def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
         direct = tmp_path / "direct" / run_dir.parent.name
         assert run_cli("run", *SMALL, *providers, "--scenario", scenario, "--access-fraction", fraction,
                        "--seed", seed, "--out", str(direct), "--quiet") == 0
-        names = sorted(p.name for p in run_dir.iterdir())
-        assert names == sorted(p.name for p in (direct / run_dir.name).iterdir())
-        for name in names:
-            assert (run_dir / name).read_bytes() == (direct / run_dir.name / name).read_bytes(), (run_dir, name)
+        reports, expected = sweep_run_reports(run_dir), direct_run_reports(direct / run_dir.name)
+        for name in expected:
+            assert reports[name] == expected[name], (run_dir, name)
 
 
 def test_population_csv_is_formatted_once_per_simulated_seed(tmp_path, monkeypatch):
-    # A seed's settled cells share its trace's population, and with it the
-    # text the trace's reports formatted; a direct run formats its own.
+    # A seed's settled cells share its trace's population, and the sweep
+    # writes its population.csv once; a direct run formats its own.
     calls = []
     real = reporting.population_csv
     monkeypatch.setattr(reporting, "population_csv", lambda profiles: calls.append(1) or real(profiles))
@@ -435,9 +464,9 @@ def test_population_csv_is_formatted_once_per_simulated_seed(tmp_path, monkeypat
         assert run_cli("run", *SMALL, "--seed", seed, "--out", str(tmp_path / "direct"), "--quiet") == 0
         assert len(calls) == 1
         direct = (tmp_path / "direct" / f"run-{seed}" / "population.csv").read_bytes()
-        cells = sorted(sweep.glob(f"*/run-{seed}/population.csv"))
-        assert len(cells) == 3
-        assert all(path.read_bytes() == direct for path in cells)
+        copies = [p for p in sweep.rglob("population.csv") if p.parent.name.endswith(f"-{seed}")]
+        assert copies == [sweep / f"seed-{seed}" / "population.csv"]
+        assert copies[0].read_bytes() == direct
 
 
 def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
@@ -470,6 +499,34 @@ def test_sweep_isolates_a_failed_seed(tmp_path, monkeypatch):
     assert seeds == ["0", "2"]
     even = (tmp_path / "break_even.csv").read_text().splitlines()
     assert even[1].startswith("2,5,100,2,")
+
+
+def test_shared_reports_are_written_for_written_runs_only(tmp_path, monkeypatch):
+    # Every cell of seed 1 fails, so it gets no seed-1; a sweep whose every
+    # run fails writes no registry.csv either.
+    _fail_seed_1(monkeypatch)
+    out = tmp_path / "seed-1-failed"
+    assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--seeds", "3", "--out", str(out), "--quiet") == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "break_even.csv", "registry.csv", "scenario-2_fraction-5_margin-100", "scenario-3_fraction-5_margin-200",
+        "seed-0", "seed-2", "sweep.csv"]
+    out = tmp_path / "all-failed"
+    assert run_cli("sweep", *SMALL, "--seeds", "3", "--gas-price-gwei", "20000", "--out", str(out), "--quiet") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["break_even.csv"]
+
+
+def test_a_failed_run_logs_the_same_line_however_the_program_starts(tmp_path, caplog):
+    # At twenty thousand gwei the provider cannot pay for its deployment.
+    argv = ["sweep", *SMALL, "--seeds", "2", "--gas-price-gwei", "20000", "--quiet"]
+    src = Path(cli.__file__).parent.parent
+    started = subprocess.run([sys.executable, "-m", "incentiveledger.cli", *argv, "--out", str(tmp_path / "m")],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert started.returncode == 1
+    with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
+        assert run_cli(*argv, "--out", str(tmp_path / "main")) == 1
+    lines = [f"{entry.levelname} {entry.name}: {entry.getMessage()}\n" for entry in caplog.records]
+    assert len(lines) == 2 and lines[0].startswith("ERROR incentiveledger.cli: run failed: seed 0, ")
+    assert started.stderr.splitlines(keepends=True) == lines
 
 
 def test_run_failure_names_its_seed_and_scenario(tmp_path, capsys):
@@ -525,7 +582,7 @@ def test_sweep_tree_is_the_same_at_one_and_two_workers(tmp_path, monkeypatch, po
                        "--out", str(tmp_path / str(cpus)), "--quiet") == 0
         digests.append(tree_digest(tmp_path / str(cpus)))
     assert pools == [2]
-    assert digests == ["d006d347ebbeba59089f28ac9a09f99f68fea94f355829d637e9de5aeeef2cef"] * 2
+    assert digests == ["677623f75db536d71c358f80dfa75817865ba2780878c4c1316b56097ddbac8a"] * 2
 
 
 # The failing sweeps of the three tests above, run at three seeds so that two
@@ -626,7 +683,7 @@ def test_a_settled_cell_fails_as_a_direct_run_does(tmp_path, caplog, margins):
         direct = tmp_path / "direct"
         assert run_cli("run", *PAYMENT_FAILURE, "--access-fraction", "100", "--profit-margin", "150",
                        "--seed", str(seed), "--out", str(direct), "--quiet") == 0
-        assert tree_digest(cell / f"run-{seed}") == tree_digest(direct / f"run-{seed}")
+        assert sweep_run_reports(cell / f"run-{seed}") == direct_run_reports(direct / f"run-{seed}")
     assert not (tmp_path / "sweep" / "scenario-3_fraction-100_margin-10000").exists()
 
 
@@ -640,7 +697,8 @@ def test_sweep_seed_is_the_base_seed(tmp_path):
             direct = tmp_path / "direct" / cell
             assert run_cli("run", *SMALL, "--scenario", scenario, "--seed", seed,
                            "--out", str(direct), "--quiet") == 0
-            assert tree_digest(tmp_path / "sweep" / cell / f"run-{seed}") == tree_digest(direct / f"run-{seed}")
+            assert sweep_run_reports(tmp_path / "sweep" / cell / f"run-{seed}") == direct_run_reports(
+                direct / f"run-{seed}")
 
 
 def test_a_seed_offset_reaches_settled_cells(tmp_path, monkeypatch):
@@ -724,11 +782,12 @@ def tree_digest(root) -> str:
 
 
 def test_sweep_tree_matches_golden_digest(tmp_path):
-    # Computed while the sweep still collected each cell's results before
-    # writing them; the streaming loop must write the same 182 files.
+    # The 182 files of the sweep that collected each cell's results before
+    # writing them, with the copies of registry.csv and of each seed's
+    # population.csv collapsed into one: 162 files.
     assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10",
                    "--seeds", "3", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "d006d347ebbeba59089f28ac9a09f99f68fea94f355829d637e9de5aeeef2cef"
+    assert tree_digest(tmp_path) == "677623f75db536d71c358f80dfa75817865ba2780878c4c1316b56097ddbac8a"
 
 
 # The byte oracle: each tree below is pinned by the digest of its whole --out
@@ -737,15 +796,15 @@ def test_sweep_tree_matches_golden_digest(tmp_path):
 def test_paper_grid_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30",
                    "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 3602
-    assert tree_digest(tmp_path) == "d2a9c16f01c8c255c8a5c148483e3ce7417c797657b21b806a06c0d135ba816d"
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 3153
+    assert tree_digest(tmp_path) == "41d86af8afc950d9627f9bd24616bfb3bd09e11417a9bc820add1d79b8cc3205"
 
 
 def test_three_scenario_sweep_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
                    "--max-providers", "2", "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 362
-    assert tree_digest(tmp_path) == "db9a17c84910a891bb10e6471056a7ccefdbf08f4c469dfef12089c9ec99b043"
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 319
+    assert tree_digest(tmp_path) == "f0a9e5238a16391b312f5133a553d7656772a1fa1c425c6f6cedfbdd638a71bf"
 
 
 DEFAULT_RUN_STDOUT = """\

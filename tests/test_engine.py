@@ -23,7 +23,7 @@ from incentiveledger import engine
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, default_gas_schedule
 from incentiveledger.engine import SharedStart, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
-from incentiveledger.reporting import write_run_reports
+from incentiveledger.reporting import write_population, write_report, write_run_reports
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -258,6 +258,8 @@ def test_with_seed_rewires_engine_and_population_seeds():
 
 def report_bytes(result, out) -> dict[str, bytes]:
     write_run_reports(result, out)
+    write_population(result.population, out)
+    write_report(out / "registry.csv", result.registry.snapshot_csv())
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
@@ -368,18 +370,3 @@ def test_records_reject_an_attribute_they_do_not_declare(kind):
     assert type(record).__name__ == kind
     with pytest.raises(AttributeError):
         record.curent_prob = 0.0
-
-
-def test_a_direct_run_keeps_no_sweep_cache(tmp_path):
-    # Only a settled sweep cell keeps its stream, for the population.csv text
-    # its seed's other cells reuse. A direct run keeps neither, so both are
-    # freed: the action list once settled, the text once written.
-    cfg = small_cfg()
-    direct = run_simulation(cfg)
-    assert direct.stream is None
-    write_run_reports(direct, tmp_path / "direct")
-    stream = simulate(cfg)
-    cell = settle(cfg, stream, SharedStart())
-    assert cell.stream is stream and stream.population_text is None
-    write_run_reports(cell, tmp_path / "cell")
-    assert "".join(stream.population_text) == (tmp_path / "direct" / "population.csv").read_text(encoding="utf-8")

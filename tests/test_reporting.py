@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -36,8 +37,10 @@ from incentiveledger.chain import (
 from incentiveledger.errors import ReconciliationFailureError
 from incentiveledger.reporting import (
     ACCRUING_FUNCTIONS,
+    REPORT_NAMES,
     RunTotals,
     actions_csv,
+    break_even_csv,
     config_text,
     cost_distribution_csv,
     cost_overlay_csv,
@@ -49,6 +52,7 @@ from incentiveledger.reporting import (
     summary_csv,
     summary_text,
     top_requesters_csv,
+    write_population,
     write_report,
     write_run_reports,
 )
@@ -380,6 +384,17 @@ def test_summary_texts_agree_with_summary(run):
     assert fields["freqRequest"] == f"{summary.freq_request:.4f}"
 
 
+def test_break_even_csv_prints_the_exact_median(run):
+    # The median of two periods ends in .5 at most, however large they are.
+    cfg, summary = run.config, summarize(run)
+
+    def cell(*periods):
+        return cfg, [replace(summary, break_even_period=period) for period in periods]
+
+    lines = report_text(break_even_csv([cell(100000, 100001), cell(37), cell(37, 38), cell(36, 38), cell(None)]))
+    assert [line.rsplit(",", 1)[1] for line in lines.splitlines()[1:]] == ["100000.5", "37", "37.5", "37", ""]
+
+
 def test_config_text_uses_flag_names(run):
     text = report_text(config_text(run))
     for key in ("scenario=", "actions=", "access-fraction=", "profit-margin=",
@@ -390,6 +405,9 @@ def test_config_text_uses_flag_names(run):
 def test_write_run_reports_emits_the_full_set(run, tmp_path):
     summary = write_run_reports(run, tmp_path / "run-11")
     assert summary == summarize(run)
+    assert sorted(p.name for p in (tmp_path / "run-11").iterdir()) == sorted(REPORT_NAMES)
+    write_population(run.population, tmp_path / "run-11")
+    write_report(tmp_path / "run-11" / "registry.csv", run.registry.snapshot_csv())
     names = sorted(p.name for p in (tmp_path / "run-11").iterdir())
     assert names == sorted([
         "actions.csv", "periods.csv", "contracts.csv", "profit.csv",

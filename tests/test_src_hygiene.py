@@ -4,8 +4,9 @@ cost replay reads the receipts alone, only the token store builds token
 events, each ledger rule (liveness, the fee formula, moving value) has
 one home, one renderer and one writer make every report's lines and bytes,
 each configuration checks itself when it is built, one replay walks the
-receipt log, every class rejects an attribute it does not declare, and
-importing the command line loads no process pool."""
+receipt log, every class rejects an attribute it does not declare,
+importing the command line loads no process pool, and only the bootstrap
+changes a registry."""
 
 import ast
 import importlib
@@ -85,6 +86,32 @@ def test_settle_is_the_one_booking_driver():
     assert sorted(name for name, function in functions.items() if named(function) & BOOKING_CALLS) == ["settle"]
     read = named(functions["simulate"])
     assert not read & {"chain", "contract", "token_store", "TokenStore", "DatasetContract"}, read
+
+
+REGISTRY_MUTATORS = {"register_new_user", "new_data_provider", "update_user_license"}
+
+
+def test_only_the_bootstrap_changes_the_registry():
+    """A sweep writes one registry.csv, its bootstrap's, for all its runs: right only while no
+    run changes its registry. So outside registry.py only engine.build_start names a registry
+    mutator, as a name, an attribute or a string."""
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            text = (child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute)
+                    else child.value if isinstance(child, ast.Constant) else None)
+            if text in REGISTRY_MUTATORS:
+                sites.add(where)
+            visit(child, where)
+
+    for path in MODULES:
+        if path.name != "registry.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(sites) == ["engine.build_start"]
 
 
 def test_the_cost_replay_reads_the_receipts_alone():
