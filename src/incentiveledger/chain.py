@@ -5,6 +5,7 @@ accounts hold integer wei balances, every metered call burns gas at a fixed
 gas price, and fees drain into a miner sink account so that total system
 value is conserved to the wei. There are no blocks, no nonces and no real
 EVM; a call is priced by looking its function tag up in a gas schedule.
+N identical calls book as one batch of N receipts with one funds check.
 
 All arithmetic is integer wei. USD figures are derived for display only and
 never feed back into balances.
@@ -206,10 +207,13 @@ class ChainState:
             raise ValueError("need at least one account")
         if prefund_wei < 0:
             raise ValueError("prefund cannot be negative")
-        created = []
-        for _ in range(n):
-            created.append(self.create_named_account(account_address(self._account_seq), prefund_wei))
-            self._account_seq += 1
+        created = [account_address(i) for i in range(self._account_seq, self._account_seq + n)]
+        if not self.accounts.keys().isdisjoint(created):
+            raise ValueError(f"account {next(a for a in created if a in self.accounts)} already exists")
+        self._account_seq += n
+        self.accounts.update(dict.fromkeys(created, prefund_wei))
+        self.funding.update(dict.fromkeys(created, prefund_wei))
+        self.minted_wei += n * prefund_wei
         return created
 
     def create_named_account(self, addr: Address, prefund_wei: int = 0) -> Address:
@@ -244,17 +248,21 @@ class ChainState:
         extra_gas: int = 0,
         value_wei: int = 0,
         recipient: Address | None = None,
+        contract: Address | None = None,
+        margin_pct: int | None = None,
+        count: int = 1,
     ) -> TxReceipt:
-        """Run one metered call: bill gas to the caller, move value.
+        """Run count identical metered calls: bill gas to the caller, move value; return the first receipt.
 
-        Rejection is atomic: a call that cannot be paid for leaves every
-        balance untouched and consumes no gas.
+        Rejection is atomic: calls that cannot all be paid for leave every
+        balance untouched and consume no gas.
         """
-        if extra_gas < 0 or value_wei < 0:
-            raise ValueError("extra gas and value cannot be negative")
+        if extra_gas < 0 or value_wei < 0 or count < 1:
+            raise ValueError("extra gas and value cannot be negative, and count must be at least 1")
         if value_wei > 0 and recipient is None:
             raise ValueError("value transfer needs a recipient")
-        return self._move(caller, function, self.schedule.gas_for(function) + extra_gas, value_wei, recipient)
+        gas = self.schedule.gas_for(function) + extra_gas
+        return self._move(caller, function, gas, value_wei, recipient, contract, margin_pct, count)
 
     def transfer(self, source: Address, recipient: Address, value_wei: int, tag: str) -> TxReceipt:
         """Unmetered value movement (contract payouts); logged with zero gas."""
@@ -264,24 +272,28 @@ class ChainState:
             raise UnknownAccountError(f"{tag} needs a recipient")
         return self._move(source, tag, 0, value_wei, recipient)
 
-    def _move(self, caller: Address, function: str, gas: int, value_wei: int, recipient: Address | None) -> TxReceipt:
-        """The one value-moving path: bill gas, move value, log the receipt; atomic."""
+    def _move(self, caller: Address, function: str, gas: int, value_wei: int, recipient: Address | None,
+              contract: Address | None = None, margin_pct: int | None = None, count: int = 1) -> TxReceipt:
+        """The one value-moving path, atomic: bill gas, move value and log a receipt for each of count calls."""
         fee = self.price.fee_wei(gas)
+        fees, values = fee * count, value_wei * count
         caller_balance = self.balance(caller)
+        if recipient is not None and recipient not in self.accounts:  # it must exist before any debit
+            raise UnknownAccountError(f"no account {recipient}")
+        if caller_balance < fees + values:
+            raise InsufficientFundsError(f"{caller} holds {caller_balance} wei, needs {fees + values} for {function}")
+        self.accounts[caller] = caller_balance - fees - values
+        self.accounts[MINER_ADDRESS] += fees
         if recipient is not None:
-            self.balance(recipient)  # recipient must exist before any debit
-        if caller_balance < fee + value_wei:
-            raise InsufficientFundsError(
-                f"{caller} holds {caller_balance} wei, needs {fee + value_wei} for {function}"
-            )
-        self.accounts[caller] = caller_balance - fee - value_wei
-        self.accounts[MINER_ADDRESS] += fee
-        if recipient is not None:
-            self.accounts[recipient] += value_wei
+            self.accounts[recipient] += values
         # Positional: on this hot path the keyword form cost twice as much.
         receipt = TxReceipt(len(self.receipts), self.period, caller, function, gas, fee, value_wei, recipient,
-                            self.price.wei_to_usd(fee + value_wei))
+                            self.price.wei_to_usd(fee + value_wei), contract, margin_pct)
         self.receipts.append(receipt)
+        if count > 1:  # a loop: a comprehension would turn every local it reads into a slower cell
+            for index in range(receipt.index + 1, receipt.index + count):
+                self.receipts.append(TxReceipt(index, receipt.period, caller, function, gas, fee, value_wei,
+                                               recipient, receipt.usd_cost, contract, margin_pct))
         return receipt
 
     def log_csv(self) -> list[str]:

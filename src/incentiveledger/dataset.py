@@ -155,15 +155,15 @@ class DatasetContract:
 
     def bill(self, caller: Address, function: str, extra_gas: int = 0) -> TxReceipt:
         """Execute one owner call, name this contract and its margin on the receipt, and book its gas."""
-        receipt = self.chain.execute(caller, function, extra_gas)
-        receipt.contract, receipt.margin_pct = self.contract_address, self.profit_margin_pct
+        receipt = self.chain.execute(caller, function, extra_gas, 0, None, self.contract_address,
+                                     self.profit_margin_pct)
         self.accrue_cost(receipt.gas_fee_wei)
         return receipt
 
     def collect(self, payer: Address, function: str, value_wei: int) -> TxReceipt:
         """Execute a requester call paying value_wei to this contract, named on the receipt; drain the pool by it."""
-        receipt = self.chain.execute(payer, function, 0, value_wei, self.contract_address if value_wei else None)
-        receipt.contract = self.contract_address
+        address = self.contract_address
+        receipt = self.chain.execute(payer, function, 0, value_wei, address if value_wei else None, address)
         self.apply_payment(value_wei)
         return receipt
 

@@ -277,8 +277,7 @@ def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
     registry = Registry.deploy(chain, authority)
     for address in accounts[: cfg.population.max_providers]:
         registry.new_data_provider(authority, address)
-    for address in accounts[cfg.population.max_providers:]:
-        registry.register_new_user(authority, address, DEFAULT_LICENSE)
+    registry.register_new_users(authority, accounts[cfg.population.max_providers:], DEFAULT_LICENSE)
     return chain, registry
 
 
@@ -373,29 +372,30 @@ def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) ->
     chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
     store = TokenStore()
     run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [])
-    records, datasets = run.records, run.datasets
+    records, datasets, receipts = run.records, run.datasets, chain.receipts
+    publish, update, request = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST
     actions = iter(stream.actions)
     try:
         for period, count in enumerate(stream.counts):
             chain.period = period
             for kind, actor, ordinal in islice(actions, count):
                 # Book each action at its receipt's fee, payment and USD cost; a publication at its fees.
-                if kind is ActionKind.PUBLISH:
+                if kind is publish:
                     contract = _publish_dataset(chain, registry, store, cfg, actor, ordinal + 1)
                     datasets.append(contract)
                     fee = contract.provider_cost_wei
                     payment, usd = 0, chain.price.wei_to_usd(fee)
                 else:
                     contract = datasets[ordinal]
-                    if kind is ActionKind.UPDATE:
+                    if kind is update:
                         contract.update_data(actor)
-                    elif kind is ActionKind.REQUEST:
+                    elif kind is request:
                         request_access(actor, contract, quote_payment(contract, "access"))
                     else:
                         if not contract.holders[actor].compliance:
                             confirm_compliance(actor, contract)
                         renew_access_time(actor, contract, quote_payment(contract, "renewal"))
-                    receipt = chain.receipts[-1]
+                    receipt = receipts[-1]
                     fee, payment, usd = receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost
                 records.append(ActionRecord(len(records), period, kind, actor, contract.contract_address,
                                             fee, payment, usd, contract.current_cost_wei))

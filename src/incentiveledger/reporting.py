@@ -56,17 +56,18 @@ ACCRUING_FUNCTIONS = frozenset(
 )
 
 
-def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[int, int, int]]]:
-    """Recompute every balance from initial funding, and (currentCost, providerCost, earnings) per
-    contract, in one walk of the receipt log alone.
+def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[int, int, int]],
+                                       int, dict[Address, int]]:
+    """Recompute every balance from initial funding, (currentCost, providerCost, earnings) per contract,
+    the earnings of destroyed contracts and each account's contract payouts, in one walk of the receipts.
 
     Also proves atomicity after the fact: no account may dip below zero at
     any point of the replay. Each receipt a dataset contract books names that
     contract. An accruing owner call adds its fee at the margin it carries,
     any other call pays the contract and drains its pool, and a contract's
-    destroy receipt zeroes its ledgers.
+    destroy receipt retires its earnings and zeroes its ledgers.
     """
-    balances, ledgers = dict(chain.funding), {}
+    balances, ledgers, retired, payouts = dict(chain.funding), {}, 0, {}
     for r in chain.receipts:
         balances[r.caller] -= r.gas_fee_wei + r.value_wei
         balances[MINER_ADDRESS] += r.gas_fee_wei
@@ -76,9 +77,7 @@ def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[i
             raise ReconciliationFailureError(
                 f"receipt {r.index} drives {r.caller} to {balances[r.caller]} wei"
             )
-        if r.function == DESTROY:
-            ledgers[r.caller] = [0, 0, 0]
-        elif r.contract is not None:
+        if r.contract is not None:
             books = ledgers.setdefault(r.contract, [0, 0, 0])
             if r.function in ACCRUING_FUNCTIONS:
                 books[0] += r.gas_fee_wei * r.margin_pct // 100
@@ -86,7 +85,12 @@ def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[i
             else:
                 books[0] = max(0, books[0] - r.value_wei)
                 books[2] += r.value_wei
-    return balances, {addr: tuple(v) for addr, v in ledgers.items()}
+        elif r.caller in ledgers:  # a contract pays its balance out, by withdraw or destroy
+            payouts[r.recipient] = payouts.get(r.recipient, 0) + r.value_wei
+            if r.function == DESTROY:
+                retired += ledgers[r.caller][2]
+                ledgers[r.caller] = [0, 0, 0]
+    return balances, {addr: tuple(v) for addr, v in ledgers.items()}, retired, payouts
 
 
 def reconcile(result: SimResult) -> None:
@@ -96,7 +100,7 @@ def reconcile(result: SimResult) -> None:
         raise ReconciliationFailureError(
             f"{chain.total_wei()} wei on accounts, {chain.minted_wei} minted"
         )
-    replayed, replayed_ledgers = replay(chain)
+    replayed, replayed_ledgers, retired, payouts = replay(chain)
     if replayed != chain.accounts:
         addr = next(a for a in (*chain.accounts, *replayed) if replayed.get(a) != chain.accounts.get(a))
         raise ReconciliationFailureError(
@@ -110,22 +114,23 @@ def reconcile(result: SimResult) -> None:
             raise ReconciliationFailureError(
                 f"{c.contract_address} ledgers {actual}, replay says {expected}"
             )
-        if final_cc.get(c.contract_address, expected[0]) != expected[0]:
+        if not c.destroyed and final_cc.get(c.contract_address, expected[0]) != expected[0]:
             raise ReconciliationFailureError(
                 f"{c.contract_address} last action records pool "
                 f"{final_cc[c.contract_address]}, replay says {expected[0]}"
             )
     payments = sum(r.payment_wei for r in result.records)
-    earnings = sum(books[2] for books in replayed_ledgers.values())
+    earnings = retired + sum(books[2] for books in replayed_ledgers.values())
     if payments != earnings:
         raise ReconciliationFailureError(
             f"{payments} wei paid by requesters, {earnings} wei booked as earnings"
         )
-    # Agents transact only through the four actions, so their combined
-    # outflow must equal exactly what the action records say they spent.
+    # Agents spend only through the four actions and receive only contract payouts, so
+    # their combined outflow plus those payouts is exactly what the action records say they spent.
     outflow = sum(
         chain.funding[p.address] - chain.balance(p.address) for p in result.population
     )
+    outflow += sum(payouts.get(p.address, 0) for p in result.population) if payouts else 0
     recorded = sum(r.tx_gas_fee_wei + r.payment_wei for r in result.records)
     if outflow != recorded:
         raise ReconciliationFailureError(

@@ -238,6 +238,14 @@ def test_account_creation_rules(chain):
         chain.balance(__import__("incentiveledger").chain.Address("nope"))
 
 
+def test_account_creation_is_all_or_none(chain):
+    chain.create_named_account("acct-0001", 7)
+    before = (dict(chain.accounts), dict(chain.funding), chain.minted_wei)
+    with pytest.raises(ValueError, match="account acct-0001 already exists"):
+        chain.create_accounts(3, 50)
+    assert (chain.accounts, chain.funding, chain.minted_wei) == before
+
+
 def test_usd_display_rounds_half_up_in_both_signs():
     price = PriceModel(gas_price_wei=1, eth_usd=1.0)
     assert price.wei_to_usd(5 * 10**15) == 0.01  # exactly half a cent

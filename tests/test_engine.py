@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import pytest
 
 from incentiveledger import (
     ACCESS_PERIODS,
+    DEFAULT_LICENSE,
     ActionKind,
+    ChainState,
     PeriodStats,
     PopulationConfig,
+    Registry,
     Scenario,
     SimConfig,
     break_even_period,
@@ -20,7 +23,7 @@ from incentiveledger import (
     with_seed,
 )
 from incentiveledger import engine
-from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, default_gas_schedule
+from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
 from incentiveledger.engine import SharedStart, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import write_population, write_report, write_run_reports
@@ -208,6 +211,49 @@ def test_ledger_failures_carry_the_engine_position():
     cfg = small_cfg(price=PriceModel(gas_price_wei=20_000 * GWEI))
     with pytest.raises(EngineError, match=r"period 0, action 0"):
         run_simulation(cfg)
+
+
+# Runs whose provider runs dry on an update: its earnings stay on its contract.
+# Each fails with its position, the provider's balance and the update's fee.
+DRY_PROVIDER = [
+    (dict(action_ticker=20_000, population=PopulationConfig(n_accounts=20_000, max_providers=2), seed=37),
+     "seed 37, scenario 2, margin 100, access fraction 5, renew fraction 5, period 2282, action 18135: "
+     "acct-0000 holds 154161064000000000 wei, needs 325702872000000000 for updateData"),
+    (dict(action_ticker=20_000, population=PopulationConfig(n_accounts=20_000), seed=1),
+     "seed 1, scenario 2, margin 100, access fraction 5, renew fraction 5, period 2143, action 16612: "
+     "acct-0000 holds 173428840000000000 wei, needs 532729224000000000 for updateData"),
+    (dict(action_ticker=5_000, population=PopulationConfig(n_accounts=50), seed=0),
+     "seed 0, scenario 2, margin 100, access fraction 5, renew fraction 5, period 15530, action 4565: "
+     "acct-0000 holds 29792080000000000 wei, needs 30604536000000000 for updateData"),
+]
+
+
+@pytest.mark.parametrize("settings, line", DRY_PROVIDER, ids=["seed-37", "seed-1", "50-accounts"])
+def test_a_dry_provider_fails_with_the_same_line(settings, line):
+    with pytest.raises(EngineError) as excinfo:
+        run_simulation(SimConfig(**settings))
+    assert str(excinfo.value) == line
+
+
+def test_the_bootstrap_books_what_one_registration_at_a_time_books():
+    """build_start's batched registrations against the per-user path on a fresh chain."""
+    cfg = small_cfg(population=PopulationConfig(n_accounts=2_000, max_providers=3))
+    chain, registry = build_start(cfg)
+    reference = ChainState(cfg.schedule, cfg.price)
+    accounts = [reference.create_named_account(account_address(i), engine.PREFUND_WEI) for i in range(2_000)]
+    authority = reference.create_named_account("authority", engine.PREFUND_WEI)
+    one_by_one = Registry.deploy(reference, authority)
+    for address in accounts[:3]:
+        one_by_one.new_data_provider(authority, address)
+    for address in accounts[3:]:
+        one_by_one.register_new_user(authority, address, DEFAULT_LICENSE)
+    assert len(chain.receipts) == 2_001
+    assert [astuple(r) for r in chain.receipts] == [astuple(r) for r in reference.receipts]
+    assert list(chain.accounts.items()) == list(reference.accounts.items())
+    assert list(chain.funding.items()) == list(reference.funding.items())
+    assert chain.minted_wei == reference.minted_wei
+    assert list(registry.users.items()) == list(one_by_one.users.items())
+    assert registry.providers == one_by_one.providers
 
 
 def test_a_stalled_run_names_itself(monkeypatch):

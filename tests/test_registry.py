@@ -8,6 +8,7 @@ from conftest import report_text
 
 from incentiveledger import DEFAULT_LICENSE, Registry, WEI_PER_ETH
 from incentiveledger.chain import (
+    MINER_ADDRESS,
     NEW_DATA_PROVIDER,
     REGISTER_NEW_USER,
     REGISTRY_DEPLOYMENT,
@@ -15,6 +16,7 @@ from incentiveledger.chain import (
 )
 from incentiveledger.errors import (
     AlreadyRegisteredError,
+    InsufficientFundsError,
     NotAuthorityError,
     NotRegisteredError,
 )
@@ -103,3 +105,54 @@ def test_snapshot_csv_sorted_with_merged_roles(deployed):
     assert lines[1:] == sorted(lines[1:])
     assert "member,provider+user,3" in lines
     assert "outsider,provider," in lines
+
+
+def test_a_batch_books_one_receipt_per_user(deployed):
+    chain, registry, authority, outsider, member = deployed
+    before = chain.balance(authority)
+    receipts = registry.register_new_users(authority, [outsider, member], 3)
+    assert receipts == chain.receipts[1:] and [r.index for r in receipts] == [1, 2]
+    assert {r.function for r in receipts} == {REGISTER_NEW_USER}
+    fee = receipts[0].gas_fee_wei
+    assert chain.balance(authority) == before - 2 * fee
+    assert chain.balance(MINER_ADDRESS) == chain.receipts[0].gas_fee_wei + 2 * fee
+    assert registry.users == {outsider: 3, member: 3}
+
+
+def state(chain, registry):
+    return dict(chain.accounts), list(chain.receipts), dict(registry.users)
+
+
+def test_an_authority_short_of_the_whole_batch_books_none_of_it(chain):
+    fee = chain.price.fee_wei(chain.schedule.gas_for(REGISTER_NEW_USER))
+    deploy = chain.price.fee_wei(chain.schedule.gas_for(REGISTRY_DEPLOYMENT))
+    authority = chain.create_named_account("authority", deploy + 3 * fee - 1)
+    users = chain.create_accounts(3, 0)
+    registry = Registry.deploy(chain, authority)
+    before = state(chain, registry)
+    with pytest.raises(InsufficientFundsError) as excinfo:
+        registry.register_new_users(authority, users, DEFAULT_LICENSE)
+    assert str(excinfo.value) == f"authority holds {3 * fee - 1} wei, needs {3 * fee} for registerNewUser"
+    assert state(chain, registry) == before
+    registry.register_new_users(authority, users[:2], DEFAULT_LICENSE)  # two fit
+    # A single call's line is unchanged: the balance it finds and its own fee.
+    with pytest.raises(InsufficientFundsError) as excinfo:
+        registry.register_new_user(authority, users[2], DEFAULT_LICENSE)
+    assert str(excinfo.value) == f"authority holds {fee - 1} wei, needs {fee} for registerNewUser"
+
+
+@pytest.mark.parametrize("batch, named", [(["a", "b", "a"], "a"), (["a", "member", "b"], "member")],
+                         ids=["twice-in-batch", "registered"])
+def test_a_batch_naming_a_registered_user_books_none_of_it(deployed, batch, named):
+    chain, registry, authority, outsider, member = deployed
+    chain.create_named_account("a")
+    chain.create_named_account("b")
+    registry.register_new_user(authority, member, DEFAULT_LICENSE)
+    before = state(chain, registry)
+    with pytest.raises(AlreadyRegisteredError) as excinfo:
+        registry.register_new_users(authority, batch, 2)
+    assert str(excinfo.value) == f"{named} is already a registered user"
+    assert state(chain, registry) == before
+    with pytest.raises(ValueError):
+        registry.register_new_users(authority, [], 2)
+    assert state(chain, registry) == before

@@ -12,10 +12,13 @@ from conftest import report_text
 from incentiveledger import (
     DEFAULT_LICENSE,
     ActionKind,
+    ActionRecord,
+    AgentProfile,
     ChainState,
     DatasetContract,
     PopulationConfig,
     Registry,
+    Role,
     Scenario,
     SimConfig,
     SimResult,
@@ -213,17 +216,49 @@ def test_a_provider_with_two_datasets_reconciles(market):
     assert [replayed[c.contract_address] for c in (first, second)] == [ledgers(first), ledgers(second)]
 
 
+def recorded_run(market) -> tuple[SimResult, DatasetContract]:
+    """A hand-built result whose provider publishes and first user requests, each action
+    recorded as settle records it, with both as its agents."""
+    chain, provider, user = market.chain, market.provider, market.users[0]
+    result = hand_built(market, [])
+    result.population = [AgentProfile(provider, Role.PROVIDER, 0.5, 0.5, 0.75),
+                         AgentProfile(user, Role.REQUESTER, 0.5, 0.5, 0.75)]
+    c = publish(market)
+    result.datasets.append(c)
+    result.records.append(ActionRecord(0, chain.period, ActionKind.PUBLISH, provider, c.contract_address,
+                                       c.provider_cost_wei, 0, 0.0, c.current_cost_wei))
+    request_access(user, c, quote_payment(c, "access"))
+    receipt = chain.receipts[-1]
+    result.records.append(ActionRecord(1, chain.period, ActionKind.REQUEST, user, c.contract_address,
+                                       receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost, c.current_cost_wei))
+    return result, c
+
+
 @pytest.mark.parametrize("field", ["current_cost_wei", "provider_cost_wei", "provider_earnings_wei"])
 def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
-    c = publish(market)
-    request_access(market.users[0], c, quote_payment(c, "access"))
+    """The records of a destroyed contract's actions still reconcile: its earnings count as paid,
+    its last recorded pool is gone, and its payout to the provider flows back to an agent."""
+    result, c = recorded_run(market)
     c.update_data(market.provider)
+    receipt = market.chain.receipts[-1]
+    result.records.append(ActionRecord(2, receipt.period, ActionKind.UPDATE, market.provider, c.contract_address,
+                                       receipt.gas_fee_wei, 0, receipt.usd_cost, c.current_cost_wei))
     c.destroy(market.provider)
+    assert market.chain.receipts[-1].value_wei == result.records[1].payment_wei > 0
     assert replay(market.chain)[1][c.contract_address] == (0, 0, 0)
-    result = hand_built(market, [c])
     reconcile(result)
     setattr(c, field, 1)
     with pytest.raises(ReconciliationFailureError, match=f"{c.contract_address} ledgers"):
+        reconcile(result)
+
+
+def test_a_withdrawal_flows_back_to_its_agent(market):
+    result, c = recorded_run(market)
+    c.withdraw(market.provider)
+    assert market.chain.receipts[-1].value_wei == result.records[1].payment_wei > 0
+    reconcile(result)
+    market.chain.transfer(market.authority, market.provider, 1, "gift")  # an inflow no payout explains
+    with pytest.raises(ReconciliationFailureError, match="agents spent"):
         reconcile(result)
 
 

@@ -5,8 +5,8 @@ events, each ledger rule (liveness, the fee formula, moving value) has
 one home, one renderer and one writer make every report's lines and bytes,
 each configuration checks itself when it is built, one replay walks the
 receipt log, every class rejects an attribute it does not declare,
-importing the command line loads no process pool, and only the bootstrap
-changes a registry."""
+importing the command line loads no process pool, only the bootstrap
+changes a registry, and one chain method builds each receipt complete."""
 
 import ast
 import importlib
@@ -88,7 +88,7 @@ def test_settle_is_the_one_booking_driver():
     assert not read & {"chain", "contract", "token_store", "TokenStore", "DatasetContract"}, read
 
 
-REGISTRY_MUTATORS = {"register_new_user", "new_data_provider", "update_user_license"}
+REGISTRY_MUTATORS = {"register_new_user", "register_new_users", "new_data_provider", "update_user_license"}
 
 
 def test_only_the_bootstrap_changes_the_registry():
@@ -191,6 +191,28 @@ def test_one_chain_method_moves_balances():
     assert len(movers) == 1, movers
     for caller in ("execute", "transfer"):
         assert movers[0] in named(methods[caller]), caller
+
+
+def test_one_chain_method_builds_each_receipt_complete():
+    """ChainState._move is the one place in src/ that constructs a TxReceipt, and no line
+    sets a receipt's contract, margin or USD cost after it is built."""
+    builders, late = [], []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            called = isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None))
+            if called == "TxReceipt":
+                builders.append(where)
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store)
+                    and child.attr in {"contract", "margin_pct", "usd_cost"}):
+                late.append(f"{where} line {child.lineno}: assigns {child.attr}")
+            visit(child, inner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert builders and set(builders) == {"chain.ChainState._move"}, builders
+    assert not late, late
 
 
 def call_sites(attr: str, receiver: str | None = None) -> list[tuple[str, str]]:
