@@ -5,7 +5,7 @@ accounts hold integer wei balances, every metered call burns gas at a fixed
 gas price, and fees drain into a miner sink account so that total system
 value is conserved to the wei. There are no blocks, no nonces and no real
 EVM; a call is priced by looking its function tag up in a gas schedule.
-N identical calls book as one batch of N receipts with one funds check.
+N identical calls book as one batch: one funds check, one receipt at N log positions.
 
 All arithmetic is integer wei. USD figures are derived for display only and
 never feed back into balances.
@@ -17,7 +17,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ConfigError,
@@ -161,7 +161,6 @@ class PriceModel:
 
 @dataclass(slots=True)
 class TxReceipt:
-    index: int
     period: int
     caller: Address
     function: str
@@ -261,8 +260,9 @@ class ChainState:
             raise ValueError("extra gas and value cannot be negative, and count must be at least 1")
         if value_wei > 0 and recipient is None:
             raise ValueError("value transfer needs a recipient")
-        gas = self.schedule.gas_for(function) + extra_gas
-        return self._move(caller, function, gas, value_wei, recipient, contract, margin_pct, count)
+        gas = self.schedule.gas_for(function)  # the schedule's own int: none is built per call without extra gas
+        return self._move(caller, function, gas + extra_gas if extra_gas else gas, value_wei, recipient,
+                          contract, margin_pct, count)
 
     def transfer(self, source: Address, recipient: Address, value_wei: int, tag: str) -> TxReceipt:
         """Unmetered value movement (contract payouts); logged with zero gas."""
@@ -274,7 +274,7 @@ class ChainState:
 
     def _move(self, caller: Address, function: str, gas: int, value_wei: int, recipient: Address | None,
               contract: Address | None = None, margin_pct: int | None = None, count: int = 1) -> TxReceipt:
-        """The one value-moving path, atomic: bill gas, move value and log a receipt for each of count calls."""
+        """The one value-moving path, atomic: bill gas and move value for count calls; log one receipt for all."""
         fee = self.price.fee_wei(gas)
         fees, values = fee * count, value_wei * count
         caller_balance = self.balance(caller)
@@ -287,21 +287,22 @@ class ChainState:
         if recipient is not None:
             self.accounts[recipient] += values
         # Positional: on this hot path the keyword form cost twice as much.
-        receipt = TxReceipt(len(self.receipts), self.period, caller, function, gas, fee, value_wei, recipient,
+        receipt = TxReceipt(self.period, caller, function, gas, fee, value_wei, recipient,
                             self.price.wei_to_usd(fee + value_wei), contract, margin_pct)
-        self.receipts.append(receipt)
-        if count > 1:  # a loop: a comprehension would turn every local it reads into a slower cell
-            for index in range(receipt.index + 1, receipt.index + count):
-                self.receipts.append(TxReceipt(index, receipt.period, caller, function, gas, fee, value_wei,
-                                               recipient, receipt.usd_cost, contract, margin_pct))
+        self.receipts.extend((receipt,) * count)  # one object at count positions
         return receipt
 
     def log_csv(self) -> list[str]:
         done, head = self._formatted
         if not done or self.receipts[: len(done)] != done:
             done, head = [], "index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"
-        return csv_text(head, (
-            f"{r.index},{r.period},{r.caller},{r.function},{r.gas_used},"
-            f"{r.gas_fee_wei},{r.value_wei},{r.recipient or ''},{r.usd_cost:.2f}"
-            for r in self.receipts[len(done):]
-        ))
+        return csv_text(head, self._rows(len(done)))
+
+    def _rows(self, start: int) -> Iterator[str]:
+        """Rows from position start on, numbered by position; a receipt at consecutive positions is formatted once."""
+        last = tail = None
+        for index, r in enumerate(self.receipts[start:], start):
+            if r is not last:
+                last, tail = r, (f"{r.period},{r.caller},{r.function},{r.gas_used},"
+                                 f"{r.gas_fee_wei},{r.value_wei},{r.recipient or ''},{r.usd_cost:.2f}")
+            yield f"{index},{tail}"

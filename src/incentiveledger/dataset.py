@@ -59,6 +59,7 @@ class Scenario(Enum):
 # Inclusive bounds the contract puts on its percentage parameters.
 MARGIN_PCT = (100, 10_000)
 FRACTION_PCT = (1, 100)
+_NO_COMPENSATION = Scenario.NO_COMPENSATION  # bound once: reading an Enum member off its class is slow
 
 
 def check_pct(name: str, value: int, bounds: tuple[int, int], error: type[Exception] = OutOfRangeError) -> None:
@@ -137,7 +138,7 @@ class DatasetContract:
 
     @property
     def compensates_requesters(self) -> bool:
-        return self.scenario is not Scenario.NO_COMPENSATION
+        return self.scenario is not _NO_COMPENSATION
 
     @property
     def contract_balance_wei(self) -> int:

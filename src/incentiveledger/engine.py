@@ -81,7 +81,6 @@ class ActionKind(Enum):
 
 @dataclass(slots=True)
 class ActionRecord:
-    index: int
     period: int
     kind: ActionKind
     actor: Address
@@ -311,6 +310,7 @@ def simulate(cfg: SimConfig) -> Stream:
     # Each request's token as [expiry, holder, dataset ordinal], in request
     # order, which is the token-id order settle mints in. Nothing burns.
     roster: list[list] = []
+    publish, update, request, renew = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST, ActionKind.RENEW
     published = 0
     next_requester = 0
 
@@ -323,7 +323,7 @@ def simulate(cfg: SimConfig) -> Stream:
         if published < len(providers):
             provider = providers[published]
             if not actions or draw() < provider.current_prob:
-                actions.append((ActionKind.PUBLISH, provider.address, published))
+                actions.append((publish, provider.address, published))
                 published += 1
 
         # Update: every provider with a published dataset rolls;
@@ -332,7 +332,7 @@ def simulate(cfg: SimConfig) -> Stream:
             if len(actions) >= ticker:
                 break
             if draw() < min(1.0, owner.base_prob * cfg.update_multiplier):
-                actions.append((ActionKind.UPDATE, owner.address, ordinal))
+                actions.append((update, owner.address, ordinal))
 
         # Request: the requester in line rolls; on decline the same
         # requester tries again next period. They have never requested,
@@ -341,7 +341,7 @@ def simulate(cfg: SimConfig) -> Stream:
             requester = requesters[next_requester]
             if draw() < requester.current_prob:
                 ordinal = rng.randrange(published)
-                actions.append((ActionKind.REQUEST, requester.address, ordinal))
+                actions.append((request, requester.address, ordinal))
                 roster.append([period + ACCESS_PERIODS, requester, ordinal])
                 next_requester += 1
 
@@ -356,7 +356,7 @@ def simulate(cfg: SimConfig) -> Stream:
                 if draw() < holder.current_prob:
                     token[0] = period + ACCESS_PERIODS
                     decay_renewal_prob(holder)
-                    actions.append((ActionKind.RENEW, holder.address, token[2]))
+                    actions.append((renew, holder.address, token[2]))
                     if len(actions) >= ticker:
                         break
 
@@ -397,8 +397,8 @@ def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) ->
                         renew_access_time(actor, contract, quote_payment(contract, "renewal"))
                     receipt = receipts[-1]
                     fee, payment, usd = receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost
-                records.append(ActionRecord(len(records), period, kind, actor, contract.contract_address,
-                                            fee, payment, usd, contract.current_cost_wei))
+                records.append(ActionRecord(period, kind, actor, contract.contract_address, fee, payment, usd,
+                                            contract.current_cost_wei))
             run.close_period(period, count)
         period = len(stream.counts)
         if len(records) < cfg.action_ticker:

@@ -4,8 +4,8 @@ A single institutional authority vouches for participants: providers are
 approved addresses allowed to publish datasets, users carry a license code
 that dataset contracts match against before granting access. Mutations are
 metered transactions paid by the authority, the bootstrap's registrations
-in one batched booking of N receipts; the membership checks that dataset
-contracts perform internally are free reads.
+in one batched booking whose one receipt fills N log positions; the
+membership checks that dataset contracts perform internally are free reads.
 """
 
 from __future__ import annotations
@@ -55,16 +55,16 @@ class Registry:
         return self.register_new_users(caller, [user], license_code)[0]
 
     def register_new_users(self, caller: Address, users: list[Address], license_code: int) -> list[TxReceipt]:
-        """Register each user under license_code, in one booking of a receipt each; all or none."""
+        """Register each user under license_code in one booking, all or none; return its log entries, one per user."""
         self._require_authority(caller)
         fresh = dict.fromkeys(users, license_code)
         if len(fresh) < len(users) or not self.users.keys().isdisjoint(fresh):
             seen = set(self.users)
             user = next(u for u in users if u in seen or seen.add(u))  # the first one registered twice
             raise AlreadyRegisteredError(f"{user} is already a registered user")
-        first = self.chain.execute(caller, REGISTER_NEW_USER, count=len(users))
+        self.chain.execute(caller, REGISTER_NEW_USER, count=len(users))
         self.users.update(fresh)
-        return self.chain.receipts[first.index:]
+        return self.chain.receipts[-len(users):]
 
     def new_data_provider(self, caller: Address, provider: Address) -> TxReceipt:
         self._require_authority(caller)

@@ -68,15 +68,13 @@ def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[i
     destroy receipt retires its earnings and zeroes its ledgers.
     """
     balances, ledgers, retired, payouts = dict(chain.funding), {}, 0, {}
-    for r in chain.receipts:
+    for index, r in enumerate(chain.receipts):
         balances[r.caller] -= r.gas_fee_wei + r.value_wei
         balances[MINER_ADDRESS] += r.gas_fee_wei
         if r.recipient is not None:
             balances[r.recipient] += r.value_wei
         if balances[r.caller] < 0:
-            raise ReconciliationFailureError(
-                f"receipt {r.index} drives {r.caller} to {balances[r.caller]} wei"
-            )
+            raise ReconciliationFailureError(f"receipt {index} drives {r.caller} to {balances[r.caller]} wei")
         if r.contract is not None:
             books = ledgers.setdefault(r.contract, [0, 0, 0])
             if r.function in ACCRUING_FUNCTIONS:
@@ -248,9 +246,9 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
 
 def actions_csv(result: SimResult) -> list[str]:
     return csv_text("index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei", (
-        f"{r.index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
+        f"{index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
         f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
-        for r in result.records
+        for index, r in enumerate(result.records)
     ))
 
 

@@ -108,7 +108,7 @@ def test_execute_moves_fee_to_miner_and_value_to_recipient(chain):
     assert receipt.gas_used == chain.schedule.gas_for(CHECK_USER)
     assert receipt.value_wei == 123
     assert receipt.function == CHECK_USER
-    assert receipt.index == 0 and chain.receipts == [receipt]
+    assert len(chain.receipts) == 1 and chain.receipts[0] is receipt  # its number is its position, 0
 
 
 def test_execute_extra_gas_is_billed(chain):

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import report_text
+
 from incentiveledger import (
     ACCESS_PERIODS,
     DEFAULT_LICENSE,
@@ -26,7 +28,7 @@ from incentiveledger import engine
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
 from incentiveledger.engine import SharedStart, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
-from incentiveledger.reporting import write_population, write_report, write_run_reports
+from incentiveledger.reporting import actions_csv, write_population, write_report, write_run_reports
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -48,7 +50,7 @@ def test_run_starts_with_a_forced_publication():
     assert len(result.records) == 1
     only = result.records[0]
     assert only.kind is ActionKind.PUBLISH
-    assert only.period == 0 and only.index == 0
+    assert only.period == 0 and report_text(actions_csv(result)).splitlines()[1].startswith("0,0,publish,")
     assert only.actor == result.population[0].address
     assert len(result.series) == 1
     assert result.series[0].actions_this_period == 1
@@ -57,7 +59,8 @@ def test_run_starts_with_a_forced_publication():
 def test_run_stops_exactly_at_the_action_ticker():
     result = run_simulation(small_cfg())
     assert len(result.records) == 60
-    assert [r.index for r in result.records] == list(range(60))
+    assert [line.split(",")[0] for line in report_text(actions_csv(result)).splitlines()[1:]] == [
+        str(index) for index in range(60)]
     assert sum(s.actions_this_period for s in result.series) == 60
     periods = [r.period for r in result.records]
     assert periods == sorted(periods)
@@ -254,6 +257,20 @@ def test_the_bootstrap_books_what_one_registration_at_a_time_books():
     assert chain.minted_wei == reference.minted_wei
     assert list(registry.users.items()) == list(one_by_one.users.items())
     assert registry.providers == one_by_one.providers
+
+
+def test_a_20k_bootstrap_logs_one_receipt_object_for_its_batch():
+    """The deployment, one receipt per provider and one shared by every user's registration:
+    the log still counts every call, and transactions.csv numbers each by its position."""
+    providers = 3
+    chain, _ = build_start(small_cfg(population=PopulationConfig(n_accounts=20_000, max_providers=providers)))
+    assert len(chain.receipts) == 1 + 20_000
+    assert len({id(r) for r in chain.receipts}) == 2 + providers
+    rows = report_text(chain.log_csv()).splitlines()[1:]
+    assert len(rows) == len(chain.receipts)
+    batch = rows[1 + providers:]
+    assert [row.split(",", 1)[0] for row in batch] == [str(index) for index in range(1 + providers, 20_001)]
+    assert len({row.split(",", 1)[1] for row in batch}) == 1 and ",registerNewUser," in batch[0]
 
 
 def test_a_stalled_run_names_itself(monkeypatch):

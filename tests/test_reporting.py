@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -225,11 +225,11 @@ def recorded_run(market) -> tuple[SimResult, DatasetContract]:
                          AgentProfile(user, Role.REQUESTER, 0.5, 0.5, 0.75)]
     c = publish(market)
     result.datasets.append(c)
-    result.records.append(ActionRecord(0, chain.period, ActionKind.PUBLISH, provider, c.contract_address,
+    result.records.append(ActionRecord(chain.period, ActionKind.PUBLISH, provider, c.contract_address,
                                        c.provider_cost_wei, 0, 0.0, c.current_cost_wei))
     request_access(user, c, quote_payment(c, "access"))
     receipt = chain.receipts[-1]
-    result.records.append(ActionRecord(1, chain.period, ActionKind.REQUEST, user, c.contract_address,
+    result.records.append(ActionRecord(chain.period, ActionKind.REQUEST, user, c.contract_address,
                                        receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost, c.current_cost_wei))
     return result, c
 
@@ -241,7 +241,7 @@ def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
     result, c = recorded_run(market)
     c.update_data(market.provider)
     receipt = market.chain.receipts[-1]
-    result.records.append(ActionRecord(2, receipt.period, ActionKind.UPDATE, market.provider, c.contract_address,
+    result.records.append(ActionRecord(receipt.period, ActionKind.UPDATE, market.provider, c.contract_address,
                                        receipt.gas_fee_wei, 0, receipt.usd_cost, c.current_cost_wei))
     c.destroy(market.provider)
     assert market.chain.receipts[-1].value_wei == result.records[1].payment_wei > 0
@@ -266,10 +266,22 @@ def test_balance_replay_detects_negative_dips():
     chain = ChainState()
     broke = chain.create_named_account("broke", 5)
     chain.receipts.append(TxReceipt(
-        index=0, period=0, caller=broke, function="updateData",
+        period=0, caller=broke, function="updateData",
         gas_used=1, gas_fee_wei=6, value_wei=0, recipient=None, usd_cost=0.0,
     ))
-    with pytest.raises(ReconciliationFailureError, match="drives"):
+    with pytest.raises(ReconciliationFailureError, match="^receipt 0 drives broke to -1 wei$"):
+        replay(chain)
+
+
+def test_a_dip_names_the_position_of_a_repeated_receipt():
+    # A batch logs one receipt object at consecutive positions; the replay walks every position,
+    # so the third call of a batch that the payer can fund only twice is the one named.
+    chain = ChainState()
+    payer = chain.create_named_account("payer", 12)
+    receipt = TxReceipt(period=0, caller=payer, function="updateData",
+                        gas_used=1, gas_fee_wei=6, value_wei=0, recipient=None, usd_cost=0.0)
+    chain.receipts += [receipt] * 3
+    with pytest.raises(ReconciliationFailureError, match="^receipt 2 drives payer to -6 wei$"):
         replay(chain)
 
 
@@ -297,11 +309,11 @@ def test_summary_of_an_empty_run_is_all_zero():
 
 
 def test_builders_are_pure(run):
-    before = [(r.index, r.payment_wei) for r in run.records]
+    before = [astuple(r) for r in run.records]
     first = actions_csv(run)
     assert actions_csv(run) == first
     assert periods_csv(run) == periods_csv(run)
-    assert [(r.index, r.payment_wei) for r in run.records] == before
+    assert [astuple(r) for r in run.records] == before
 
 
 def test_actions_csv_mirrors_records(run):
@@ -310,8 +322,10 @@ def test_actions_csv_mirrors_records(run):
     assert len(lines) == len(run.records) + 1
     first = run.records[0]
     assert lines[1].split(",")[:4] == [
-        str(first.index), str(first.period), first.kind.value, first.actor,
+        "0", str(first.period), first.kind.value, first.actor,
     ]
+    # Each row is numbered by its record's position.
+    assert [line.split(",")[0] for line in lines[1:]] == [str(index) for index in range(len(run.records))]
 
 
 def test_profit_series_has_one_row_per_period(run):

@@ -6,13 +6,15 @@ one home, one renderer and one writer make every report's lines and bytes,
 each configuration checks itself when it is built, one replay walks the
 receipt log, every class rejects an attribute it does not declare,
 importing the command line loads no process pool, only the bootstrap
-changes a registry, and one chain method builds each receipt complete."""
+changes a registry, one chain method builds each receipt complete, and a
+log entry's number is its position."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
@@ -213,6 +215,20 @@ def test_one_chain_method_builds_each_receipt_complete():
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert builders and set(builders) == {"chain.ChainState._move"}, builders
     assert not late, late
+
+
+def test_a_log_entry_is_numbered_by_its_position():
+    """Neither a receipt nor an action record declares an index: its number is its position in
+    chain.receipts or result.records. So _move builds one TxReceipt for any count, with no loop."""
+    for module, record in (("chain", "TxReceipt"), ("engine", "ActionRecord")):
+        declared = [f.name for f in fields(getattr(importlib.import_module(f"incentiveledger.{module}"), record))]
+        assert "index" not in declared, (record, declared)
+    move = functions_of("chain.py")["_move"]
+    built = [node for node in ast.walk(move) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TxReceipt"]
+    loops = [type(node).__name__ for node in ast.walk(move)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(built) == 1 and not loops, (len(built), loops)
 
 
 def call_sites(attr: str, receiver: str | None = None) -> list[tuple[str, str]]:
