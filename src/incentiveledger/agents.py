@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
-from .chain import Address, account_address, csv_text
+from .chain import Address, account_addresses, csv_text
 from .errors import ConfigError
 
 PROVIDER_PROB_MIN = 0.01  # a provider's publish probability is drawn from [this, provider_prob_max]
@@ -60,15 +62,12 @@ def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[Agent
     samples = [rng.gauss(0.0, 0.1) for _ in range(cfg.n_accounts)]
     lo, hi = min(samples), max(samples)
     probs = [0.5] * len(samples) if hi == lo else [(x - lo) / (hi - lo) for x in samples]
-    profiles = []
-    for i in range(cfg.n_accounts):
-        if i < cfg.max_providers:
-            role = Role.PROVIDER
-            prob = rng.uniform(PROVIDER_PROB_MIN, cfg.provider_prob_max)
-        else:
-            role = Role.REQUESTER
-            prob = probs[i]
-        profiles.append(AgentProfile(account_address(i), role, prob, prob, cfg.decay))
+    addresses, k, decay, uniform = account_addresses(cfg.n_accounts), cfg.max_providers, cfg.decay, rng.uniform
+    provider, requester = Role.PROVIDER, Role.REQUESTER  # read once: an Enum member read is slow
+    profiles = [AgentProfile(address, provider, prob := uniform(PROVIDER_PROB_MIN, cfg.provider_prob_max), prob, decay)
+                for address in addresses[:k]]
+    profiles += [AgentProfile(address, requester, prob, prob, decay)
+                 for address, prob in islice(zip(addresses, probs), k, None)]
     return profiles
 
 
@@ -84,5 +83,5 @@ def decay_renewal_prob(profile: AgentProfile) -> None:
     profile.current_prob = prob if prob < profile.current_prob else 0.0
 
 
-def population_csv(profiles: list[AgentProfile]) -> list[str]:
+def population_csv(profiles: list[AgentProfile]) -> Iterator[str]:
     return csv_text("address,role,baseProb", (f"{p.address},{p.role._value_},{p.base_prob!r}" for p in profiles))

@@ -6,6 +6,7 @@ gas price, and fees drain into a miner sink account so that total system
 value is conserved to the wei. There are no blocks, no nonces and no real
 EVM; a call is priced by looking its function tag up in a gas schedule.
 N identical calls book as one batch: one funds check, one receipt at N log positions.
+A price keeps one fee and one USD figure per gas amount: calls of equal gas share both.
 
 All arithmetic is integer wei. USD figures are derived for display only and
 never feed back into balances.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
@@ -65,13 +67,19 @@ def account_address(index: int) -> Address:
     return f"acct-{index:04d}"
 
 
-def csv_text(header: str, rows: Iterable[str]) -> list[str]:
-    """The one line renderer of every report: the header line, then blocks of at most
-    REPORT_BLOCK_ROWS rows, every line ending in LF. So no report is held as one string."""
-    blocks, rows = [header + "\n"], iter(rows)
+@lru_cache(maxsize=1)
+def account_addresses(n: int) -> tuple[Address, ...]:
+    """The first n account addresses, built once per count, so that its callers share each string."""
+    return tuple(map(account_address, range(n)))
+
+
+def csv_text(header: str, rows: Iterable[str]) -> Iterator[str]:
+    """The one line renderer of every report: yields the header line, then blocks of at most
+    REPORT_BLOCK_ROWS rows, every line ending in LF, each built when it is asked for."""
+    yield header + "\n"
+    rows = iter(rows)
     while block := list(islice(rows, REPORT_BLOCK_ROWS)):
-        blocks.append("\n".join((*block, "")))
-    return blocks
+        yield "\n".join((*block, ""))
 
 
 # Measured transaction gas of each contract function: what a caller is
@@ -140,6 +148,8 @@ class PriceModel:
 
     gas_price_wei: int = 72 * GWEI
     eth_usd: float = 1716.52
+    # gas -> (fee, its USD figure): filled by fee_and_usd, and never stale, since the price is frozen.
+    _fees: dict[int, tuple[int, float]] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if 0 < self.gas_price_wei < math.inf:
@@ -157,6 +167,12 @@ class PriceModel:
         raw = wei / WEI_PER_ETH * self.eth_usd
         cents = int(abs(raw) * 100 + 0.5)
         return (cents if raw >= 0 else -cents) / 100
+
+    def fee_and_usd(self, gas: int) -> tuple[int, float]:
+        """The fee of gas and its USD figure, built once per gas amount and then shared."""
+        if gas not in self._fees:
+            self._fees[gas] = (fee := self.fee_wei(gas), self.wei_to_usd(fee))
+        return self._fees[gas]
 
 
 @dataclass(slots=True)
@@ -206,7 +222,7 @@ class ChainState:
             raise ValueError("need at least one account")
         if prefund_wei < 0:
             raise ValueError("prefund cannot be negative")
-        created = [account_address(i) for i in range(self._account_seq, self._account_seq + n)]
+        created = list(account_addresses(self._account_seq + n)[self._account_seq:])
         if not self.accounts.keys().isdisjoint(created):
             raise ValueError(f"account {next(a for a in created if a in self.accounts)} already exists")
         self._account_seq += n
@@ -275,7 +291,7 @@ class ChainState:
     def _move(self, caller: Address, function: str, gas: int, value_wei: int, recipient: Address | None,
               contract: Address | None = None, margin_pct: int | None = None, count: int = 1) -> TxReceipt:
         """The one value-moving path, atomic: bill gas and move value for count calls; log one receipt for all."""
-        fee = self.price.fee_wei(gas)
+        fee, usd = self.price.fee_and_usd(gas)
         fees, values = fee * count, value_wei * count
         caller_balance = self.balance(caller)
         if recipient is not None and recipient not in self.accounts:  # it must exist before any debit
@@ -288,11 +304,11 @@ class ChainState:
             self.accounts[recipient] += values
         # Positional: on this hot path the keyword form cost twice as much.
         receipt = TxReceipt(self.period, caller, function, gas, fee, value_wei, recipient,
-                            self.price.wei_to_usd(fee + value_wei), contract, margin_pct)
+                            self.price.wei_to_usd(fee + value_wei) if value_wei else usd, contract, margin_pct)
         self.receipts.extend((receipt,) * count)  # one object at count positions
         return receipt
 
-    def log_csv(self) -> list[str]:
+    def log_csv(self) -> Iterator[str]:
         done, head = self._formatted
         if not done or self.receipts[: len(done)] != done:
             done, head = [], "index,period,caller,function,gasUsed,gasFeeWei,valueWei,recipient,usdCost"
@@ -301,7 +317,7 @@ class ChainState:
     def _rows(self, start: int) -> Iterator[str]:
         """Rows from position start on, numbered by position; a receipt at consecutive positions is formatted once."""
         last = tail = None
-        for index, r in enumerate(self.receipts[start:], start):
+        for index, r in enumerate(islice(self.receipts, start, None), start):
             if r is not last:
                 last, tail = r, (f"{r.period},{r.caller},{r.function},{r.gas_used},"
                                  f"{r.gas_fee_wei},{r.value_wei},{r.recipient or ''},{r.usd_cost:.2f}")

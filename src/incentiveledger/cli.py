@@ -226,6 +226,7 @@ def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: Share
             outcomes.append(str(exc))
             continue
         outcomes.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
+        del result  # freed before the next cell settles, so a worker holds one run at a time
     if not all(isinstance(outcome, str) for outcome in outcomes):
         write_population(stream.population, out / f"seed-{row[0].seed}")
     return outcomes
@@ -302,7 +303,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if any(by_cell):
         write_report(out / "registry.csv", registry.snapshot_csv())
         write_report(out / "sweep.csv", sweep_csv(summary for summaries in by_cell for summary in summaries))
-    even = break_even_csv(zip(cells, by_cell))
+    even = list(break_even_csv(zip(cells, by_cell)))  # both written and printed
     write_report(out / "break_even.csv", even)
     if not args.quiet:
         sys.stdout.writelines(even)

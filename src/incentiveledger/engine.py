@@ -40,7 +40,7 @@ from enum import Enum
 from itertools import islice
 from operator import attrgetter
 
-from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
+from .agents import AgentProfile, PopulationConfig, decay_renewal_prob, generate_population
 from .chain import (
     GWEI,
     Address,
@@ -303,10 +303,10 @@ def simulate(cfg: SimConfig) -> Stream:
     population = generate_population(cfg.population, rng)
     stream = Stream(cfg, population, [], [])
     actions, counts, ticker = stream.actions, stream.counts, cfg.action_ticker
-    providers = [p for p in population if p.role is Role.PROVIDER]
-    # A requester at probability 0.0 could never request and would hold the
-    # queue forever, so they never join it.
-    requesters = [p for p in population if p.role is Role.REQUESTER and p.current_prob > 0.0]
+    # The population lists its providers first. A requester at probability 0.0
+    # could never request and would hold the queue forever, so they never join it.
+    providers = population[: cfg.population.max_providers]
+    requesters = [p for p in islice(population, len(providers), None) if p.current_prob > 0.0]
     # Each request's token as [expiry, holder, dataset ordinal], in request
     # order, which is the token-id order settle mints in. Nothing burns.
     roster: list[list] = []

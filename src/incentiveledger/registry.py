@@ -11,6 +11,7 @@ membership checks that dataset contracts perform internally are free reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .chain import (
     Address,
@@ -90,9 +91,11 @@ class Registry:
         """Free read: is this address an approved provider?"""
         return addr in self.providers
 
-    def snapshot_csv(self) -> list[str]:
-        rows: dict[Address, tuple[str, int | str]] = {addr: ("provider", "") for addr in self.providers}
-        for addr, license_code in self.users.items():
-            rows[addr] = ("provider+user" if addr in rows else "user", license_code)
-        return csv_text("address,role,license",
-                        (f"{addr},{role},{code}" for addr, (role, code) in sorted(rows.items())))
+    def snapshot_csv(self) -> Iterator[str]:
+        """registry.csv: one row per address in address order, with its role and, for a user, its license."""
+        users, providers = self.users, self.providers
+        addresses = [*users, *providers.difference(users)]
+        addresses.sort()
+        return csv_text("address,role,license", (
+            f"{addr},{'provider+user' if addr in providers else 'user'},{users[addr]}" if addr in users
+            else f"{addr},provider," for addr in addresses))

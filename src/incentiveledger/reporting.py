@@ -7,8 +7,9 @@ functions of the run result and of RunTotals, one aggregation pass over its
 action records.
 Every output is byte-deterministic: LF line endings, no timestamps, fixed
 column orders, USD at two decimals with wei columns authoritative. One
-renderer, chain.csv_text, makes every report's lines in blocks, and one
-writer, write_report, writes them in order; the sweep's tables are built here.
+renderer, chain.csv_text, yields every report's lines in blocks, and one
+writer, write_report, writes each block as it is built, so no report is held
+whole; the sweep's tables are built here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .agents import AgentProfile, population_csv
 from .chain import (
@@ -125,10 +126,9 @@ def reconcile(result: SimResult) -> None:
         )
     # Agents spend only through the four actions and receive only contract payouts, so
     # their combined outflow plus those payouts is exactly what the action records say they spent.
-    outflow = sum(
-        chain.funding[p.address] - chain.balance(p.address) for p in result.population
-    )
-    outflow += sum(payouts.get(p.address, 0) for p in result.population) if payouts else 0
+    addresses = [p.address for p in result.population]
+    outflow = sum(map(chain.funding.__getitem__, addresses)) - sum(map(chain.accounts.__getitem__, addresses))
+    outflow += sum(payouts.get(address, 0) for address in addresses) if payouts else 0
     recorded = sum(r.tx_gas_fee_wei + r.payment_wei for r in result.records)
     if outflow != recorded:
         raise ReconciliationFailureError(
@@ -244,7 +244,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     )
 
 
-def actions_csv(result: SimResult) -> list[str]:
+def actions_csv(result: SimResult) -> Iterator[str]:
     return csv_text("index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei", (
         f"{index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
         f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
@@ -252,7 +252,7 @@ def actions_csv(result: SimResult) -> list[str]:
     ))
 
 
-def periods_csv(result: SimResult) -> list[str]:
+def periods_csv(result: SimResult) -> Iterator[str]:
     price = result.chain.price
     header = ("period,currentCostWei,currentCostUsd,providerCostWei,providerEarningsWei,"
               "profitWei,profitUsd,activeRequesters,actions")
@@ -265,7 +265,7 @@ def periods_csv(result: SimResult) -> list[str]:
     ))
 
 
-def contracts_csv(result: SimResult) -> list[str]:
+def contracts_csv(result: SimResult) -> Iterator[str]:
     return csv_text("period,contract,currentCostWei,providerCostWei,providerEarningsWei,activeTokens,metaVersion", (
         f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
         f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
@@ -273,7 +273,7 @@ def contracts_csv(result: SimResult) -> list[str]:
     ))
 
 
-def profit_series_csv(result: SimResult) -> list[str]:
+def profit_series_csv(result: SimResult) -> Iterator[str]:
     price = result.chain.price
     scenario = result.config.scenario.value
     return csv_text("period,scenario,profitWei,profitUsd", (
@@ -281,7 +281,7 @@ def profit_series_csv(result: SimResult) -> list[str]:
     ))
 
 
-def cost_overlay_csv(result: SimResult) -> list[str]:
+def cost_overlay_csv(result: SimResult) -> Iterator[str]:
     """Running-cost trajectory with one scatter row per action.
 
     Per period: the period's action rows, each carrying the acted-on
@@ -304,7 +304,7 @@ def cost_overlay_csv(result: SimResult) -> list[str]:
     return csv_text("rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd", rows())
 
 
-def requester_costs_csv(result: SimResult, totals: RunTotals) -> list[str]:
+def requester_costs_csv(result: SimResult, totals: RunTotals) -> Iterator[str]:
     """Base gas cost vs additional compensation payment, per requester and kind."""
     price = result.chain.price
     return csv_text("address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd", (
@@ -314,7 +314,7 @@ def requester_costs_csv(result: SimResult, totals: RunTotals) -> list[str]:
     ))
 
 
-def top_requesters_csv(result: SimResult, totals: RunTotals) -> list[str]:
+def top_requesters_csv(result: SimResult, totals: RunTotals) -> Iterator[str]:
     """The provider's lifetime cost against the TOP_REQUESTERS most-spending requesters."""
     price = result.chain.price
     provider_spend: dict[Address, int] = {}
@@ -330,7 +330,7 @@ def top_requesters_csv(result: SimResult, totals: RunTotals) -> list[str]:
     return csv_text("role,address,actions,totalWei,totalUsd", rows)
 
 
-def cost_distribution_csv(totals: RunTotals) -> list[str]:
+def cost_distribution_csv(totals: RunTotals) -> Iterator[str]:
     """Per action kind: quartiles of the total USD cost of one action."""
     rows = []
     for kind in sorted(totals.usd_samples):
@@ -344,7 +344,7 @@ def cost_distribution_csv(totals: RunTotals) -> list[str]:
     return csv_text("kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd", rows)
 
 
-def summary_text(result: SimResult, summary: RunSummary) -> list[str]:
+def summary_text(result: SimResult, summary: RunSummary) -> Iterator[str]:
     price = result.chain.price
     even = "never" if summary.break_even_period is None else f"period {summary.break_even_period}"
     top = ", ".join(f"{addr} ${usd:.2f}" for addr, usd in summary.top_requesters) or "none"
@@ -391,16 +391,16 @@ def _summary_row(summary: RunSummary) -> str:
     return ",".join(cells)
 
 
-def summary_csv(summary: RunSummary) -> list[str]:
+def summary_csv(summary: RunSummary) -> Iterator[str]:
     return csv_text(_SUMMARY_HEADER, [_summary_row(summary)])
 
 
-def sweep_csv(summaries: Iterable[RunSummary]) -> list[str]:
+def sweep_csv(summaries: Iterable[RunSummary]) -> Iterator[str]:
     """summary.csv of every run of a sweep under one header, in the order given."""
     return csv_text(_SUMMARY_HEADER, map(_summary_row, summaries))
 
 
-def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> list[str]:
+def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> Iterator[str]:
     """Per sweep cell: finished runs, those that broke even, and the median break-even period, if finite."""
     rows = []
     for cfg, summaries in cells:
@@ -428,8 +428,8 @@ REPORT_NAMES = (
 SHARED_NAMES = ("population.csv", "registry.csv")
 
 
-def write_report(path: Path, blocks: list[str]) -> None:
-    """The one report writer: the blocks in order, UTF-8, and LF line endings on every platform."""
+def write_report(path: Path, blocks: Iterable[str]) -> None:
+    """The one report writer: each block as it is built, in order, UTF-8, and LF line endings on every platform."""
     if isinstance(blocks, str):  # writelines would write it one character at a time
         raise TypeError("write_report takes a list of text blocks, not a str")
     with path.open("w", encoding="utf-8", newline="\n") as file:

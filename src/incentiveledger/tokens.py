@@ -135,7 +135,7 @@ class TokenStore:
                 del holders[tokens[entry.token_id].dataset_address][entry.token_id]
         return events
 
-    def table_csv(self) -> list[str]:
+    def table_csv(self) -> Iterator[str]:
         return csv_text("tokenId,dataset,user,mintedPeriod,accessUntil,compliance,burned,remainingAtBurn", (
             f"{t.token_id},{t.dataset_address},{t.user},{t.minted_period},"
             f"{t.access_until},{t.compliance},{t.burned},{t.remaining_at_burn}"

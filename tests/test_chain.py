@@ -118,6 +118,32 @@ def test_execute_extra_gas_is_billed(chain):
     assert extra - base == 1_000 * chain.price.gas_price_wei
 
 
+def test_value_free_calls_of_equal_gas_share_one_fee_and_one_usd_figure(chain):
+    caller = chain.create_named_account("caller", 10 * WEI_PER_ETH)
+    vendor = chain.create_named_account("vendor", 0)
+    # Each call computes its own extra gas, as an update does from its holder count.
+    first, second = (chain.execute(caller, UPDATE_DATA, extra_gas=3 * PER_REQUESTER_UPDATE_GAS) for _ in range(2))
+    assert first is not second
+    assert first.gas_fee_wei is second.gas_fee_wei and first.usd_cost is second.usd_cost
+    paid = chain.execute(caller, UPDATE_DATA, extra_gas=3 * PER_REQUESTER_UPDATE_GAS,
+                         value_wei=10**16, recipient=vendor)
+    assert paid.gas_fee_wei is first.gas_fee_wei
+    assert paid.usd_cost == chain.price.wei_to_usd(first.gas_fee_wei + 10**16) != first.usd_cost
+    other = chain.fork()  # the fork keeps the price, and with it each fee object
+    forked = other.execute(caller, UPDATE_DATA, extra_gas=3 * PER_REQUESTER_UPDATE_GAS)
+    assert forked.gas_fee_wei is first.gas_fee_wei and forked.usd_cost is first.usd_cost
+
+
+def test_each_price_keeps_its_own_fees():
+    gas = default_gas_schedule().gas_for(CHECK_USER)
+    cheap, dear = PriceModel(gas_price_wei=GWEI), PriceModel(gas_price_wei=2 * GWEI, eth_usd=3_000.0)
+    for price in (cheap, dear, cheap):
+        fee, usd = price.fee_and_usd(gas)
+        assert (fee, usd) == (price.fee_wei(gas), price.wei_to_usd(price.fee_wei(gas)))
+    assert cheap.fee_and_usd(gas)[0] is cheap.fee_and_usd(gas)[0]
+    assert cheap == PriceModel(gas_price_wei=GWEI) and hash(cheap) == hash(PriceModel(gas_price_wei=GWEI))
+
+
 def test_rejected_call_is_atomic_and_burns_no_gas(chain):
     poor = chain.create_named_account("poor", 10)
     vendor = chain.create_named_account("vendor", 7)

@@ -45,6 +45,18 @@ def stream(result):
     return [(r.kind, r.actor, r.dataset, r.period) for r in result.records]
 
 
+def test_the_population_ledger_and_registry_share_each_address():
+    # The same string object, not an equal copy: a dict returns its own key for an equal one.
+    cfg = small_cfg()
+    shared = SharedStart()
+    shared.fork(cfg)  # a sweep builds its bootstrap before any seed is simulated
+    for result in (run_simulation(cfg), settle(cfg, simulate(cfg), shared)):
+        registry = result.registry
+        for keys in (result.chain.accounts, result.chain.funding, [*registry.providers, *registry.users]):
+            own = {key: key for key in keys}
+            assert all(own[p.address] is p.address for p in result.population)
+
+
 def test_run_starts_with_a_forced_publication():
     result = run_simulation(small_cfg(action_ticker=1))
     assert len(result.records) == 1
@@ -100,7 +112,7 @@ def test_economics_change_payments_only():
     assert [r.payment_wei for r in a.records] != [r.payment_wei for r in b.records]
     assert [(r.period, r.kind, r.actor, r.dataset) for r in a.records] == \
            [(r.period, r.kind, r.actor, r.dataset) for r in b.records]
-    assert a.token_store.table_csv() == b.token_store.table_csv()
+    assert report_text(a.token_store.table_csv()) == report_text(b.token_store.table_csv())
     assert a.token_store.events == b.token_store.events
     assert [r.gas_used for r in a.chain.receipts] == [r.gas_used for r in b.chain.receipts]
     pa, pb = a.config.price.gas_price_wei, b.config.price.gas_price_wei

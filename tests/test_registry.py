@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import pytest
 
 from conftest import report_text
 
-from incentiveledger import DEFAULT_LICENSE, Registry, WEI_PER_ETH
+from incentiveledger import DEFAULT_LICENSE, PopulationConfig, Registry, SimConfig, WEI_PER_ETH
 from incentiveledger.chain import (
     MINER_ADDRESS,
     NEW_DATA_PROVIDER,
@@ -14,6 +17,7 @@ from incentiveledger.chain import (
     REGISTRY_DEPLOYMENT,
     UPDATE_USER_LICENSE,
 )
+from incentiveledger.engine import build_start
 from incentiveledger.errors import (
     AlreadyRegisteredError,
     InsufficientFundsError,
@@ -105,6 +109,20 @@ def test_snapshot_csv_sorted_with_merged_roles(deployed):
     assert lines[1:] == sorted(lines[1:])
     assert "member,provider+user,3" in lines
     assert "outsider,provider," in lines
+
+
+def test_a_20k_snapshot_holds_no_tuple_per_row():
+    # The snapshot sorts one list of addresses and formats each row from users and providers.
+    chain, registry = build_start(SimConfig(population=PopulationConfig(n_accounts=20_000, max_providers=3)))
+    tracemalloc.start()
+    try:
+        settled = tracemalloc.get_traced_memory()[0]
+        rows = sum(block.count("\n") for block in registry.snapshot_csv()) - 1
+        peak = tracemalloc.get_traced_memory()[1] - settled
+    finally:
+        tracemalloc.stop()
+    assert rows == len(registry.users) + len(registry.providers) == 20_000
+    assert peak < rows * sys.getsizeof(("user", DEFAULT_LICENSE)), peak
 
 
 def test_a_batch_books_one_receipt_per_user(deployed):

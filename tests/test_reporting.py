@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -32,7 +33,9 @@ from incentiveledger.chain import (
     ADD_DATA_REQUESTER,
     Address,
     DEPLOYMENT,
+    GWEI,
     MINER_ADDRESS,
+    PriceModel,
     RENEW_TOKEN,
     TxReceipt,
     UPDATE_DATA,
@@ -310,9 +313,9 @@ def test_summary_of_an_empty_run_is_all_zero():
 
 def test_builders_are_pure(run):
     before = [astuple(r) for r in run.records]
-    first = actions_csv(run)
-    assert actions_csv(run) == first
-    assert periods_csv(run) == periods_csv(run)
+    first = report_text(actions_csv(run))
+    assert report_text(actions_csv(run)) == first
+    assert report_text(periods_csv(run)) == report_text(periods_csv(run))
     assert [astuple(r) for r in run.records] == before
 
 
@@ -495,6 +498,28 @@ def test_writing_reports_holds_about_one_copy_of_the_largest(tmp_path):
         tracemalloc.stop()
     largest = max(p.stat().st_size for p in tmp_path.iterdir())
     assert peak < 2.3 * largest, (peak, largest)
+
+
+def test_writing_one_report_holds_about_two_blocks(tmp_path):
+    # A block in memory is its row strings, then its joined text; its encoded bytes go to the
+    # file. Each report is written as its blocks are built, so no report is ever held whole.
+    result = run_simulation(SimConfig(
+        action_ticker=20_000, price=PriceModel(gas_price_wei=GWEI),
+        population=PopulationConfig(n_accounts=20_000, max_providers=2),
+    ))
+    for build in (lambda: actions_csv(result), result.chain.log_csv):
+        blocks = list(build())
+        block = max(sum(map(sys.getsizeof, text.split("\n"))) + sys.getsizeof(text) for text in blocks[1:])
+        assert sum(map(sys.getsizeof, blocks)) > 2 * block  # held whole, the report alone would break the bound
+        del blocks
+        tracemalloc.start()
+        try:
+            settled = tracemalloc.get_traced_memory()[0]
+            write_report(tmp_path / "report.csv", build())
+            peak = tracemalloc.get_traced_memory()[1] - settled
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block, (peak, block)
 
 
 def test_no_compensation_reports_zero_payment_columns():
