@@ -6,7 +6,7 @@ gas price, and fees drain into a miner sink account so that total system
 value is conserved to the wei. There are no blocks, no nonces and no real
 EVM; a call is priced by looking its function tag up in a gas schedule.
 N identical calls book as one batch: one funds check, one receipt at N log positions.
-A price keeps one fee and one USD figure per gas amount: calls of equal gas share both.
+A price keeps one gas int, one fee and one USD figure per gas amount: calls of equal gas share all three.
 
 All arithmetic is integer wei. USD figures are derived for display only and
 never feed back into balances.
@@ -148,8 +148,8 @@ class PriceModel:
 
     gas_price_wei: int = 72 * GWEI
     eth_usd: float = 1716.52
-    # gas -> (fee, its USD figure): filled by fee_and_usd, and never stale, since the price is frozen.
-    _fees: dict[int, tuple[int, float]] = field(init=False, default_factory=dict, repr=False, compare=False)
+    # gas -> (that gas, its fee, the fee's USD figure): filled by fee_and_usd, never stale, since the price is frozen.
+    _fees: dict[int, tuple[int, int, float]] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if 0 < self.gas_price_wei < math.inf:
@@ -168,10 +168,10 @@ class PriceModel:
         cents = int(abs(raw) * 100 + 0.5)
         return (cents if raw >= 0 else -cents) / 100
 
-    def fee_and_usd(self, gas: int) -> tuple[int, float]:
-        """The fee of gas and its USD figure, built once per gas amount and then shared."""
+    def fee_and_usd(self, gas: int) -> tuple[int, int, float]:
+        """An equal gas int, the fee of gas and its USD figure, built once per gas amount and then shared."""
         if gas not in self._fees:
-            self._fees[gas] = (fee := self.fee_wei(gas), self.wei_to_usd(fee))
+            self._fees[gas] = (gas, fee := self.fee_wei(gas), self.wei_to_usd(fee))
         return self._fees[gas]
 
 
@@ -202,7 +202,6 @@ class ChainState:
     funding: dict[Address, int] = field(init=False, default_factory=lambda: {MINER_ADDRESS: 0})
     receipts: list[TxReceipt] = field(init=False, default_factory=list)
     period: int = field(init=False, default=0)
-    minted_wei: int = field(init=False, default=0)
     _account_seq: int = field(init=False, default=0)
     _contract_seq: int = field(init=False, default=0)
     # A prefix of the receipt log and its transactions.csv text, less the final newline.
@@ -228,7 +227,6 @@ class ChainState:
         self._account_seq += n
         self.accounts.update(dict.fromkeys(created, prefund_wei))
         self.funding.update(dict.fromkeys(created, prefund_wei))
-        self.minted_wei += n * prefund_wei
         return created
 
     def create_named_account(self, addr: Address, prefund_wei: int = 0) -> Address:
@@ -236,7 +234,6 @@ class ChainState:
             raise ValueError(f"account {addr} already exists")
         self.accounts[addr] = prefund_wei
         self.funding[addr] = prefund_wei
-        self.minted_wei += prefund_wei
         return addr
 
     def next_contract_address(self) -> Address:
@@ -254,7 +251,7 @@ class ChainState:
 
     def conservation_holds(self) -> bool:
         # Every wei ever minted is still on some account, miner included.
-        return self.total_wei() == self.minted_wei
+        return self.total_wei() == sum(self.funding.values())
 
     def execute(
         self,
@@ -276,8 +273,7 @@ class ChainState:
             raise ValueError("extra gas and value cannot be negative, and count must be at least 1")
         if value_wei > 0 and recipient is None:
             raise ValueError("value transfer needs a recipient")
-        gas = self.schedule.gas_for(function)  # the schedule's own int: none is built per call without extra gas
-        return self._move(caller, function, gas + extra_gas if extra_gas else gas, value_wei, recipient,
+        return self._move(caller, function, self.schedule.gas_for(function) + extra_gas, value_wei, recipient,
                           contract, margin_pct, count)
 
     def transfer(self, source: Address, recipient: Address, value_wei: int, tag: str) -> TxReceipt:
@@ -291,7 +287,7 @@ class ChainState:
     def _move(self, caller: Address, function: str, gas: int, value_wei: int, recipient: Address | None,
               contract: Address | None = None, margin_pct: int | None = None, count: int = 1) -> TxReceipt:
         """The one value-moving path, atomic: bill gas and move value for count calls; log one receipt for all."""
-        fee, usd = self.price.fee_and_usd(gas)
+        gas, fee, usd = self.price.fee_and_usd(gas)  # the memo's gas int: receipts share one per amount
         fees, values = fee * count, value_wei * count
         caller_balance = self.balance(caller)
         if recipient is not None and recipient not in self.accounts:  # it must exist before any debit

@@ -32,7 +32,7 @@ from . import __version__
 from .agents import PopulationConfig
 from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
-from .engine import SharedStart, SimConfig, run_simulation, settings, settle, simulate, with_seed
+from .engine import SimConfig, build_start, run_simulation, settings, settle, simulate, with_seed
 from .errors import ConfigError, EngineError, LedgerError
 from .reporting import (REPORT_NAMES, SHARED_NAMES, break_even_csv, summary_text, sweep_csv, write_population,
                         write_report, write_run_reports)
@@ -213,7 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: SharedStart) -> list:
+def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, start: tuple) -> list:
     """Simulate row's seed once, settle and write each of its cells, then, if any was written, the
     population.csv they share. Returns, in cell order, each run's RunSummary or the error of a
     failed run, which names it: seed, grid cell, period and action."""
@@ -221,7 +221,7 @@ def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: Share
     outcomes = []
     for cfg, name in zip(row, names):
         try:
-            result = settle(cfg, stream, shared)
+            result = settle(cfg, stream, start)
         except EngineError as exc:
             outcomes.append(str(exc))
             continue
@@ -232,27 +232,27 @@ def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, shared: Share
     return outcomes
 
 
-_inherited: list = []  # in a sweep worker, its sweep's names, out and bootstrap
+_inherited: list = []  # in a sweep worker, its sweep's names, out and start
 
 
 def _worker_seed(row: list[SimConfig]) -> list:
     return _sweep_seed(row, *_inherited)
 
 
-def _seed_outcomes(grid: list[list], names: list[str], out: Path, shared: SharedStart) -> Iterator[list]:
+def _seed_outcomes(grid: list[list], names: list[str], out: Path, start: tuple) -> Iterator[list]:
     """Each seed's outcomes, in seed order. The seeds run in worker processes,
     one per usable CPU and at most one per seed; one worker is this process."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(grid))
     if workers == 1:
-        yield from (_sweep_seed(row, names, out, shared) for row in grid)
+        yield from (_sweep_seed(row, names, out, start) for row in grid)
         return
     from concurrent.futures import ProcessPoolExecutor  # not at the top: ~30 ms on every start
     from multiprocessing import get_context
     # Forked before the pool starts a thread, workers inherit names, out and the
-    # bootstrap: a task pickles only a row. An error cancels seeds not yet started.
+    # start: a task pickles only a row. An error cancels seeds not yet started.
     with ProcessPoolExecutor(workers, get_context("fork"), initializer=_inherited.extend,
-                             initargs=((names, out, shared),)) as pool:
+                             initargs=((names, out, start),)) as pool:
         yield from pool.map(_worker_seed, grid)
 
 
@@ -288,12 +288,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _resolve_out(args, {"": ("registry.csv", "sweep.csv", "break_even.csv"), **dict.fromkeys(names, ()),
                               **dict.fromkeys(runs, REPORT_NAMES), **{f"seed-{s}": ("population.csv",) for s in seeds}})
 
-    shared = SharedStart()
-    _, registry = shared.fork(cells[0])  # builds the bootstrap every run of the grid starts from
+    start = build_start(cells[0])  # the bootstrap every run of the grid forks
     by_cell = [[] for _ in cells]  # each cell's run summaries, in seed order
     # Seed-major, so that each seed is simulated once and every cell settles
     # from its stream; failures are logged in that order too.
-    for outcomes in _seed_outcomes(grid, names, out, shared):
+    for outcomes in _seed_outcomes(grid, names, out, start):
         for summaries, outcome in zip(by_cell, outcomes):
             if isinstance(outcome, str):
                 log.error("run failed: %s", outcome)
@@ -301,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 summaries.append(outcome)
 
     if any(by_cell):
-        write_report(out / "registry.csv", registry.snapshot_csv())
+        write_report(out / "registry.csv", start[1].snapshot_csv())
         write_report(out / "sweep.csv", sweep_csv(summary for summaries in by_cell for summary in summaries))
     even = list(break_even_csv(zip(cells, by_cell)))  # both written and printed
     write_report(out / "break_even.csv", even)

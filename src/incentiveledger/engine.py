@@ -23,13 +23,13 @@ one renewal roll per expired token in token-id order. No draw depends on
 scenario, margin or fraction parameters, so runs that share a seed share
 their entire action stream across those settings.
 
-Sharing: the registry bootstrap depends on no seed, so a sweep builds it
-once in a SharedStart, and each run forks it. Nor does the stream depend
-on economics, so a sweep simulates each seed once and settles every cell
-of the seed from that stream, on a fork of the bootstrap and with a token
-store of its own. A cell that cannot pay fails with a direct run's error,
-at the same period and action, and every run's reports hold the same bytes
-as a direct run's, which builds its bootstrap fresh.
+Sharing: the registry bootstrap depends on no seed, so a sweep builds its
+start, build_start's (chain, registry) pair, once and settles each run on
+a fork of it. Nor does the stream depend on economics, so a sweep
+simulates each seed once and settles every cell of the seed from that
+stream, with a token store of its own. A cell that cannot pay fails with
+a direct run's error, at the same period and action, and every run's
+reports hold the same bytes as a direct run's, which builds its start fresh.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ MAX_PERIODS = 1_000_000
 PREFUND_WEI = 100 * WEI_PER_ETH  # minted onto each agent and the authority
 # What a run's action stream depends on; a stream settles only runs that share it.
 _STREAM = attrgetter("seed", "population", "action_ticker", "update_multiplier")
+# What build_start depends on; a start settles only runs that share it.
+_START = attrgetter("population.n_accounts", "population.max_providers", "price", "schedule")
 
 
 class ActionKind(Enum):
@@ -280,22 +282,6 @@ def build_start(cfg: SimConfig) -> tuple[ChainState, Registry]:
     return chain, registry
 
 
-@dataclass(slots=True, eq=False, repr=False)
-class SharedStart:
-    """The registry bootstrap of a sweep's runs, built once and forked by each."""
-
-    bootstrap: tuple = field(init=False, default=(None, None, None))  # (settings, chain, registry)
-
-    def fork(self, cfg: SimConfig) -> tuple[ChainState, Registry]:
-        # A GasSchedule holds a dict, so the settings are compared, not hashed.
-        key = (cfg.population.n_accounts, cfg.population.max_providers, cfg.price, cfg.schedule)
-        if self.bootstrap[0] != key:
-            self.bootstrap = (key, *build_start(cfg))
-        _, chain, registry = self.bootstrap
-        chain = chain.fork()
-        return chain, registry.fork(chain)
-
-
 def simulate(cfg: SimConfig) -> Stream:
     """Draw the action stream of cfg; book nothing."""
     rng = random.Random(cfg.seed)
@@ -364,12 +350,20 @@ def simulate(cfg: SimConfig) -> Stream:
     return stream
 
 
-def settle(cfg: SimConfig, stream: Stream, shared: SharedStart | None = None) -> SimResult:
-    """Run cfg by booking stream through the contract API, from a fork of the bootstrap of shared or
-    from a fresh one. Only the economics of cfg and stream.config may differ (see Sharing)."""
+def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | None = None) -> SimResult:
+    """Run cfg by booking stream through the contract API, on a fork of start, a build_start pair,
+    or on a fresh bootstrap. Only the economics of cfg and stream.config may differ (see Sharing)."""
     if _STREAM(cfg) != _STREAM(stream.config):
         raise ValueError("a stream settles only runs of its own seed, population, ticker and multiplier")
-    chain, registry = build_start(cfg) if shared is None else shared.fork(cfg)
+    if start is None:
+        chain, registry = build_start(cfg)
+    else:
+        chain, registry = start
+        users, providers = len(registry.users), len(registry.providers)
+        if (users + providers, providers, chain.price, chain.schedule) != _START(cfg):
+            raise ValueError("a start settles only runs of its own accounts, providers, price and gas schedule")
+        chain = chain.fork()
+        registry = registry.fork(chain)
     store = TokenStore()
     run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [])
     records, datasets, receipts = run.records, run.datasets, chain.receipts

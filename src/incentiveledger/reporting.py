@@ -97,7 +97,7 @@ def reconcile(result: SimResult) -> None:
     chain = result.chain
     if not chain.conservation_holds():
         raise ReconciliationFailureError(
-            f"{chain.total_wei()} wei on accounts, {chain.minted_wei} minted"
+            f"{chain.total_wei()} wei on accounts, {sum(chain.funding.values())} minted"
         )
     replayed, replayed_ledgers, retired, payouts = replay(chain)
     if replayed != chain.accounts:

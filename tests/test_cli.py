@@ -141,6 +141,24 @@ def test_version_flag(capsys):
     assert "incentiveledger" in capsys.readouterr().out
 
 
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_section(heading: str) -> str:
+    """README's text under heading, up to the next heading of level 2 or 3."""
+    return re.split(r"^#{2,3} ", README.split(f"\n{heading}\n", 1)[1], maxsplit=1, flags=re.M)[0]
+
+
+def test_the_readme_settings_table_lists_every_flag():
+    flags = re.findall(r"^\| `--([\w-]+)` \|", readme_section("## Command line"), flags=re.M)
+    assert sorted(flags) == sorted(engine.settings(SimConfig()))
+
+
+def test_the_readme_direct_run_layout_names_every_report():
+    block = readme_section("### Report layout").split("```")[1]
+    assert sorted(re.findall(r"\b\w+\.(?:csv|txt)\b", block)) == sorted((*REPORT_NAMES, *SHARED_NAMES))
+
+
 def test_out_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("INCENTIVELEDGER_OUT", str(tmp_path / "from-env"))
     assert run_cli("run", *SMALL, "--quiet") == 0

@@ -26,7 +26,7 @@ from incentiveledger import (
 )
 from incentiveledger import engine
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
-from incentiveledger.engine import SharedStart, build_start, settle, simulate
+from incentiveledger.engine import build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import actions_csv, write_population, write_report, write_run_reports
 
@@ -48,9 +48,8 @@ def stream(result):
 def test_the_population_ledger_and_registry_share_each_address():
     # The same string object, not an equal copy: a dict returns its own key for an equal one.
     cfg = small_cfg()
-    shared = SharedStart()
-    shared.fork(cfg)  # a sweep builds its bootstrap before any seed is simulated
-    for result in (run_simulation(cfg), settle(cfg, simulate(cfg), shared)):
+    start = build_start(cfg)  # a sweep builds its start before any seed is simulated
+    for result in (run_simulation(cfg), settle(cfg, simulate(cfg), start)):
         registry = result.registry
         for keys in (result.chain.accounts, result.chain.funding, [*registry.providers, *registry.users]):
             own = {key: key for key in keys}
@@ -127,11 +126,20 @@ def test_economics_change_payments_only():
 
 
 def test_a_trace_settles_only_runs_of_its_own_stream():
-    shared = SharedStart()
+    start = build_start(small_cfg())
     stream = simulate(small_cfg())
     for other in (with_seed(small_cfg(), 4), small_cfg(action_ticker=59), small_cfg(update_multiplier=6)):
         with pytest.raises(ValueError, match="stream"):
-            settle(other, stream, shared)
+            settle(other, stream, start)
+
+
+def test_a_start_settles_only_runs_of_its_own_price_and_gas_schedule():
+    base = small_cfg()
+    start, stream = build_start(base), simulate(base)
+    for other in (replace(base, price=PriceModel(gas_price_wei=GWEI)),
+                  replace(base, schedule=replace(base.schedule, per_requester_update_gas=1))):
+        with pytest.raises(ValueError, match="start"):
+            settle(other, stream, start)
 
 
 def test_no_compensation_scenario_never_collects_payments():
@@ -266,7 +274,6 @@ def test_the_bootstrap_books_what_one_registration_at_a_time_books():
     assert [astuple(r) for r in chain.receipts] == [astuple(r) for r in reference.receipts]
     assert list(chain.accounts.items()) == list(reference.accounts.items())
     assert list(chain.funding.items()) == list(reference.funding.items())
-    assert chain.minted_wei == reference.minted_wei
     assert list(registry.users.items()) == list(one_by_one.users.items())
     assert registry.providers == one_by_one.providers
 
@@ -344,7 +351,7 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
     # state tampered with after it finishes. Run B of the same seed forks
     # the same start and must still match a direct run byte for byte.
     cfg = small_cfg(scenario=Scenario.PROFIT)
-    shared = SharedStart()
+    start = build_start(cfg)
     if spoil == "fail":
         real, calls = engine.quote_payment, []
 
@@ -356,10 +363,10 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
 
         monkeypatch.setattr(engine, "quote_payment", quote_then_fail)
         with pytest.raises(EngineError, match="injected"):
-            settle(cfg, simulate(cfg), shared)
+            settle(cfg, simulate(cfg), start)
         monkeypatch.undo()
     else:
-        spoiled = settle(cfg, simulate(cfg), shared)
+        spoiled = settle(cfg, simulate(cfg), start)
         for address in spoiled.chain.accounts:
             spoiled.chain.accounts[address] = 0
         spoiled.chain.receipts.clear()
@@ -368,12 +375,12 @@ def test_a_spoiled_run_leaves_the_shared_start_intact(tmp_path, monkeypatch, spo
         for profile in spoiled.population:
             profile.current_prob, profile.renewals = 1.0, 9
 
-    _, checkpoint, checkpoint_registry = shared.bootstrap
+    checkpoint, checkpoint_registry = start
     fresh, fresh_registry = build_start(cfg)
     assert len(checkpoint.receipts) == len(fresh.receipts)
     assert checkpoint.accounts == fresh.accounts
     assert checkpoint_registry.users == fresh_registry.users
-    shared_run = report_bytes(settle(cfg, simulate(cfg), shared), tmp_path / "shared")
+    shared_run = report_bytes(settle(cfg, simulate(cfg), start), tmp_path / "shared")
     assert shared_run == report_bytes(run_simulation(cfg), tmp_path / "direct")
 
 
@@ -387,12 +394,12 @@ def test_settle_reads_only_the_trace_action_stream(tmp_path, providers):
     # bytes, and its contracts end with the first cell's holders in their
     # own dicts.
     base = small_cfg(population=PopulationConfig(n_accounts=40, max_providers=providers))
-    shared = SharedStart()
+    start = build_start(base)
     stream = simulate(base)
-    trace = settle(base, stream, shared)
+    trace = settle(base, stream, start)
     report_bytes(trace, tmp_path / "trace")
     cfg = replace(base, scenario=Scenario.PROFIT, access_fraction_pct=10)
-    settled = settle(cfg, stream, shared)
+    settled = settle(cfg, stream, start)
     assert report_bytes(settled, tmp_path / "settled") == report_bytes(run_simulation(cfg), tmp_path / "direct")
     assert len(trace.datasets) == providers
     assert any(r.function == UPDATE_DATA and r.gas_used > UPDATE_GAS for r in settled.chain.receipts)  # notified
@@ -403,17 +410,21 @@ def test_settle_reads_only_the_trace_action_stream(tmp_path, providers):
 
 def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):
     # The same seed with other accounts, then other providers, is a new
-    # draw and a new bootstrap; a shared start must not hand out the
-    # population.csv or registry.csv text of the previous one.
+    # draw and a new bootstrap; settle refuses the start of the previous
+    # one, and a start built for each gives a direct run's bytes,
+    # population.csv and registry.csv included.
     base = small_cfg()
     cfgs = [
         base,
         replace(base, population=replace(base.population, n_accounts=50)),
         replace(base, population=replace(base.population, max_providers=2)),
     ]
-    shared = SharedStart()
+    stale = build_start(base)
     for i, cfg in enumerate(cfgs):
-        shared_run = report_bytes(settle(cfg, simulate(cfg), shared), tmp_path / f"shared-{i}")
+        if i:
+            with pytest.raises(ValueError, match="start"):
+                settle(cfg, simulate(cfg), stale)
+        shared_run = report_bytes(settle(cfg, simulate(cfg), build_start(cfg)), tmp_path / f"shared-{i}")
         direct_run = report_bytes(run_simulation(cfg), tmp_path / f"direct-{i}")
         for name in ("population.csv", "registry.csv"):
             assert shared_run[name] == direct_run[name], (i, name)

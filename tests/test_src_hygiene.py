@@ -6,8 +6,8 @@ one home, one renderer and one writer make every report's lines and bytes,
 each configuration checks itself when it is built, one replay walks the
 receipt log, every class rejects an attribute it does not declare,
 importing the command line loads no process pool, only the bootstrap
-changes a registry, one chain method builds each receipt complete, and a
-log entry's number is its position."""
+changes a registry, one chain method builds each receipt complete, a
+log entry's number is its position, and only engine.settle forks a start."""
 
 import ast
 import importlib
@@ -254,6 +254,12 @@ def test_one_renderer_joins_report_lines():
 
 def test_one_writer_writes_report_files():
     assert call_sites("open") == [("reporting", "write_report")] and not call_sites("write_text")
+
+
+def test_settle_is_the_one_place_that_forks_a_start():
+    """A sweep's start is a plain (chain, registry) pair: settle forks it for each run,
+    and nothing else in src/ copies a chain or a registry."""
+    assert set(call_sites("fork")) == {("engine", "settle")}
 
 
 def test_no_configuration_has_a_validate_method():
