@@ -23,7 +23,6 @@ from .dataset import DatasetContract, Scenario
 from .engine import (
     ActionKind,
     ActionRecord,
-    ContractSnapshot,
     PeriodStats,
     SimConfig,
     SimResult,
@@ -64,7 +63,6 @@ __all__ = [
     "BurnCause",
     "ChainState",
     "ConfigError",
-    "ContractSnapshot",
     "DEFAULT_LICENSE",
     "DatasetContract",
     "EngineError",

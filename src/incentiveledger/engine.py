@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .agents import AgentProfile, PopulationConfig, decay_renewal_prob, generate_population
 from .chain import (
@@ -104,17 +105,6 @@ class PeriodStats:
     profit_wei: int
     active_requesters: int
     actions_this_period: int
-
-
-@dataclass(slots=True)
-class ContractSnapshot:
-    period: int
-    contract: Address
-    current_cost_wei: int
-    provider_cost_wei: int
-    provider_earnings_wei: int
-    active_tokens: int
-    meta_version: int
 
 
 @dataclass(frozen=True)
@@ -218,31 +208,16 @@ class Stream:
 
 @dataclass(slots=True)
 class SimResult:
-    """A run's outcome, and its books while it runs."""
+    """A settled run: its action records, their per-period totals (see period_books) and its ledgers."""
 
     config: SimConfig
     records: list[ActionRecord]
     series: list[PeriodStats]
-    contract_snapshots: list[ContractSnapshot]
     chain: ChainState
     registry: Registry
     token_store: TokenStore
     population: list[AgentProfile]
     datasets: list[DatasetContract]
-
-    def close_period(self, period: int, actions: int) -> None:
-        """Book the period's totals, and a snapshot of each dataset: its holders are its active tokens."""
-        datasets = self.datasets
-        current = sum(c.current_cost_wei for c in datasets)
-        cost = sum(c.provider_cost_wei for c in datasets)
-        earnings = sum(c.provider_earnings_wei for c in datasets)
-        requesters = sum(len(c.holders) for c in datasets)
-        self.series.append(PeriodStats(period, current, cost, earnings, earnings - cost, requesters, actions))
-        self.contract_snapshots += (
-            ContractSnapshot(period, c.contract_address, c.current_cost_wei, c.provider_cost_wei,
-                             c.provider_earnings_wei, len(c.holders), c.meta_version)
-            for c in datasets
-        )
 
 
 def _publish_dataset(chain: ChainState, registry: Registry, store: TokenStore, cfg: SimConfig,
@@ -365,7 +340,7 @@ def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | 
         chain = chain.fork()
         registry = registry.fork(chain)
     store = TokenStore()
-    run = SimResult(cfg, [], [], [], chain, registry, store, stream.population, [])
+    run = SimResult(cfg, [], [], chain, registry, store, stream.population, [])
     records, datasets, receipts = run.records, run.datasets, chain.receipts
     publish, update, request = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST
     actions = iter(stream.actions)
@@ -393,8 +368,8 @@ def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | 
                     fee, payment, usd = receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost
                 records.append(ActionRecord(period, kind, actor, contract.contract_address, fee, payment, usd,
                                             contract.current_cost_wei))
-            run.close_period(period, count)
         period = len(stream.counts)
+        run.series = [stats for stats, _ in period_books(records, stream.counts)]
         if len(records) < cfg.action_ticker:
             raise EngineError(f"no progress after {period} periods")
     except LedgerError as exc:
@@ -409,6 +384,30 @@ def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | 
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Simulate cfg and settle its stream on a fresh bootstrap."""
     return settle(cfg, simulate(cfg))
+
+
+def period_books(records: list[ActionRecord], counts: Iterable[int]) -> Iterator[tuple[PeriodStats, Iterable[list]]]:
+    """Fold records, counts[k] of them in period k, into each period's totals and its contracts' rows [address,
+    pool, cost, earnings, tokens, version] in publication order, which later periods change in place. Settle
+    never burns, withdraws, destroys or relicenses, so a contract changes only at its own actions."""
+    rows, records, pool, cost, earnings, tokens = {}, iter(records), 0, 0, 0, 0
+    publish, update, request = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST
+    for period, count in enumerate(counts):
+        for r in islice(records, count):
+            row = rows.get(r.dataset) or rows.setdefault(r.dataset, [r.dataset, 0, 0, 0, 0, 0])  # its publication
+            if r.kind is publish or r.kind is update:
+                row[2] += r.tx_gas_fee_wei
+                row[5] += r.kind is update
+                cost += r.tx_gas_fee_wei
+            else:
+                row[3] += r.payment_wei
+                earnings += r.payment_wei
+                if r.kind is request:
+                    row[4] += 1
+                    tokens += 1
+            pool += r.current_cost_after_wei - row[1]
+            row[1] = r.current_cost_after_wei
+        yield PeriodStats(period, pool, cost, earnings, earnings - cost, tokens, count), rows.values()
 
 
 def break_even_period(result: SimResult) -> int | None:

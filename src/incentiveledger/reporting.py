@@ -18,6 +18,7 @@ import math
 import re
 import statistics
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -37,7 +38,7 @@ from .chain import (
     ChainState,
     csv_text,
 )
-from .engine import ActionKind, SimConfig, SimResult, break_even_period, settings
+from .engine import ActionKind, PeriodStats, SimConfig, SimResult, break_even_period, period_books, settings
 from .errors import ReconciliationFailureError
 
 TOP_REQUESTERS = 3  # how many of the most-spending requesters summaries name
@@ -118,6 +119,11 @@ def reconcile(result: SimResult) -> None:
                 f"{c.contract_address} last action records pool "
                 f"{final_cc[c.contract_address]}, replay says {expected[0]}"
             )
+    for s in result.series[-1:]:  # the totals summarize reports: pool, cost, earnings and tokens
+        held = [sum(c.current_cost_wei for c in result.datasets), sum(c.provider_cost_wei for c in result.datasets),
+                sum(c.provider_earnings_wei for c in result.datasets), sum(len(c.holders) for c in result.datasets)]
+        if [s.current_cost_wei, s.provider_cost_wei, s.provider_earnings_wei, s.active_requesters] != held:
+            raise ReconciliationFailureError(f"the last period's totals are not the contracts' {held}")
     payments = sum(r.payment_wei for r in result.records)
     earnings = retired + sum(books[2] for books in replayed_ledgers.values())
     if payments != earnings:
@@ -207,8 +213,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     counts = {kind._value_: len(totals.usd_samples.get(kind._value_, ())) for kind in ActionKind}
     periods = len(result.series)
     per_period = max(1, periods)  # an empty run still gets zero frequencies
-    cost = sum(c.provider_cost_wei for c in result.datasets)
-    earnings = sum(c.provider_earnings_wei for c in result.datasets)
+    last = result.series[-1] if result.series else PeriodStats(0, 0, 0, 0, 0, 0, 0)  # reconcile checks these
     top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked[:TOP_REQUESTERS])
     miner_take = result.chain.balance(MINER_ADDRESS)  # every gas fee, as reconcile's balance replay proves
     return RunSummary(
@@ -230,12 +235,12 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
         datasets_published=len(result.datasets),
         distinct_requesters=sum(1 for _, kind in totals.requester_kinds if kind == "request"),
         active_tokens_at_end=sum(1 for _ in result.token_store.live_tokens()),
-        provider_cost_wei=cost,
-        provider_cost_usd=price.wei_to_usd(cost),
-        provider_earnings_wei=earnings,
-        provider_earnings_usd=price.wei_to_usd(earnings),
-        profit_wei=earnings - cost,
-        current_cost_wei=sum(c.current_cost_wei for c in result.datasets),
+        provider_cost_wei=last.provider_cost_wei,
+        provider_cost_usd=price.wei_to_usd(last.provider_cost_wei),
+        provider_earnings_wei=last.provider_earnings_wei,
+        provider_earnings_usd=price.wei_to_usd(last.provider_earnings_wei),
+        profit_wei=last.profit_wei,
+        current_cost_wei=last.current_cost_wei,
         break_even_period=break_even_period(result),
         total_gas_fee_wei=miner_take,
         total_payment_wei=sum(paid for _, _, paid in totals.requester_kinds.values()),
@@ -266,10 +271,10 @@ def periods_csv(result: SimResult) -> Iterator[str]:
 
 
 def contracts_csv(result: SimResult) -> Iterator[str]:
+    books = period_books(result.records, [s.actions_this_period for s in result.series])
     return csv_text("period,contract,currentCostWei,providerCostWei,providerEarningsWei,activeTokens,metaVersion", (
-        f"{s.period},{s.contract},{s.current_cost_wei},{s.provider_cost_wei},"
-        f"{s.provider_earnings_wei},{s.active_tokens},{s.meta_version}"
-        for s in result.contract_snapshots
+        f"{s.period},{address},{pool},{cost},{earnings},{tokens},{version}"
+        for s, rows in books for address, pool, cost, earnings, tokens, version in rows
     ))
 
 
@@ -291,14 +296,11 @@ def cost_overlay_csv(result: SimResult) -> Iterator[str]:
     """
     def rows():
         price = result.chain.price
-        # Records and series are both in period order, so one walk pairs them.
-        records = iter(result.records)
-        r = next(records, None)
+        records = iter(result.records)  # in period order, as period_books reads them
         for s in result.series:
-            while r is not None and r.period == s.period:
+            for r in islice(records, s.actions_this_period):
                 yield (f"action,{r.period},{r.kind._value_},{r.dataset},{r.usd_total:.2f},"
                        f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}")
-                r = next(records, None)
             yield f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
 
     return csv_text("rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd", rows())

@@ -117,12 +117,40 @@ def test_economics_change_payments_only():
     pa, pb = a.config.price.gas_price_wei, b.config.price.gas_price_wei
     fees = [
         ([r.gas_fee_wei for r in x.chain.receipts], [r.tx_gas_fee_wei for r in x.records],
-         [s.provider_cost_wei for s in x.series], [s.provider_cost_wei for s in x.contract_snapshots])
+         [s.provider_cost_wei for s in x.series],
+         [row[2] for _, rows in engine.period_books(x.records, [s.actions_this_period for s in x.series])
+          for row in rows])
         for x in (a, b)
     ]
     for fees_a, fees_b in zip(*fees):
         assert len(fees_a) == len(fees_b)
         assert all(fa * pb == fb * pa for fa, fb in zip(fees_a, fees_b))
+
+
+@pytest.mark.parametrize("scenario", [Scenario.NO_COMPENSATION, Scenario.PROFIT])
+def test_the_period_fold_matches_live_contracts_at_each_period_end(scenario):
+    # A differential test with live contracts as the oracle. The loop stops the moment the
+    # ticker is reached, so a run whose ticker is the action count through period k books
+    # exactly those actions and ends with its contracts as they stood after period k.
+    cfg = small_cfg(scenario=scenario, action_ticker=60, seed=10,
+                    population=PopulationConfig(n_accounts=30, max_providers=3))
+    full = run_simulation(cfg)
+    counts = [s.actions_this_period for s in full.series]
+    assert {r.kind for r in full.records} == set(ActionKind) and len(full.datasets) == 3
+    booked = 0
+    books = engine.period_books(full.records, counts)
+    for (stats, rows), count, series in zip(books, counts, full.series, strict=True):
+        assert stats == series
+        booked += count
+        if not count:
+            continue
+        live = [(c.contract_address, c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei,
+                 len(c.holders), c.meta_version) for c in run_simulation(replace(cfg, action_ticker=booked)).datasets]
+        assert [tuple(row) for row in rows] == live, stats.period
+        totals = [sum(column) for column in list(zip(*live))[1:5]]
+        assert totals == [stats.current_cost_wei, stats.provider_cost_wei, stats.provider_earnings_wei,
+                          stats.active_requesters], stats.period
+    assert booked == len(full.records)
 
 
 def test_a_trace_settles_only_runs_of_its_own_stream():
@@ -436,7 +464,6 @@ RECORDS = {
     "TxReceipt": lambda run: run.chain.receipts[-1],
     "ActionRecord": lambda run: run.records[-1],
     "PeriodStats": lambda run: run.series[-1],
-    "ContractSnapshot": lambda run: run.contract_snapshots[-1],
     "AccessToken": lambda run: next(iter(run.token_store.tokens.values())),
     "TokenEvent": lambda run: run.token_store.events[-1],
     "AgentProfile": lambda run: run.population[-1],

@@ -78,7 +78,7 @@ def empty_result() -> SimResult:
     authority = chain.create_named_account("authority", 10**18)
     cfg = SimConfig(population=PopulationConfig(n_accounts=2))
     return SimResult(
-        config=cfg, records=[], series=[], contract_snapshots=[],
+        config=cfg, records=[], series=[],
         chain=chain, registry=Registry(chain, authority),
         token_store=TokenStore(), population=[], datasets=[],
     )
@@ -163,6 +163,16 @@ def test_reconcile_catches_tampered_pool(run):
         contract.current_cost_wei -= 1
 
 
+def test_reconcile_catches_tampered_period_totals(run):
+    last = run.series[-1]
+    last.provider_cost_wei += 1
+    try:
+        with pytest.raises(ReconciliationFailureError, match="last period's totals"):
+            reconcile(run)
+    finally:
+        last.provider_cost_wei -= 1
+
+
 def test_reconcile_catches_tampered_action_trail(run):
     last = [r for r in run.records if r.dataset == run.datasets[0].contract_address][-1]
     last.current_cost_after_wei += 1
@@ -188,7 +198,7 @@ def hand_built(market, datasets: list[DatasetContract]) -> SimResult:
     """A result around the market's chain with no action records and no agents."""
     return SimResult(
         config=SimConfig(population=PopulationConfig(n_accounts=2)), records=[], series=[],
-        contract_snapshots=[], chain=market.chain, registry=market.registry,
+        chain=market.chain, registry=market.registry,
         token_store=TokenStore(), population=[], datasets=datasets,
     )
 

@@ -7,7 +7,8 @@ each configuration checks itself when it is built, one replay walks the
 receipt log, every class rejects an attribute it does not declare,
 importing the command line loads no process pool, only the bootstrap
 changes a registry, one chain method builds each receipt complete, a
-log entry's number is its position, and only engine.settle forks a start."""
+log entry's number is its position, only engine.settle forks a start, and
+the engine never burns, withdraws, destroys or relicenses."""
 
 import ast
 import importlib
@@ -279,3 +280,11 @@ def test_the_command_line_imports_no_process_pool_until_a_sweep_forks():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def test_the_engine_never_burns_withdraws_destroys_or_relicenses():
+    """engine.period_books folds each contract's books from its own action records: right only
+    while a settled contract changes at those actions alone, so engine names none of these calls."""
+    tree = ast.parse(next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8"))
+    found = named(tree) & {"burn_token", "withdraw", "destroy", "set_license"}
+    assert not found, sorted(found)

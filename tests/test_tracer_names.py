@@ -2,7 +2,8 @@
 
 A refactor that renames a traced function fails here, in the ordinary
 test run, rather than making `perfbench/run.py --trace 1` exit 3. The
-tracer module is loaded for its name tables only; nothing is installed.
+tracer module is loaded for its name tables and its run hook; nothing is
+installed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+from incentiveledger import PopulationConfig, SimConfig, run_simulation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +35,14 @@ def test_every_traced_name_resolves():
     for module_name, class_name, attr, span in methods:
         cls = getattr(importlib.import_module(module_name), class_name)
         assert attr in cls.__dict__, (module_name, class_name, attr, span)
+
+
+def test_the_run_hook_reads_a_settled_result():
+    """The hook that counts a run's periods, actions, receipts and token events reads fields
+    of SimResult by name, so renaming one would break a traced benchmark run."""
+    cfg = SimConfig(action_ticker=30, population=PopulationConfig(n_accounts=20), seed=1)
+    result = run_simulation(cfg)
+    tracer = load_tracer().Tracer()  # built, never installed
+    tracer._after_simulation((cfg,), {}, result)
+    assert tracer.counters["engine.periods"] == len(result.series) > 0
+    assert tracer.counters["engine.actions"] == len(result.records) == 30
