@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import logging
 import os
 import sys
 from collections.abc import Iterator
@@ -38,8 +36,6 @@ from .reporting import (REPORT_NAMES, SHARED_NAMES, break_even_csv, summary_text
                         write_report, write_run_reports)
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
-
-log = logging.getLogger("incentiveledger.cli")  # not __name__, which is __main__ under python -m
 
 # Flags, config-file keys, value types and defaults all come from the
 # settings of the default config. An unset profit margin resolves per
@@ -83,6 +79,7 @@ def load_gas_table(path: Path) -> GasSchedule:
     both sections are optional, and unknown sections and tags are rejected.
     GasSchedule checks the gas values themselves.
     """
+    import json  # not at the top: only a gas table reads JSON
     base = default_gas_schedule()
     text = _read_text(path, "gas table")
     try:
@@ -295,7 +292,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for outcomes in _seed_outcomes(grid, names, out, start):
         for summaries, outcome in zip(by_cell, outcomes):
             if isinstance(outcome, str):
-                log.error("run failed: %s", outcome)
+                import logging  # not at the top: only a failed run logs
+                logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+                # The name is not __name__, which is __main__ under python -m.
+                logging.getLogger("incentiveledger.cli").error("run failed: %s", outcome)
             else:
                 summaries.append(outcome)
 
@@ -343,15 +343,11 @@ def main(argv: list[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()  # a run's state has no cycles; see the module docstring
     try:
-        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, LedgerError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except LedgerError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     finally:
         if was_enabled:
             gc.enable()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -332,16 +331,24 @@ def top_requesters_csv(result: SimResult, totals: RunTotals) -> Iterator[str]:
     return csv_text("role,address,actions,totalWei,totalUsd", rows)
 
 
+def _quartiles(data: list) -> list[float]:
+    """statistics.quantiles(data, n=4, method="inclusive") of 2+ sorted values, step for step as CPython 3.11."""
+    m = len(data) - 1
+    return [(data[j] * (4 - delta) + data[j + 1] * delta) / 4 for j, delta in (divmod(i * m, 4) for i in (1, 2, 3))]
+
+
+def _median(data: list):
+    """statistics.median(data) of non-empty data, step for step as CPython 3.11."""
+    data, i = sorted(data), len(data) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
+
+
 def cost_distribution_csv(totals: RunTotals) -> Iterator[str]:
     """Per action kind: quartiles of the total USD cost of one action."""
     rows = []
     for kind in sorted(totals.usd_samples):
         values = sorted(totals.usd_samples[kind])
-        if len(values) == 1:
-            cuts = [values[0]] * 5
-        else:
-            q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            cuts = [values[0], q1, q2, q3, values[-1]]
+        cuts = [values[0], *_quartiles(values), values[-1]] if len(values) > 1 else values * 5
         rows.append(f"{kind},{len(values)}," + ",".join(f"{v:.2f}" for v in cuts))
     return csv_text("kind,count,minUsd,q1Usd,medianUsd,q3Usd,maxUsd", rows)
 
@@ -407,7 +414,7 @@ def break_even_csv(cells: Iterable[tuple[SimConfig, list[RunSummary]]]) -> Itera
     rows = []
     for cfg, summaries in cells:
         evens = [math.inf if s.break_even_period is None else s.break_even_period for s in summaries]
-        median = statistics.median(evens) if evens else math.inf
+        median = _median(evens) if evens else math.inf
         median_text = "" if median == math.inf else str(median).removesuffix(".0")  # exact: n or n.5
         attained = sum(1 for e in evens if e != math.inf)
         rows.append(f"{cfg.scenario.value},{cfg.access_fraction_pct},{cfg.resolved_margin_pct},"

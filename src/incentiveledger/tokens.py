@@ -9,9 +9,9 @@ and renewals; the contract's `collect` takes it in and books it.
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
 clears it. The TokenStore keeps the event log and every token a run
-mints, so the next id is one past their count. The log holds the recorded
-events and one (period, dataset) entry per update; `TokenStore.events`
-replays it into the per-holder trail, a new list on every read.
+mints, so the next id is one past their count. The log is a flat list of
+four fields per recorded event and per update; `TokenStore.events` replays
+it into the per-holder trail, new TokenEvents in a new list on every read.
 
 Access grants run in periods, not wall-clock time: every grant or renewal
 adds ACCESS_PERIODS periods of access. Payments must match the quote
@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # only for annotations; avoids a circular import
     from .dataset import DatasetContract
 
 ACCESS_PERIODS = 2
+UPDATE = "update"  # the kind of a log entry that notifies every holder of its dataset
 
 
 class BurnCause(Enum):
@@ -65,8 +66,8 @@ class AccessToken:
 class TokenEvent:
     """Audit-trail entry: mint, update notice, renewal, compliance and burn.
 
-    Not frozen: a frozen dataclass builds through object.__setattr__ at
-    about four times the cost. Nothing changes an event once it is built.
+    Only TokenStore.events builds one, on read. Not frozen: a frozen dataclass
+    builds through object.__setattr__ at about four times the cost.
     """
 
     kind: str
@@ -80,8 +81,8 @@ class TokenStore:
     """All tokens of a run and their event log; token ids are unique and never reused."""
 
     tokens: dict[int, AccessToken] = field(init=False, default_factory=dict)  # never shrinks: ids run 1, 2, ...
-    # The recorded events, and per update one (period, dataset) entry.
-    _log: list[TokenEvent | tuple[int, Address]] = field(init=False, default_factory=list)
+    # Four fields per entry: kind, period, token id, user; an update's are UPDATE, period, dataset, None.
+    _log: list[str | int | None] = field(init=False, default_factory=list)
 
     def mint(
         self,
@@ -109,30 +110,29 @@ class TokenStore:
                 yield token
 
     def record(self, kind: str, period: int, token_id: int, user: Address) -> None:
-        self._log.append(TokenEvent(kind, period, token_id, user))
+        self._log.extend((kind, period, token_id, user))
 
     def invalidate_compliance(self, holders: dict[Address, AccessToken], period: int) -> None:
         for token in holders.values():
             token.compliance = False
         if holders:
-            self._log.append((period, token.dataset_address))
+            self._log.extend((UPDATE, period, token.dataset_address, None))
 
     @property
     def events(self) -> list[TokenEvent]:
-        """The per-holder trail, a new list on every read: one forward walk of the log that keeps
-        each dataset's holders by token id, in mint order. A mint adds one, a burn removes it,
-        and an update entry notifies each. Destroy drops none, but no update follows it."""
-        tokens, holders, events = self.tokens, {}, []
-        for entry in self._log:
-            if type(entry) is not TokenEvent:
-                period, dataset = entry
-                events += [TokenEvent("updateNotice", period, i, user) for i, user in holders[dataset].items()]
+        """The per-holder trail, new events in a new list on every read: one forward walk of the log
+        that keeps each dataset's holders by token id, in mint order. A mint adds one, a burn removes
+        it, and an update entry notifies each. Destroy drops none, but no update follows it."""
+        tokens, holders, events, log = self.tokens, {}, [], iter(self._log)
+        for kind, period, token_id, user in zip(log, log, log, log):
+            if kind == UPDATE:  # token_id holds the updated dataset
+                events += [TokenEvent("updateNotice", period, i, user) for i, user in holders[token_id].items()]
                 continue
-            events.append(entry)
-            if entry.kind == "minted":
-                holders.setdefault(tokens[entry.token_id].dataset_address, {})[entry.token_id] = entry.user
-            elif entry.kind == "burnNotice":
-                del holders[tokens[entry.token_id].dataset_address][entry.token_id]
+            events.append(TokenEvent(kind, period, token_id, user))
+            if kind == "minted":
+                holders.setdefault(tokens[token_id].dataset_address, {})[token_id] = user
+            elif kind == "burnNotice":
+                del holders[tokens[token_id].dataset_address][token_id]
         return events
 
     def table_csv(self) -> Iterator[str]:

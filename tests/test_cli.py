@@ -238,6 +238,29 @@ def test_gas_table_overrides_change_fees(tmp_path):
     assert bumped_fee == 2 * base_fee
 
 
+def test_a_run_imports_no_json_logging_or_statistics(tmp_path):
+    # json reads only a --gas-table, logging logs only a failed sweep run, and reporting computes
+    # its own quartiles and medians. -S keeps site hooks from importing any of them first.
+    table = tmp_path / "gas.json"
+    table.write_text(json.dumps({"transactionGas": {"updateData": 87_598}}))
+    run = ["run", "--actions", "30", "--accounts", "20", "--quiet", "--out"]
+    script = (
+        "import sys\n"
+        "from incentiveledger import cli\n"
+        f"assert cli.main({[*run, str(tmp_path / 'plain')]!r}) == 0\n"
+        "print(sorted({'json', 'logging', 'statistics'} & set(sys.modules)))\n"
+        f"assert cli.main({[*run, str(tmp_path / 'table'), '--gas-table', str(table)]!r}) == 0\n"
+        "print(sorted({'json', 'logging', 'statistics'} & set(sys.modules)))\n"
+    )
+    src = Path(cli.__file__).parent.parent
+    started = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    assert (started.returncode, started.stderr) == (0, "")
+    assert started.stdout.splitlines() == ["[]", "['json']"]
+    plain, table = ((tmp_path / name / "run-0" / "actions.csv").read_text() for name in ("plain", "table"))
+    assert plain != table  # the table took effect
+
+
 def test_emitted_config_reproduces_a_gas_table_run_with_the_same_table(tmp_path):
     # Settings have no gas-table key, so config.txt alone runs the default
     # schedule; with the first run's --gas-table it reproduces every byte.

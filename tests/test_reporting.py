@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import statistics
 import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import report_text
 
@@ -45,6 +49,8 @@ from incentiveledger.reporting import (
     ACCRUING_FUNCTIONS,
     REPORT_NAMES,
     RunTotals,
+    _median,
+    _quartiles,
     actions_csv,
     break_even_csv,
     config_text,
@@ -455,6 +461,27 @@ def test_break_even_csv_prints_the_exact_median(run):
 
     lines = report_text(break_even_csv([cell(100000, 100001), cell(37), cell(37, 38), cell(36, 38), cell(None)]))
     assert [line.rsplit(",", 1)[1] for line in lines.splitlines()[1:]] == ["100000.5", "37", "37.5", "37", ""]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(FINITE, min_size=2, max_size=60))
+@example([-1e308, 1e308])  # the weighted terms overflow to -inf, nan and inf, as in the standard library
+def test_quartiles_repeat_the_standard_library(values):
+    # cost_distribution.csv's bytes rest on every cut being the same float, so compare reprs:
+    # they tell 0.0 from -0.0, and nan (from overflowing terms) equals itself.
+    ours = _quartiles(sorted(values))
+    assert list(map(repr, ours)) == list(map(repr, statistics.quantiles(values, n=4, method="inclusive")))
+
+
+@given(st.lists(FINITE, min_size=2, max_size=60)
+       | st.lists(st.integers(-2**63, 2**63) | st.just(math.inf), min_size=2, max_size=60))
+@example([0.0, 1e308, 1e308])  # the mean of the last two overflows to inf, as in the standard library
+def test_median_repeats_the_standard_library(values):
+    # break_even.csv takes the median of periods and inf; an odd count returns a member, an even one a mean.
+    for sample in (values, values[1:]):  # one odd count, one even
+        assert repr(_median(sample)) == repr(statistics.median(sample))
 
 
 def test_config_text_uses_flag_names(run):

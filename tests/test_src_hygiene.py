@@ -150,8 +150,8 @@ def test_every_class_rejects_an_attribute_it_does_not_declare():
 
 
 def test_only_the_token_store_builds_token_events():
-    """TokenStore.record builds each recorded event, and TokenStore.events builds the
-    notices of each update entry on read: an update stores no event per holder."""
+    """TokenStore.events builds every event, and only on read: the store keeps four fields
+    per recorded event and per update, and an update stores no event per holder."""
     def builds(node):
         return sum(isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None))
                    == "TokenEvent" for call in ast.walk(node))
@@ -163,7 +163,7 @@ def test_only_the_token_store_builds_token_events():
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for method in (node for node in cls.body if isinstance(node, ast.FunctionDef) and builds(node)):
                 builders[f"{path.stem}.{cls.name}.{method.name}"] = builds(method)
-    assert sorted(builders) == ["tokens.TokenStore.events", "tokens.TokenStore.record"]
+    assert sorted(builders) == ["tokens.TokenStore.events"]
     assert sum(builders.values()) == total
 
 

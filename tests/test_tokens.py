@@ -282,6 +282,24 @@ def test_an_update_entry_has_a_fixed_size():
     assert grown < 100 * 1024, grown
 
 
+def test_the_token_log_holds_four_references_per_entry():
+    # The log keeps an entry's four fields in one flat list and no object per entry. Dropping it
+    # in a 20k-action run at the scale-20k settings frees 8 B per field, plus the eighth a list
+    # over-allocates, and at most each period's int (32 B), which the log may hold last. With a
+    # TokenEvent per entry (64-72 B) it freed 2,456,262 B here, against a bound of 1,275,836 B.
+    tracemalloc.start()
+    try:
+        result = run_simulation(GOLDEN_EVENT_TRAILS["scale-20k"][0])
+        log = result.token_store._log
+        assert len(log) % 4 == 0 and {type(field) for field in log} <= {str, int, type(None)}
+        entries, held = len(log) // 4, tracemalloc.get_traced_memory()[0]
+        log.clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert entries > 30_000 and held <= 4 * 8 * entries * 9 // 8 + 32 * len(result.series), (held, entries)
+
+
 def test_requester_burn_certifies_compliance(published):
     contract, chain = published.contract, published.chain
     user = published.users[0]
