@@ -7,7 +7,7 @@ period. Everything is deterministic per seed and reconciled against the
 transaction log before any report is written.
 """
 
-from .agents import AgentProfile, PopulationConfig, Role, decay_renewal_prob, generate_population
+from .agents import AgentProfile, PopulationConfig, decay_renewal_prob, generate_population
 from .chain import (
     Address,
     ChainState,
@@ -21,7 +21,6 @@ from .chain import (
 )
 from .dataset import DatasetContract, Scenario
 from .engine import (
-    ActionKind,
     ActionRecord,
     PeriodStats,
     SimConfig,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACCESS_PERIODS",
     "AccessToken",
-    "ActionKind",
     "ActionRecord",
     "Address",
     "AgentProfile",
@@ -75,7 +73,6 @@ __all__ = [
     "PriceModel",
     "ReconciliationFailureError",
     "Registry",
-    "Role",
     "RunSummary",
     "Scenario",
     "SimConfig",

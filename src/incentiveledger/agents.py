@@ -2,7 +2,8 @@
 
 Draws per-account action probabilities from N(0, 0.1) and min-max
 rescales them into [0, 1]; the first few accounts become data providers
-with a much lower, uniformly drawn publication probability. A requester's
+with a much lower, uniformly drawn publication probability. A profile's
+role is the text population.csv prints, PROVIDER or REQUESTER. A requester's
 appetite for renewals decays geometrically with every renewal they make.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Iterator
 
@@ -18,11 +18,7 @@ from .chain import Address, account_addresses, csv_text
 from .errors import ConfigError
 
 PROVIDER_PROB_MIN = 0.01  # a provider's publish probability is drawn from [this, provider_prob_max]
-
-
-class Role(Enum):
-    PROVIDER = "provider"
-    REQUESTER = "requester"
+PROVIDER, REQUESTER = "provider", "requester"  # the two roles, as reports print them
 
 
 @dataclass(frozen=True)
@@ -33,6 +29,8 @@ class PopulationConfig:
     provider_prob_max: float = 0.05
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_accounts, int) or not isinstance(self.max_providers, int):
+            raise ConfigError(f"counts must be integers, got {self.n_accounts!r} and {self.max_providers!r}")
         if self.n_accounts < 2:
             raise ConfigError("need at least two accounts")
         if self.max_providers < 1 or self.max_providers >= self.n_accounts:
@@ -46,7 +44,7 @@ class PopulationConfig:
 @dataclass(slots=True)
 class AgentProfile:
     address: Address
-    role: Role
+    role: str
     base_prob: float
     current_prob: float
     decay: float
@@ -63,10 +61,9 @@ def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[Agent
     lo, hi = min(samples), max(samples)
     probs = [0.5] * len(samples) if hi == lo else [(x - lo) / (hi - lo) for x in samples]
     addresses, k, decay, uniform = account_addresses(cfg.n_accounts), cfg.max_providers, cfg.decay, rng.uniform
-    provider, requester = Role.PROVIDER, Role.REQUESTER  # read once: an Enum member read is slow
-    profiles = [AgentProfile(address, provider, prob := uniform(PROVIDER_PROB_MIN, cfg.provider_prob_max), prob, decay)
+    profiles = [AgentProfile(address, PROVIDER, prob := uniform(PROVIDER_PROB_MIN, cfg.provider_prob_max), prob, decay)
                 for address in addresses[:k]]
-    profiles += [AgentProfile(address, requester, prob, prob, decay)
+    profiles += [AgentProfile(address, REQUESTER, prob, prob, decay)
                  for address, prob in islice(zip(addresses, probs), k, None)]
     return profiles
 
@@ -84,4 +81,4 @@ def decay_renewal_prob(profile: AgentProfile) -> None:
 
 
 def population_csv(profiles: list[AgentProfile]) -> Iterator[str]:
-    return csv_text("address,role,baseProb", (f"{p.address},{p.role._value_},{p.base_prob!r}" for p in profiles))
+    return csv_text("address,role,baseProb", (f"{p.address},{p.role},{p.base_prob!r}" for p in profiles))

@@ -152,10 +152,9 @@ class PriceModel:
     _fees: dict[int, tuple[int, int, float]] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if 0 < self.gas_price_wei < math.inf:
-            object.__setattr__(self, "gas_price_wei", round(self.gas_price_wei))
-        if not 0 < self.gas_price_wei < math.inf:
+        if not (0 < self.gas_price_wei < math.inf and round(self.gas_price_wei) > 0):
             raise ConfigError(f"gas price must be finite and at least 1 wei, got {self.gas_price_wei!r} wei")
+        object.__setattr__(self, "gas_price_wei", round(self.gas_price_wei))
         if not 0 < self.eth_usd < math.inf:
             raise ConfigError(f"exchange rate must be positive and finite, got {self.eth_usd!r}")
 

@@ -11,9 +11,10 @@ each period. The engine never burns, so the active requesters are the
 tokens minted so far and a dataset's active tokens are its contract's
 holders. The loop stops the moment the configured number of actions has
 occurred, mid-period if necessary. It touches no chain, contract or token
-store: its Stream is the population and each action's kind, actor and
-dataset. `settle` then books a stream through the contract API, and a
-run is `settle(cfg, simulate(cfg))`.
+store: its Stream is the population and each action's kind (PUBLISH,
+UPDATE, REQUEST or RENEW, the text the reports print), actor and dataset.
+`settle` then books a stream through the contract API, and a run is
+`settle(cfg, simulate(cfg))`.
 
 Determinism: a single seeded generator drives every draw, in a fixed
 order - population generation first, then per period the publish roll
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -73,19 +73,14 @@ PREFUND_WEI = 100 * WEI_PER_ETH  # minted onto each agent and the authority
 _STREAM = attrgetter("seed", "population", "action_ticker", "update_multiplier")
 # What build_start depends on; a start settles only runs that share it.
 _START = attrgetter("population.n_accounts", "population.max_providers", "price", "schedule")
-
-
-class ActionKind(Enum):
-    PUBLISH = "publish"
-    UPDATE = "update"
-    REQUEST = "request"
-    RENEW = "renew"
+_FLOATS = ("decay", "provider-prob-max", "gas-price-gwei", "eth-usd")  # the settings that are not integers
+PUBLISH, UPDATE, REQUEST, RENEW = "publish", "update", "request", "renew"  # the action kinds, as reports print them
 
 
 @dataclass(slots=True)
 class ActionRecord:
     period: int
-    kind: ActionKind
+    kind: str
     actor: Address
     dataset: Address
     tx_gas_fee_wei: int
@@ -127,10 +122,12 @@ class SimConfig:
         return 200 if self.scenario is Scenario.PROFIT else 100
 
     def __post_init__(self) -> None:
-        # bool is an int subclass; config.txt would write True, which does not parse back.
+        if not isinstance(self.scenario, Scenario):
+            raise ConfigError(f"scenario must be a Scenario, got {self.scenario!r}")
+        # config.txt must parse back: an integer setting is an int, any other an int or a float, and none a bool.
         for flag, value in settings(self).items():
-            if type(value) is bool:
-                raise ConfigError(f"{flag} must be a number, got {value!r}")
+            if type(value) not in ((int, float) if flag in _FLOATS else (int,)):
+                raise ConfigError(f"{flag} must be {'a number' if flag in _FLOATS else 'an integer'}, got {value!r}")
         # random.Random(-n) seeds exactly like random.Random(n).
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
@@ -202,7 +199,7 @@ class Stream:
 
     config: SimConfig
     population: list[AgentProfile]
-    actions: list[tuple[ActionKind, Address, int]]
+    actions: list[tuple[str, Address, int]]
     counts: list[int]
 
 
@@ -271,7 +268,6 @@ def simulate(cfg: SimConfig) -> Stream:
     # Each request's token as [expiry, holder, dataset ordinal], in request
     # order, which is the token-id order settle mints in. Nothing burns.
     roster: list[list] = []
-    publish, update, request, renew = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST, ActionKind.RENEW
     published = 0
     next_requester = 0
 
@@ -284,7 +280,7 @@ def simulate(cfg: SimConfig) -> Stream:
         if published < len(providers):
             provider = providers[published]
             if not actions or draw() < provider.current_prob:
-                actions.append((publish, provider.address, published))
+                actions.append((PUBLISH, provider.address, published))
                 published += 1
 
         # Update: every provider with a published dataset rolls;
@@ -293,7 +289,7 @@ def simulate(cfg: SimConfig) -> Stream:
             if len(actions) >= ticker:
                 break
             if draw() < min(1.0, owner.base_prob * cfg.update_multiplier):
-                actions.append((update, owner.address, ordinal))
+                actions.append((UPDATE, owner.address, ordinal))
 
         # Request: the requester in line rolls; on decline the same
         # requester tries again next period. They have never requested,
@@ -302,7 +298,7 @@ def simulate(cfg: SimConfig) -> Stream:
             requester = requesters[next_requester]
             if draw() < requester.current_prob:
                 ordinal = rng.randrange(published)
-                actions.append((request, requester.address, ordinal))
+                actions.append((REQUEST, requester.address, ordinal))
                 roster.append([period + ACCESS_PERIODS, requester, ordinal])
                 next_requester += 1
 
@@ -317,7 +313,7 @@ def simulate(cfg: SimConfig) -> Stream:
                 if draw() < holder.current_prob:
                     token[0] = period + ACCESS_PERIODS
                     decay_renewal_prob(holder)
-                    actions.append((renew, holder.address, token[2]))
+                    actions.append((RENEW, holder.address, token[2]))
                     if len(actions) >= ticker:
                         break
 
@@ -342,23 +338,22 @@ def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | 
     store = TokenStore()
     run = SimResult(cfg, [], [], chain, registry, store, stream.population, [])
     records, datasets, receipts = run.records, run.datasets, chain.receipts
-    publish, update, request = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST
     actions = iter(stream.actions)
     try:
         for period, count in enumerate(stream.counts):
             chain.period = period
             for kind, actor, ordinal in islice(actions, count):
                 # Book each action at its receipt's fee, payment and USD cost; a publication at its fees.
-                if kind is publish:
+                if kind == PUBLISH:
                     contract = _publish_dataset(chain, registry, store, cfg, actor, ordinal + 1)
                     datasets.append(contract)
                     fee = contract.provider_cost_wei
                     payment, usd = 0, chain.price.wei_to_usd(fee)
                 else:
                     contract = datasets[ordinal]
-                    if kind is update:
+                    if kind == UPDATE:
                         contract.update_data(actor)
-                    elif kind is request:
+                    elif kind == REQUEST:
                         request_access(actor, contract, quote_payment(contract, "access"))
                     else:
                         if not contract.holders[actor].compliance:
@@ -391,18 +386,17 @@ def period_books(records: list[ActionRecord], counts: Iterable[int]) -> Iterator
     pool, cost, earnings, tokens, version] in publication order, which later periods change in place. Settle
     never burns, withdraws, destroys or relicenses, so a contract changes only at its own actions."""
     rows, records, pool, cost, earnings, tokens = {}, iter(records), 0, 0, 0, 0
-    publish, update, request = ActionKind.PUBLISH, ActionKind.UPDATE, ActionKind.REQUEST
     for period, count in enumerate(counts):
         for r in islice(records, count):
             row = rows.get(r.dataset) or rows.setdefault(r.dataset, [r.dataset, 0, 0, 0, 0, 0])  # its publication
-            if r.kind is publish or r.kind is update:
+            if r.kind == PUBLISH or r.kind == UPDATE:
                 row[2] += r.tx_gas_fee_wei
-                row[5] += r.kind is update
+                row[5] += r.kind == UPDATE
                 cost += r.tx_gas_fee_wei
             else:
                 row[3] += r.payment_wei
                 earnings += r.payment_wei
-                if r.kind is request:
+                if r.kind == REQUEST:
                     row[4] += 1
                     tokens += 1
             pool += r.current_cost_after_wei - row[1]

@@ -21,7 +21,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .agents import AgentProfile, population_csv
+from .agents import PROVIDER, REQUESTER, AgentProfile, population_csv
 from .chain import (
     DEPLOYMENT,
     DESTROY,
@@ -37,7 +37,8 @@ from .chain import (
     ChainState,
     csv_text,
 )
-from .engine import ActionKind, PeriodStats, SimConfig, SimResult, break_even_period, period_books, settings
+from .engine import (PUBLISH, RENEW, REQUEST, UPDATE, PeriodStats, SimConfig, SimResult, break_even_period,
+                     period_books, settings)
 from .errors import ReconciliationFailureError
 
 TOP_REQUESTERS = 3  # how many of the most-spending requesters summaries name
@@ -183,14 +184,13 @@ class RunTotals:
     __slots__ = ("usd_samples", "requester_kinds", "provider_actions", "ranked")
 
     def __init__(self, result: SimResult) -> None:
-        # Kinds go by their _value_ strings: .value and enum hashing run Python-level code.
         self.usd_samples = samples = {}  # kind -> USD total of each action, in record order
         self.requester_kinds = requester_kinds = {}  # request and renew: [actions, gas fees, payments]
         self.provider_actions = provider_actions = {}  # publishes plus updates
         for r in result.records:
-            kind = r.kind._value_
+            kind = r.kind
             samples.setdefault(kind, []).append(r.usd_total)
-            if kind == "request" or kind == "renew":
+            if kind == REQUEST or kind == RENEW:
                 row = requester_kinds.setdefault((r.actor, kind), [0, 0, 0])
                 row[0] += 1
                 row[1] += r.tx_gas_fee_wei
@@ -209,7 +209,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     if totals is None:
         totals = RunTotals(result)
     price = result.chain.price
-    counts = {kind._value_: len(totals.usd_samples.get(kind._value_, ())) for kind in ActionKind}
+    counts = {kind: len(totals.usd_samples.get(kind, ())) for kind in (PUBLISH, UPDATE, REQUEST, RENEW)}
     periods = len(result.series)
     per_period = max(1, periods)  # an empty run still gets zero frequencies
     last = result.series[-1] if result.series else PeriodStats(0, 0, 0, 0, 0, 0, 0)  # reconcile checks these
@@ -223,16 +223,16 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
         renew_fraction_pct=result.config.renew_fraction_pct,
         actions=len(result.records),
         periods=periods,
-        publishes=counts["publish"],
-        updates=counts["update"],
-        requests=counts["request"],
-        renewals=counts["renew"],
-        freq_publish=counts["publish"] / per_period,
-        freq_update=counts["update"] / per_period,
-        freq_request=counts["request"] / per_period,
-        freq_renew=counts["renew"] / per_period,
+        publishes=counts[PUBLISH],
+        updates=counts[UPDATE],
+        requests=counts[REQUEST],
+        renewals=counts[RENEW],
+        freq_publish=counts[PUBLISH] / per_period,
+        freq_update=counts[UPDATE] / per_period,
+        freq_request=counts[REQUEST] / per_period,
+        freq_renew=counts[RENEW] / per_period,
         datasets_published=len(result.datasets),
-        distinct_requesters=sum(1 for _, kind in totals.requester_kinds if kind == "request"),
+        distinct_requesters=sum(1 for _, kind in totals.requester_kinds if kind == REQUEST),
         active_tokens_at_end=sum(1 for _ in result.token_store.live_tokens()),
         provider_cost_wei=last.provider_cost_wei,
         provider_cost_usd=price.wei_to_usd(last.provider_cost_wei),
@@ -250,7 +250,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
 
 def actions_csv(result: SimResult) -> Iterator[str]:
     return csv_text("index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei", (
-        f"{index},{r.period},{r.kind._value_},{r.actor},{r.dataset},"
+        f"{index},{r.period},{r.kind},{r.actor},{r.dataset},"
         f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
         for index, r in enumerate(result.records)
     ))
@@ -298,7 +298,7 @@ def cost_overlay_csv(result: SimResult) -> Iterator[str]:
         records = iter(result.records)  # in period order, as period_books reads them
         for s in result.series:
             for r in islice(records, s.actions_this_period):
-                yield (f"action,{r.period},{r.kind._value_},{r.dataset},{r.usd_total:.2f},"
+                yield (f"action,{r.period},{r.kind},{r.dataset},{r.usd_total:.2f},"
                        f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}")
             yield f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
 
@@ -322,11 +322,11 @@ def top_requesters_csv(result: SimResult, totals: RunTotals) -> Iterator[str]:
     for c in result.datasets:
         provider_spend[c.owner] = provider_spend.get(c.owner, 0) + c.provider_cost_wei
     rows = [
-        f"provider,{addr},{totals.provider_actions.get(addr, 0)},{total},"
+        f"{PROVIDER},{addr},{totals.provider_actions.get(addr, 0)},{total},"
         f"{price.wei_to_usd(total):.2f}"
         for addr, total in sorted(provider_spend.items())
     ]
-    rows += (f"requester,{addr},{n},{total},{price.wei_to_usd(total):.2f}"
+    rows += (f"{REQUESTER},{addr},{n},{total},{price.wei_to_usd(total):.2f}"
              for addr, n, total in totals.ranked[:TOP_REQUESTERS])
     return csv_text("role,address,actions,totalWei,totalUsd", rows)
 
@@ -452,7 +452,7 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     names = iter(REPORT_NAMES)
 
-    def write(blocks: list[str]) -> None:
+    def write(blocks: Iterable[str]) -> None:
         write_report(out_dir / next(names), blocks)
 
     write(requester_costs_csv(result, totals))

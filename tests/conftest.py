@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Iterable
 
 import pytest
 
@@ -16,7 +17,7 @@ from incentiveledger import (
 PREFUND = 1_000 * WEI_PER_ETH
 
 
-def report_text(blocks: list[str]) -> str:
+def report_text(blocks: Iterable[str]) -> str:
     """A report builder's blocks joined into the text of its file."""
     return "".join(blocks)
 

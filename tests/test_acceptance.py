@@ -23,13 +23,11 @@ from conftest import report_text
 
 from incentiveledger import (
     ACCESS_PERIODS,
-    ActionKind,
     AgentProfile,
     BurnCause,
     DatasetContract,
     PopulationConfig,
     Registry,
-    Role,
     Scenario,
     SimConfig,
     WEI_PER_ETH,
@@ -45,7 +43,9 @@ from incentiveledger import (
     run_simulation,
     with_seed,
 )
+from incentiveledger.agents import PROVIDER, REQUESTER
 from incentiveledger.chain import ChainState, PriceModel, default_gas_schedule
+from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE
 from incentiveledger.errors import (
     ComplianceRequiredError,
     DestroyedError,
@@ -180,7 +180,7 @@ def test_criterion_2_update_cost_scaling():
 
 def test_criterion_3_renewal_decay_arithmetic():
     profile = AgentProfile(
-        address=None, role=Role.REQUESTER, base_prob=0.5, current_prob=0.5, decay=0.75,
+        address=None, role=REQUESTER, base_prob=0.5, current_prob=0.5, decay=0.75,
     )
     for _ in range(15):
         decay_renewal_prob(profile)
@@ -197,7 +197,7 @@ def test_criterion_4_population_statistics():
     for seed in range(20):
         population = generate_population(PopulationConfig(), random.Random(seed))
         for profile in population:
-            (provider_probs if profile.role is Role.PROVIDER else requester_probs).append(
+            (provider_probs if profile.role == PROVIDER else requester_probs).append(
                 profile.base_prob
             )
     mean = statistics.fmean(requester_probs)
@@ -219,11 +219,11 @@ def test_criterion_5_scenario_break_even_distribution(batch30):
 
     orderings = 0
     for result in s2_runs:
-        counts = {kind: 0 for kind in ActionKind}
+        counts = {kind: 0 for kind in (PUBLISH, UPDATE, REQUEST, RENEW)}
         for record in result.records:
             counts[record.kind] += 1
         assert sum(counts.values()) == 500 == len(result.records)
-        if counts[ActionKind.RENEW] > counts[ActionKind.REQUEST] > counts[ActionKind.UPDATE]:
+        if counts[RENEW] > counts[REQUEST] > counts[UPDATE]:
             orderings += 1
     ordering_share = orderings / len(s2_runs)
 
@@ -288,7 +288,7 @@ def test_criterion_7_property_suites(batch30):
     for result in runs:
         last_payment: dict = {}
         for record in result.records:
-            if record.kind in (ActionKind.PUBLISH, ActionKind.UPDATE):
+            if record.kind in (PUBLISH, UPDATE):
                 last_payment.pop(record.dataset, None)
             elif record.payment_wei > 0:
                 if record.dataset in last_payment:

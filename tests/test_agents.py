@@ -13,25 +13,24 @@ from conftest import report_text
 from incentiveledger import (
     AgentProfile,
     PopulationConfig,
-    Role,
     decay_renewal_prob,
     generate_population,
 )
-from incentiveledger.agents import population_csv
+from incentiveledger.agents import PROVIDER, REQUESTER, population_csv
 from incentiveledger.chain import account_address
 from incentiveledger.errors import ConfigError
 
 
 def test_roles_partition_with_providers_first():
     pop = generate_population(PopulationConfig(n_accounts=50, max_providers=3), random.Random(0))
-    assert [p.role for p in pop[:3]] == [Role.PROVIDER] * 3
-    assert all(p.role is Role.REQUESTER for p in pop[3:])
+    assert [p.role for p in pop[:3]] == [PROVIDER] * 3
+    assert all(p.role == REQUESTER for p in pop[3:])
     assert [p.address for p in pop] == [account_address(i) for i in range(50)]
 
 
 def test_minmax_normalization_pins_extremes_to_unit_interval():
     pop = generate_population(PopulationConfig(n_accounts=200, max_providers=1), random.Random(0))
-    requester_probs = [p.base_prob for p in pop if p.role is Role.REQUESTER]
+    requester_probs = [p.base_prob for p in pop if p.role == REQUESTER]
     assert min(requester_probs) == 0.0
     assert max(requester_probs) == 1.0
     assert all(0.0 <= q <= 1.0 for q in requester_probs)
@@ -74,7 +73,7 @@ def test_config_validation_rejects_bad_values(overrides):
 
 def test_decay_follows_power_law_exactly():
     profile = AgentProfile(
-        address=account_address(1), role=Role.REQUESTER,
+        address=account_address(1), role=REQUESTER,
         base_prob=0.5, current_prob=0.5, decay=0.75,
     )
     for n in range(1, 16):
@@ -92,7 +91,7 @@ def test_decay_follows_power_law_exactly():
 @example(base=5e-324, decay=0.75, n=1)
 def test_decay_is_strictly_decreasing_while_positive(base, decay, n):
     profile = AgentProfile(
-        address=account_address(0), role=Role.REQUESTER,
+        address=account_address(0), role=REQUESTER,
         base_prob=base, current_prob=base, decay=decay,
     )
     previous = profile.current_prob

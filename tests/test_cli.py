@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from incentiveledger import cli, engine, reporting
 from incentiveledger.agents import PopulationConfig
 from incentiveledger.cli import build_sim_config, main, parse_config_file
-from incentiveledger.chain import default_gas_schedule
+from incentiveledger.chain import GWEI, default_gas_schedule
 from incentiveledger.engine import SimConfig, run_simulation
 from incentiveledger.errors import ConfigError, EngineError, ReconciliationFailureError
 from incentiveledger.reporting import REPORT_NAMES, SHARED_NAMES, write_run_reports
@@ -318,6 +318,11 @@ def test_bad_settings_exit_2_before_writing(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_a_gas_price_below_1_wei_is_reported_as_given(tmp_path, capsys):
+    assert run_cli("run", *SMALL, "--gas-price-gwei", "1e-12", "--out", str(tmp_path / "out")) == 2
+    assert f"got {1e-12 * GWEI!r} wei\n" in capsys.readouterr().err  # not the 0 wei it rounds to
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):

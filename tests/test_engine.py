@@ -13,7 +13,6 @@ from conftest import report_text
 from incentiveledger import (
     ACCESS_PERIODS,
     DEFAULT_LICENSE,
-    ActionKind,
     ChainState,
     PeriodStats,
     PopulationConfig,
@@ -26,7 +25,7 @@ from incentiveledger import (
 )
 from incentiveledger import engine
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
-from incentiveledger.engine import build_start, settle, simulate
+from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import actions_csv, write_population, write_report, write_run_reports
 
@@ -60,7 +59,7 @@ def test_run_starts_with_a_forced_publication():
     result = run_simulation(small_cfg(action_ticker=1))
     assert len(result.records) == 1
     only = result.records[0]
-    assert only.kind is ActionKind.PUBLISH
+    assert only.kind == PUBLISH
     assert only.period == 0 and report_text(actions_csv(result)).splitlines()[1].startswith("0,0,publish,")
     assert only.actor == result.population[0].address
     assert len(result.series) == 1
@@ -136,7 +135,7 @@ def test_the_period_fold_matches_live_contracts_at_each_period_end(scenario):
                     population=PopulationConfig(n_accounts=30, max_providers=3))
     full = run_simulation(cfg)
     counts = [s.actions_this_period for s in full.series]
-    assert {r.kind for r in full.records} == set(ActionKind) and len(full.datasets) == 3
+    assert {r.kind for r in full.records} == {PUBLISH, UPDATE, REQUEST, RENEW} and len(full.datasets) == 3
     booked = 0
     books = engine.period_books(full.records, counts)
     for (stats, rows), count, series in zip(books, counts, full.series, strict=True):
@@ -210,7 +209,7 @@ def test_renewals_respect_cooldown_and_expiry():
     last_renewal: dict = {}
     saw_renewal = False
     for r in result.records:
-        if r.kind is ActionKind.RENEW:
+        if r.kind == RENEW:
             saw_renewal = True
             # Cool-down: a renewal never follows the same actor's previous
             # action by fewer than ACCESS_PERIODS periods.
@@ -220,7 +219,7 @@ def test_renewals_respect_cooldown_and_expiry():
             # Expiry: each renewal starts after the previous window ended.
             assert r.period >= start + ACCESS_PERIODS
             last_renewal[key] = r.period
-        elif r.kind is ActionKind.REQUEST:
+        elif r.kind == REQUEST:
             first_request.setdefault((r.actor, r.dataset), r.period)
         last_action[r.actor] = r.period
     assert saw_renewal
@@ -228,10 +227,10 @@ def test_renewals_respect_cooldown_and_expiry():
 
 def test_requesters_enter_in_account_order_providers_publish_once():
     result = run_simulation(small_cfg(action_ticker=100, population=PopulationConfig(n_accounts=120), seed=9))
-    requesters = [r.actor for r in result.records if r.kind is ActionKind.REQUEST]
+    requesters = [r.actor for r in result.records if r.kind == REQUEST]
     assert requesters == sorted(requesters)
     assert len(set(requesters)) == len(requesters)
-    publishers = [r.actor for r in result.records if r.kind is ActionKind.PUBLISH]
+    publishers = [r.actor for r in result.records if r.kind == PUBLISH]
     assert len(set(publishers)) == len(publishers)
     assert len(result.datasets) == len(publishers)
 
@@ -241,7 +240,7 @@ def test_a_zero_probability_requester_does_not_hold_the_queue():
     # 0.0; at default settings seed 2 reaches them after 31 requests.
     result = run_simulation(with_seed(SimConfig(), 2))
     [stuck] = [p.address for p in result.population if p.base_prob == 0.0]
-    requesters = [r.actor for r in result.records if r.kind is ActionKind.REQUEST]
+    requesters = [r.actor for r in result.records if r.kind == REQUEST]
     assert stuck not in requesters and max(requesters) > stuck
     assert len(requesters) > 31
     assert len(result.series) < 200
@@ -251,7 +250,7 @@ def test_update_multiplier_saturates_to_an_update_every_period():
     # Provider probability is at least 0.01; multiplied by 100 the update
     # roll always succeeds once something is published.
     result = run_simulation(small_cfg(update_multiplier=100))
-    update_periods = {r.period for r in result.records if r.kind is ActionKind.UPDATE}
+    update_periods = {r.period for r in result.records if r.kind == UPDATE}
     full_periods = {s.period for s in result.series[:-1]}  # last one may be cut mid-phase
     assert full_periods <= update_periods | {result.series[-1].period}
 
@@ -343,6 +342,10 @@ def test_config_validation():
         {"action_ticker": True},
         {"update_multiplier": True},
         {"seed": True},
+        {"action_ticker": 5.5},  # a count is an int: config.txt would write actions=5.5
+        {"update_multiplier": 2.5},
+        {"seed": 1.5},
+        {"scenario": 2},  # a Scenario, not its number
         {"population": PopulationConfig(n_accounts=40, max_providers=True)},
         {"population": PopulationConfig(n_accounts=40, provider_prob_max=True)},
         {"price": PriceModel(eth_usd=True)},
@@ -352,6 +355,11 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):  # on construction: no invalid config exists
             small_cfg(**overrides)
+    for counts in ({"n_accounts": 20.5}, {"max_providers": 1.5}):
+        with pytest.raises(ConfigError):  # a population checks its own counts
+            PopulationConfig(**counts)
+    # A float setting may be given as an int; config.txt writes it back as it was given.
+    assert engine.settings(small_cfg(price=PriceModel(eth_usd=1716)))["eth-usd"] == 1716
 
 
 def test_margin_resolution_defaults_per_scenario():

@@ -16,14 +16,12 @@ from conftest import report_text
 
 from incentiveledger import (
     DEFAULT_LICENSE,
-    ActionKind,
     ActionRecord,
     AgentProfile,
     ChainState,
     DatasetContract,
     PopulationConfig,
     Registry,
-    Role,
     Scenario,
     SimConfig,
     SimResult,
@@ -33,6 +31,7 @@ from incentiveledger import (
     run_simulation,
     summarize,
 )
+from incentiveledger.agents import PROVIDER, REQUESTER
 from incentiveledger.chain import (
     ADD_DATA_REQUESTER,
     Address,
@@ -44,6 +43,7 @@ from incentiveledger.chain import (
     TxReceipt,
     UPDATE_DATA,
 )
+from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE
 from incentiveledger.errors import ReconciliationFailureError
 from incentiveledger.reporting import (
     ACCRUING_FUNCTIONS,
@@ -240,15 +240,15 @@ def recorded_run(market) -> tuple[SimResult, DatasetContract]:
     recorded as settle records it, with both as its agents."""
     chain, provider, user = market.chain, market.provider, market.users[0]
     result = hand_built(market, [])
-    result.population = [AgentProfile(provider, Role.PROVIDER, 0.5, 0.5, 0.75),
-                         AgentProfile(user, Role.REQUESTER, 0.5, 0.5, 0.75)]
+    result.population = [AgentProfile(provider, PROVIDER, 0.5, 0.5, 0.75),
+                         AgentProfile(user, REQUESTER, 0.5, 0.5, 0.75)]
     c = publish(market)
     result.datasets.append(c)
-    result.records.append(ActionRecord(chain.period, ActionKind.PUBLISH, provider, c.contract_address,
+    result.records.append(ActionRecord(chain.period, PUBLISH, provider, c.contract_address,
                                        c.provider_cost_wei, 0, 0.0, c.current_cost_wei))
     request_access(user, c, quote_payment(c, "access"))
     receipt = chain.receipts[-1]
-    result.records.append(ActionRecord(chain.period, ActionKind.REQUEST, user, c.contract_address,
+    result.records.append(ActionRecord(chain.period, REQUEST, user, c.contract_address,
                                        receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost, c.current_cost_wei))
     return result, c
 
@@ -260,7 +260,7 @@ def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
     result, c = recorded_run(market)
     c.update_data(market.provider)
     receipt = market.chain.receipts[-1]
-    result.records.append(ActionRecord(receipt.period, ActionKind.UPDATE, market.provider, c.contract_address,
+    result.records.append(ActionRecord(receipt.period, UPDATE, market.provider, c.contract_address,
                                        receipt.gas_fee_wei, 0, receipt.usd_cost, c.current_cost_wei))
     c.destroy(market.provider)
     assert market.chain.receipts[-1].value_wei == result.records[1].payment_wei > 0
@@ -341,7 +341,7 @@ def test_actions_csv_mirrors_records(run):
     assert len(lines) == len(run.records) + 1
     first = run.records[0]
     assert lines[1].split(",")[:4] == [
-        "0", str(first.period), first.kind.value, first.actor,
+        "0", str(first.period), first.kind, first.actor,
     ]
     # Each row is numbered by its record's position.
     assert [line.split(",")[0] for line in lines[1:]] == [str(index) for index in range(len(run.records))]
@@ -387,7 +387,7 @@ def test_requester_costs_split_gas_from_payments(run):
         actions += int(fields[2])
         gas += int(fields[3])
         payment += int(fields[4])
-    requester_records = [r for r in run.records if r.kind in (ActionKind.REQUEST, ActionKind.RENEW)]
+    requester_records = [r for r in run.records if r.kind in (REQUEST, RENEW)]
     assert actions == len(requester_records)
     assert gas == sum(r.tx_gas_fee_wei for r in requester_records)
     assert payment == sum(r.payment_wei for r in requester_records)

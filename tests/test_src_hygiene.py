@@ -7,8 +7,9 @@ each configuration checks itself when it is built, one replay walks the
 receipt log, every class rejects an attribute it does not declare,
 importing the command line loads no process pool, only the bootstrap
 changes a registry, one chain method builds each receipt complete, a
-log entry's number is its position, only engine.settle forks a start, and
-the engine never burns, withdraws, destroys or relicenses."""
+log entry's number is its position, only engine.settle forks a start, the
+engine never burns, withdraws, destroys or relicenses, and action kinds and
+roles are the plain strings the reports print."""
 
 import ast
 import importlib
@@ -20,6 +21,9 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
+
+from incentiveledger import agents, engine
+from incentiveledger.reporting import actions_csv
 
 MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "incentiveledger").glob("*.py")
                  if p.name != "__init__.py")
@@ -288,3 +292,18 @@ def test_the_engine_never_burns_withdraws_destroys_or_relicenses():
     tree = ast.parse(next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8"))
     found = named(tree) & {"burn_token", "withdraw", "destroy", "set_license"}
     assert not found, sorted(found)
+
+
+def test_record_tags_are_plain_strings():
+    """Action kinds and agent roles hold exactly the text the reports print, so no
+    module reads an Enum member's private _value_ to print one."""
+    assert not [p.name for p in MODULES[0].parent.glob("*.py") if "._value_" in p.read_text(encoding="utf-8")]
+    population = agents.PopulationConfig(n_accounts=30, max_providers=3)
+    result = engine.run_simulation(engine.SimConfig(action_ticker=60, seed=10, population=population))
+    kinds = [r.kind for r in result.records]
+    assert {type(kind) for kind in kinds} == {str}
+    assert set(kinds) == {engine.PUBLISH, engine.UPDATE, engine.REQUEST, engine.RENEW}
+    assert {type(p.role) for p in result.population} == {str}
+    assert {p.role for p in result.population} == {agents.PROVIDER, agents.REQUESTER}
+    lines = "".join(actions_csv(result)).splitlines()
+    assert lines[0].split(",")[2] == "kind" and [line.split(",")[2] for line in lines[1:]] == kinds
