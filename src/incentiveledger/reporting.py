@@ -278,6 +278,7 @@ def contracts_csv(result: SimResult) -> Iterator[str]:
 
 
 def profit_series_csv(result: SimResult) -> Iterator[str]:
+    """Per period, the scenario and profit. No command writes it: README "Report layout" rebuilds it."""
     price = result.chain.price
     scenario = result.config.scenario.value
     return csv_text("period,scenario,profitWei,profitUsd", (
@@ -286,13 +287,9 @@ def profit_series_csv(result: SimResult) -> Iterator[str]:
 
 
 def cost_overlay_csv(result: SimResult) -> Iterator[str]:
-    """Running-cost trajectory with one scatter row per action.
-
-    Per period: the period's action rows, each carrying the acted-on
-    contract's pool right after the action, then one cost row with the
-    period-end pool summed over contracts. Updates show as upward jumps,
-    payments as downward steps.
-    """
+    """Running-cost trajectory, which no command writes (README "Report layout" rebuilds it). Per period: its
+    action rows, each with the acted-on contract's pool right after the action, then one cost row with the
+    period-end pool summed over contracts. Updates show as upward jumps, payments as downward steps."""
     def rows():
         price = result.chain.price
         records = iter(result.records)  # in period order, as period_books reads them
@@ -431,7 +428,7 @@ def config_text(result: SimResult) -> list[str]:
 # The files of every run directory, in the order write_run_reports writes them.
 REPORT_NAMES = (
     "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "actions.csv", "periods.csv", "contracts.csv",
-    "profit.csv", "cost_overlay.csv", "transactions.csv", "tokens.csv", "summary.txt", "summary.csv", "config.txt",
+    "transactions.csv", "tokens.csv", "summary.txt", "summary.csv", "config.txt",
 )
 # Shared by runs: a direct run writes both, a sweep population.csv once per seed and registry.csv once.
 SHARED_NAMES = ("population.csv", "registry.csv")
@@ -462,8 +459,6 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     write(actions_csv(result))
     write(periods_csv(result))
     write(contracts_csv(result))
-    write(profit_series_csv(result))
-    write(cost_overlay_csv(result))
     write(result.chain.log_csv())
     write(result.token_store.table_csv())
     write(summary_text(result, summary))

@@ -224,6 +224,25 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, m
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", [RUN, SWEEP], ids=["run", "sweep"])
+def test_the_out_pre_check_covers_exactly_the_files_a_command_writes(tmp_path, monkeypatch, command):
+    # _resolve_out guards the report paths of the layout it is handed; the
+    # commands compose the paths they write on their own.
+    layouts = []
+    real = cli._resolve_out
+
+    def resolve_out(args, layout):
+        layouts.append(layout)
+        return real(args, layout)
+
+    monkeypatch.setattr(cli, "_resolve_out", resolve_out)
+    assert run_cli(*command, *SMALL, "--out", str(tmp_path), "--quiet") == 0
+    [layout] = layouts
+    guarded = {Path(folder, report).as_posix() for folder, reports in layout.items() for report in reports}
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == guarded
+
+
 def test_gas_table_overrides_change_fees(tmp_path):
     table = tmp_path / "gas.json"
     table.write_text(json.dumps({"transactionGas": {"updateData": 87_598}}))
@@ -344,21 +363,19 @@ def test_unfunded_registry_bootstrap_exits_2_before_simulating(tmp_path, capsys)
     assert not (tmp_path / "c").exists()
 
 
-# sha256 of all 15 report files of one renewal-heavy run (2,615 of its 3,000
+# sha256 of all 13 report files of one renewal-heavy run (2,615 of its 3,000
 # actions are renewals). actions.csv, periods.csv and tokens.csv were
 # computed before the renew phase moved to a mint-ordered roster; they pin
 # the renewal draw order: one roll per eligible token, in token-id order.
-# The other twelve were computed before accounts became plain strings and
+# The other ten were computed before accounts became plain strings and
 # quotes plain wei; they pin how accounts and payments are formatted.
 GOLDEN_RENEWAL_HEAVY = {
     "actions.csv": "83baefc9095099bfdbe1eea8dfbb3817a1aed0dea06420fbd446f940fcb25324",
     "config.txt": "46cd9097a31d9ef0547ccb4117a7292d83fc74e3d5e47441e03a821eb256dd10",
     "contracts.csv": "bfff2644e08df8bebf42e43d4574a663ab5368103a20398d5c8e9543ec0850c4",
     "cost_distribution.csv": "c5303a70429b7418ad8bf7bd82f85fb5f433e0e1db8b74713e4b8db2a9cdce30",
-    "cost_overlay.csv": "991d6dcc32059d13b71bd3022bea4841a634ec8c0a46fca934905dd904b839a0",
     "periods.csv": "efa02bc2a620698028c4fdb63b0032ca227637cdd802eefc1e30caee1f5323ff",
     "population.csv": "e62b2c50ffcbe76fd952465a995c11f905bd88662b8005a5ddbd853c19d88ac8",
-    "profit.csv": "17930a6a42cb160e2177e5cd503b4309223d7a1f92fef3bd86ae3a9b2a93d8c1",
     "registry.csv": "75534430a9f47a696ae8a451ec6a8866ef196346109b542b8640a6afce97ace3",
     "requester_costs.csv": "2a0dffd897c5b3d341c1efbb97e3d2eef02c90ba496a39dba67263f3996f4fde",
     "summary.csv": "d8696fb1b9a4accaf1b01c2d8b011d32a69fb993abd7372bb2c97f9b2750155c",
@@ -377,6 +394,70 @@ def test_renewal_heavy_run_matches_golden_digests(tmp_path):
         for name in GOLDEN_RENEWAL_HEAVY
     }
     assert digests == GOLDEN_RENEWAL_HEAVY
+
+
+# The rebuild's oracle: sha256 of the last profit.csv and cost_overlay.csv
+# that each run wrote, at seed 0.
+REBUILT_TABLES = {
+    "renewal-heavy": (["--actions", "3000", "--accounts", "3000", "--max-providers", "2"],
+                      "17930a6a42cb160e2177e5cd503b4309223d7a1f92fef3bd86ae3a9b2a93d8c1",
+                      "991d6dcc32059d13b71bd3022bea4841a634ec8c0a46fca934905dd904b839a0"),
+    "default": ([],
+                "d24f5840f958a7cd72516e893bf2cfe3c4ce6ac6caafbb86ee881f4839334a40",
+                "89e8cecbcc52a2a1677a15f5f44a9d865517f1240c0fadd82f4f841b54d23542"),
+    "scale-20k": (["--actions", "20000", "--accounts", "20000", "--max-providers", "2", "--gas-price-gwei", "1"],
+                  "2360cb774049bc89659556727aa589e67edc4a3a4e6177615489106743d38205",
+                  "fcbd0fcabda60c3d37826562046de5f78147550c9f8d35cbfbc4f674e8349255"),
+}
+
+
+def rebuild_profit_and_cost_overlay(run_dir: Path) -> tuple[str, str]:
+    """profit.csv and cost_overlay.csv from a run's actions.csv, periods.csv and config.txt, by README's recipe."""
+    def rows(name):
+        header, *lines = (run_dir / name).read_text().splitlines()
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    def usd(wei: int) -> str:
+        raw = wei / 10**18 * eth_usd
+        cents = int(abs(raw) * 100 + 0.5)
+        return f"{(cents if raw >= 0 else -cents) / 100:.2f}"
+
+    config = dict(line.split("=", 1) for line in (run_dir / "config.txt").read_text().splitlines())
+    eth_usd = float(config["eth-usd"])
+    by_period: dict[str, list[dict]] = {}
+    for action in rows("actions.csv"):
+        by_period.setdefault(action["period"], []).append(action)
+    profit = ["period,scenario,profitWei,profitUsd"]
+    overlay = ["rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd"]
+    for s in rows("periods.csv"):
+        profit.append(f"{s['period']},{config['scenario']},{s['profitWei']},{s['profitUsd']}")
+        overlay += (f"action,{a['period']},{a['kind']},{a['dataset']},{a['usdTotal']},"
+                    f"{a['currentCostAfterWei']},{usd(int(a['currentCostAfterWei']))}"
+                    for a in by_period.get(s["period"], ()))
+        overlay.append(f"cost,{s['period']},,,,{s['currentCostWei']},{s['currentCostUsd']}")
+    return "".join(f"{line}\n" for line in profit), "".join(f"{line}\n" for line in overlay)
+
+
+@pytest.mark.parametrize("case", REBUILT_TABLES)
+def test_profit_and_cost_overlay_rebuild_from_the_written_reports(tmp_path, monkeypatch, case):
+    argv, profit_digest, overlay_digest = REBUILT_TABLES[case]
+    results = []
+    real = cli.write_run_reports
+
+    def write_run_reports(result, out_dir):
+        results.append(result)
+        return real(result, out_dir)
+
+    monkeypatch.setattr(cli, "write_run_reports", write_run_reports)
+    assert run_cli("run", *argv, "--seed", "0", "--out", str(tmp_path), "--quiet") == 0
+    run_dir = tmp_path / "run-0"
+    assert not (run_dir / "profit.csv").exists() and not (run_dir / "cost_overlay.csv").exists()
+    profit, overlay = rebuild_profit_and_cost_overlay(run_dir)
+    assert hashlib.sha256(profit.encode()).hexdigest() == profit_digest
+    assert hashlib.sha256(overlay.encode()).hexdigest() == overlay_digest
+    [result] = results
+    assert profit == "".join(reporting.profit_series_csv(result))
+    assert overlay == "".join(reporting.cost_overlay_csv(result))
 
 
 def test_sweep_lays_out_grid_cells(tmp_path, capsys):
@@ -628,7 +709,7 @@ def test_sweep_tree_is_the_same_at_one_and_two_workers(tmp_path, monkeypatch, po
                        "--out", str(tmp_path / str(cpus)), "--quiet") == 0
         digests.append(tree_digest(tmp_path / str(cpus)))
     assert pools == [2]
-    assert digests == ["677623f75db536d71c358f80dfa75817865ba2780878c4c1316b56097ddbac8a"] * 2
+    assert digests == ["368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358"] * 2
 
 
 # The failing sweeps of the three tests above, run at three seeds so that two
@@ -830,10 +911,11 @@ def tree_digest(root) -> str:
 def test_sweep_tree_matches_golden_digest(tmp_path):
     # The 182 files of the sweep that collected each cell's results before
     # writing them, with the copies of registry.csv and of each seed's
-    # population.csv collapsed into one: 162 files.
+    # population.csv collapsed into one: 162 files, and 138 without each run's
+    # profit.csv and cost_overlay.csv.
     assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10",
                    "--seeds", "3", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "677623f75db536d71c358f80dfa75817865ba2780878c4c1316b56097ddbac8a"
+    assert tree_digest(tmp_path) == "368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358"
 
 
 # The byte oracle: each tree below is pinned by the digest of its whole --out
@@ -842,15 +924,15 @@ def test_sweep_tree_matches_golden_digest(tmp_path):
 def test_paper_grid_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30",
                    "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 3153
-    assert tree_digest(tmp_path) == "41d86af8afc950d9627f9bd24616bfb3bd09e11417a9bc820add1d79b8cc3205"
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 2673
+    assert tree_digest(tmp_path) == "143cab99b66718c30f12f0af775cc375a1e5e680f999a3adc7ce8cbd6037e40c"
 
 
 def test_three_scenario_sweep_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
                    "--max-providers", "2", "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 319
-    assert tree_digest(tmp_path) == "f0a9e5238a16391b312f5133a553d7656772a1fa1c425c6f6cedfbdd638a71bf"
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 271
+    assert tree_digest(tmp_path) == "6246a07e53c318db3d99e5be2fd40ebd932a7a1370f2b2af809dcbd7cdebfd26"
 
 
 DEFAULT_RUN_STDOUT = """\
@@ -870,32 +952,32 @@ reports in OUT
 def test_default_run_tree_and_stdout_match_golden(tmp_path, capsys):
     assert run_cli("run", "--out", str(tmp_path)) == 0
     assert capsys.readouterr().out.replace(str(tmp_path / "run-0"), "OUT") == DEFAULT_RUN_STDOUT
-    assert len(list((tmp_path / "run-0").iterdir())) == 15
-    assert tree_digest(tmp_path) == "41f80756fa1512d111dff6ad8308411d0076eac29085af897e434c0a9a8c64d2"
+    assert len(list((tmp_path / "run-0").iterdir())) == 13
+    assert tree_digest(tmp_path) == "51d873b02d281dcf8a5adc928e52a7163304b49c3ffe23d526c5564d13d86eb8"
 
 
 def test_scale_20k_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
                    "--gas-price-gwei", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "d8fc847d5a6565c02742f498bfb9367d75bc7b8705dcc614c55c0a06bd9efd8f"
+    assert tree_digest(tmp_path) == "4dbf2df4a6172029f6a8de9f83d5239cd9f516bf48b53a2b049895a2e1de1008"
 
 
 def test_update_heavy_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
                    "--provider-prob-max", "0.5", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "a820c9946718a128887041b7f1e26c6af52ce5e6d9885fc7179394bafcd00c85"
+    assert tree_digest(tmp_path) == "9cba87b6f07c7cbe27e8770d5492251045ef3638b51b29b2fcca21c378653f1a"
 
 
 def test_scale_20k_seed_1_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
                    "--gas-price-gwei", "1", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "94b8481947d13b696ae3aea68a34e69054520605d1afe68e7f262bdaef901dbf"
+    assert tree_digest(tmp_path) == "c324f051971a4fcf0568b82a41a5f12303352842f58980225ac10a2b091ac5ab"
 
 
 def test_update_heavy_seed_1_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
                    "--provider-prob-max", "0.5", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "f8e34ace81d88fb940d6f1b32f2ec3748addc6c38c8c1a1f6c1eadf6e61829ad"
+    assert tree_digest(tmp_path) == "f64b2211bea424b90623070f513e3cb8920a21d334cf6efaf3f0fc6f35d32563"
 
 
 def test_build_sim_config_round_trips_parse(tmp_path):
@@ -925,9 +1007,9 @@ def test_build_sim_config_round_trips_parse(tmp_path):
 
 
 REPORT_FILES = {
-    "actions.csv", "periods.csv", "contracts.csv", "profit.csv", "cost_overlay.csv",
-    "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "transactions.csv",
-    "tokens.csv", "population.csv", "registry.csv", "summary.txt", "summary.csv", "config.txt",
+    "actions.csv", "periods.csv", "contracts.csv", "requester_costs.csv", "top_requesters.csv",
+    "cost_distribution.csv", "transactions.csv", "tokens.csv", "population.csv", "registry.csv",
+    "summary.txt", "summary.csv", "config.txt",
 }
 
 

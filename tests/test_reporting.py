@@ -499,8 +499,8 @@ def test_write_run_reports_emits_the_full_set(run, tmp_path):
     write_report(tmp_path / "run-11" / "registry.csv", run.registry.snapshot_csv())
     names = sorted(p.name for p in (tmp_path / "run-11").iterdir())
     assert names == sorted([
-        "actions.csv", "periods.csv", "contracts.csv", "profit.csv",
-        "cost_overlay.csv", "requester_costs.csv", "top_requesters.csv",
+        "actions.csv", "periods.csv", "contracts.csv",
+        "requester_costs.csv", "top_requesters.csv",
         "cost_distribution.csv", "transactions.csv", "tokens.csv",
         "population.csv", "registry.csv", "summary.txt", "summary.csv",
         "config.txt",
