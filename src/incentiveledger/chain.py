@@ -163,15 +163,16 @@ class PriceModel:
 
     def wei_to_usd(self, wei: int) -> float:
         # Half-up to cents, display only; balances stay integer wei.
-        raw = wei / WEI_PER_ETH * self.eth_usd
-        cents = int(abs(raw) * 100 + 0.5)
-        return (cents if raw >= 0 else -cents) / 100
+        cents = wei / WEI_PER_ETH * self.eth_usd * 100
+        return (int(cents + 0.5) if cents >= 0 else -int(0.5 - cents)) / 100
 
     def fee_and_usd(self, gas: int) -> tuple[int, int, float]:
         """An equal gas int, the fee of gas and its USD figure, built once per gas amount and then shared."""
-        if gas not in self._fees:
-            self._fees[gas] = (gas, fee := self.fee_wei(gas), self.wei_to_usd(fee))
-        return self._fees[gas]
+        try:
+            return self._fees[gas]
+        except KeyError:
+            entry = self._fees[gas] = (gas, fee := self.fee_wei(gas), self.wei_to_usd(fee))
+            return entry
 
 
 @dataclass(slots=True)
@@ -288,7 +289,10 @@ class ChainState:
         """The one value-moving path, atomic: bill gas and move value for count calls; log one receipt for all."""
         gas, fee, usd = self.price.fee_and_usd(gas)  # the memo's gas int: receipts share one per amount
         fees, values = fee * count, value_wei * count
-        caller_balance = self.balance(caller)
+        try:
+            caller_balance = self.accounts[caller]
+        except KeyError:
+            raise UnknownAccountError(f"no account {caller}") from None
         if recipient is not None and recipient not in self.accounts:  # it must exist before any debit
             raise UnknownAccountError(f"no account {recipient}")
         if caller_balance < fees + values:

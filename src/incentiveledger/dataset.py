@@ -137,10 +137,6 @@ class DatasetContract:
         return contract
 
     @property
-    def compensates_requesters(self) -> bool:
-        return self.scenario is not _NO_COMPENSATION
-
-    @property
     def contract_balance_wei(self) -> int:
         return self.chain.balance(self.contract_address)
 
@@ -150,8 +146,16 @@ class DatasetContract:
         self.current_cost_wei += fee_wei * self.profit_margin_pct // 100
         self.provider_cost_wei += fee_wei
 
+    def quote(self, fraction_pct: int) -> int:
+        """The one quote rule: fraction_pct of the pool, rounded up to the next wei; 0 in scenario 1.
+
+        Rounding up makes repeated payments against a fixed cost terminate at exactly zero.
+        """
+        return 0 if self.scenario is _NO_COMPENSATION else -(-self.current_cost_wei * fraction_pct // 100)
+
     def apply_payment(self, payment_wei: int) -> None:
-        self.current_cost_wei = max(0, self.current_cost_wei - payment_wei)
+        pool = self.current_cost_wei
+        self.current_cost_wei = pool - payment_wei if payment_wei < pool else 0
         self.provider_earnings_wei += payment_wei
 
     def bill(self, caller: Address, function: str, extra_gas: int = 0) -> TxReceipt:

@@ -106,7 +106,11 @@ def reconcile(result: SimResult) -> None:
         raise ReconciliationFailureError(
             f"replayed balance of {addr} is {replayed.get(addr)} wei, it holds {chain.accounts.get(addr)}"
         )
-    final_cc = {r.dataset: r.current_cost_after_wei for r in result.records}
+    final_cc, payments, fees = {}, 0, 0  # one walk of the action records: last pool per contract, payments, fees
+    for r in result.records:
+        final_cc[r.dataset] = r.current_cost_after_wei
+        payments += r.payment_wei
+        fees += r.tx_gas_fee_wei
     for c in result.datasets:
         expected = replayed_ledgers[c.contract_address]
         actual = (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei)
@@ -124,7 +128,6 @@ def reconcile(result: SimResult) -> None:
                 sum(c.provider_earnings_wei for c in result.datasets), sum(len(c.holders) for c in result.datasets)]
         if [s.current_cost_wei, s.provider_cost_wei, s.provider_earnings_wei, s.active_requesters] != held:
             raise ReconciliationFailureError(f"the last period's totals are not the contracts' {held}")
-    payments = sum(r.payment_wei for r in result.records)
     earnings = retired + sum(books[2] for books in replayed_ledgers.values())
     if payments != earnings:
         raise ReconciliationFailureError(
@@ -135,7 +138,7 @@ def reconcile(result: SimResult) -> None:
     addresses = [p.address for p in result.population]
     outflow = sum(map(chain.funding.__getitem__, addresses)) - sum(map(chain.accounts.__getitem__, addresses))
     outflow += sum(payouts.get(address, 0) for address in addresses) if payouts else 0
-    recorded = sum(r.tx_gas_fee_wei + r.payment_wei for r in result.records)
+    recorded = fees + payments
     if outflow != recorded:
         raise ReconciliationFailureError(
             f"agents spent {outflow} wei, action records say {recorded}"

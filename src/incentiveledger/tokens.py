@@ -2,9 +2,11 @@
 
 An access token is the non-transferable key a requester holds for one
 dataset: it carries an expiry period, a compliance flag that dataset
-updates reset, and burn bookkeeping. The gateway functions quote the
-cost-sharing payment that scenarios 2 and 3 charge on access requests
-and renewals; the contract's `collect` takes it in and books it.
+updates reset, and burn bookkeeping. The gateway functions check once
+that the contract is live, then charge the payment of the contract's one
+quote rule, `DatasetContract.quote`: a share of its pool on access
+requests and renewals in scenarios 2 and 3, nothing in scenario 1. The
+contract's `collect` takes it in and books it.
 
 A contract's holders map is the one index of live tokens: each holder's
 live token, in mint order. A burn removes the token from it and destroy
@@ -143,31 +145,22 @@ class TokenStore:
         ))
 
 
-def _ceil_div(numerator: int, denominator: int) -> int:
-    return -(-numerator // denominator)
-
-
 def quote_payment(c: "DatasetContract", kind: str) -> int:
-    """Quote the cost-sharing payment in wei for an access request or a renewal.
-
-    Rounds up to the next wei so that repeated payments against a fixed
-    cost always terminate at exactly zero.
-    """
+    """Quote the cost-sharing payment in wei for an access request or a renewal, by the contract's quote rule."""
     c.require_live()
     if kind == "access":
-        fraction_pct = c.access_fraction_pct
-    elif kind == "renewal":
-        fraction_pct = c.renew_fraction_pct
-    else:
-        raise ValueError(f"unknown quote kind {kind!r}")
-    if not c.compensates_requesters:
-        return 0
-    return _ceil_div(c.current_cost_wei * fraction_pct, 100)
+        return c.quote(c.access_fraction_pct)
+    if kind == "renewal":
+        return c.quote(c.renew_fraction_pct)
+    raise ValueError(f"unknown quote kind {kind!r}")
 
 
-def _pay(requester: Address, c: "DatasetContract", kind: str, function: str, value_wei: int) -> None:
-    """Collect a payment for kind through the contract; it must match the quote exactly."""
-    quote_wei = quote_payment(c, kind)
+def _pay(requester: Address, c: "DatasetContract", fraction_pct: int, function: str, value_wei: int) -> None:
+    """Collect a payment through the contract; it must match the quote at fraction_pct exactly.
+
+    The gateway calls it just after its own liveness check, so it checks none.
+    """
+    quote_wei = c.quote(fraction_pct)
     if value_wei < quote_wei:
         raise InsufficientPaymentError(f"quoted {quote_wei} wei, got {value_wei}")
     if value_wei > quote_wei:
@@ -191,7 +184,7 @@ def request_access(requester: Address, c: "DatasetContract", value_wei: int) -> 
         raise DuplicateTokenError(f"{requester} already holds a token for {c.contract_address}")
     if not c.registry.check_user(requester, c.required_license):
         raise LicenseMismatchError(f"{requester} lacks license {c.required_license}")
-    _pay(requester, c, "access", ADD_DATA_REQUESTER, value_wei)
+    _pay(requester, c, c.access_fraction_pct, ADD_DATA_REQUESTER, value_wei)
     token = c.token_store.mint(c.contract_address, requester, c.required_license, c.chain.period)
     c.holders[requester] = token
     return token
@@ -202,10 +195,11 @@ def renew_access_time(requester: Address, c: "DatasetContract", value_wei: int) 
     token = _held_token(requester, c)
     if not token.compliance:
         raise ComplianceRequiredError(f"{requester} must confirm compliance before renewing")
-    _pay(requester, c, "renewal", RENEW_TOKEN, value_wei)
+    _pay(requester, c, c.renew_fraction_pct, RENEW_TOKEN, value_wei)
     # An expired token restarts from now, an unexpired one stacks on top.
-    token.access_until = max(c.chain.period, token.access_until) + ACCESS_PERIODS
-    c.token_store.record("renewed", c.chain.period, token.token_id, requester)
+    period, until = c.chain.period, token.access_until
+    token.access_until = (until if until > period else period) + ACCESS_PERIODS
+    c.token_store.record("renewed", period, token.token_id, requester)
     return token
 
 

@@ -17,6 +17,11 @@ from incentiveledger import (
 PREFUND = 1_000 * WEI_PER_ETH
 
 
+def quote_rule(pool: int, fraction_pct: int) -> int:
+    """DatasetContract.quote on a scenario-2 pool, without a contract around it."""
+    return DatasetContract.quote(SimpleNamespace(scenario=Scenario.COST_RECOVERY, current_cost_wei=pool), fraction_pct)
+
+
 def report_text(blocks: Iterable[str]) -> str:
     """A report builder's blocks joined into the text of its file."""
     return "".join(blocks)

@@ -19,7 +19,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import report_text
+from conftest import quote_rule, report_text
 
 from incentiveledger import (
     ACCESS_PERIODS,
@@ -53,7 +53,6 @@ from incentiveledger.errors import (
     LedgerError,
 )
 from incentiveledger.reporting import actions_csv, reconcile, summarize
-from incentiveledger.tokens import _ceil_div
 
 SEEDS = range(30)
 INF = float("inf")
@@ -304,7 +303,7 @@ def test_criterion_7_property_suites(batch30):
     pool = sum(c.current_cost_wei for c in runs[0].datasets) or 10**18
     steps = 0
     while pool > 0:
-        pool -= _ceil_div(pool * 5, 100)
+        pool -= quote_rule(pool, 5)
         steps += 1
         assert steps < 5_000
     assert pool == 0

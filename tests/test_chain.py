@@ -6,7 +6,7 @@ import math
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import report_text
@@ -279,6 +279,33 @@ def test_usd_display_rounds_half_up_in_both_signs():
     assert price.wei_to_usd(-5 * 10**15) == -0.01
     assert price.wei_to_usd(4_990_000_000_000_000) == 0.0  # just below it
     assert price.wei_to_usd(0) == 0.0
+
+
+def usd_oracle(price: PriceModel, wei: int) -> float:
+    """The USD rule as first written, kept as the oracle of PriceModel.wei_to_usd."""
+    raw = wei / WEI_PER_ETH * price.eth_usd
+    cents = int(abs(raw) * 100 + 0.5)
+    return (cents if raw >= 0 else -cents) / 100
+
+
+HALF_CENT_WEI = 5 * 10**15  # exactly half a cent at $1/ETH
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    wei=st.one_of(
+        st.integers(min_value=-10**25, max_value=10**25),
+        st.integers(min_value=-10**6, max_value=10**6).map(lambda k: (2 * k + 1) * HALF_CENT_WEI),
+        st.sampled_from([0, -0.0, HALF_CENT_WEI, -HALF_CENT_WEI]),
+    ),
+    eth_usd=st.one_of(st.sampled_from([1.0, 1716.52, 0.37, 3127.9]), st.floats(min_value=1e-3, max_value=1e5)),
+)
+@example(wei=HALF_CENT_WEI, eth_usd=1.0)
+@example(wei=-HALF_CENT_WEI, eth_usd=1.0)
+@example(wei=-0.0, eth_usd=1.0)
+def test_usd_rule_matches_its_oracle_bit_for_bit(wei, eth_usd):
+    price = PriceModel(gas_price_wei=1, eth_usd=eth_usd)
+    assert price.wei_to_usd(wei).hex() == usd_oracle(price, wei).hex()
 
 
 def test_price_and_schedule_validation():

@@ -14,6 +14,7 @@ from incentiveledger import (
     ACCESS_PERIODS,
     DEFAULT_LICENSE,
     ChainState,
+    DatasetContract,
     PeriodStats,
     PopulationConfig,
     Registry,
@@ -23,7 +24,7 @@ from incentiveledger import (
     run_simulation,
     with_seed,
 )
-from incentiveledger import engine
+from incentiveledger import engine, tokens
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
 from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
@@ -317,6 +318,26 @@ def test_a_20k_bootstrap_logs_one_receipt_object_for_its_batch():
     batch = rows[1 + providers:]
     assert [row.split(",", 1)[0] for row in batch] == [str(index) for index in range(1 + providers, 20_001)]
     assert len({row.split(",", 1)[1] for row in batch}) == 1 and ",registerNewUser," in batch[0]
+
+
+def test_a_settled_run_quotes_each_payment_once(monkeypatch):
+    # The engine quotes each payment once, through quote_payment; the contract's quote
+    # rule runs twice per payment, for that quote and for the gateway's exact-value check.
+    calls = {"quote_payment": 0, "quote": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    quote_payment = counted("quote_payment", engine.quote_payment)
+    monkeypatch.setattr(engine, "quote_payment", quote_payment)
+    monkeypatch.setattr(tokens, "quote_payment", quote_payment)
+    monkeypatch.setattr(DatasetContract, "quote", counted("quote", DatasetContract.quote))
+    payments = sum(r.kind in (REQUEST, RENEW) for r in run_simulation(SimConfig()).records)
+    assert payments > 0
+    assert calls == {"quote_payment": payments, "quote": 2 * payments}
 
 
 def test_a_stalled_run_names_itself(monkeypatch):

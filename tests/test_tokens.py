@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import report_text
+from conftest import quote_rule, report_text
 
 from incentiveledger import (
     ACCESS_PERIODS,
@@ -42,7 +42,7 @@ from incentiveledger.errors import (
     LicenseMismatchError,
     NoTokenError,
 )
-from incentiveledger.tokens import TokenEvent, TokenStore, _ceil_div
+from incentiveledger.tokens import TokenEvent, TokenStore
 
 # Hand-derived 5% quotes against the frozen publication pool of
 # 491,024,880,000,000,000 wei (margin 100): ceil(pool*5/100), then the
@@ -66,7 +66,7 @@ def test_each_payment_drains_five_percent(published):
     contract = published.contract
     pool = contract.current_cost_wei
     for user in published.users:
-        expected = _ceil_div(pool * 5, 100)
+        expected = -(-pool * 5 // 100)  # ceil(pool * 5 / 100)
         assert quote_payment(contract, "access") == expected
         pay_access(contract, user)
         pool -= expected
@@ -122,6 +122,33 @@ def test_request_guards(published):
     ):
         with pytest.raises(DestroyedError):
             call()
+
+
+def test_a_destroyed_contract_takes_no_payment(published):
+    # The gateway's one liveness check guards each payment: flagged destroyed while
+    # tokens are still live, the contract refuses renewals and requests before any booking.
+    contract, chain, (compliant, stale, newcomer) = published.contract, published.chain, published.users
+    pay_access(contract, compliant)
+    pay_access(contract, stale)
+    contract.update_data(published.provider)
+    confirm_compliance(compliant, contract)
+    renewal, access = quote_payment(contract, "renewal"), quote_payment(contract, "access")
+    contract.destroyed = True
+    store = contract.token_store
+
+    def state():
+        return (list(chain.receipts), dict(chain.accounts), contract.current_cost_wei,
+                contract.provider_earnings_wei, store.events, report_text(store.table_csv()))
+
+    before = state()
+    for call in (
+        lambda: renew_access_time(compliant, contract, renewal),
+        lambda: renew_access_time(stale, contract, renewal),
+        lambda: request_access(newcomer, contract, access),
+    ):
+        with pytest.raises(DestroyedError):
+            call()
+    assert state() == before
 
 
 def test_request_pays_gas_plus_quote(published):
@@ -434,7 +461,7 @@ def test_repeated_ceil_payments_reach_zero_in_bounded_steps(pool, pct):
     remaining = pool
     steps = 0
     while remaining > 0:
-        payment = _ceil_div(remaining * pct, 100)
+        payment = quote_rule(remaining, pct)
         assert payment >= 1
         remaining -= payment
         assert remaining >= 0
@@ -449,5 +476,5 @@ def test_repeated_ceil_payments_reach_zero_in_bounded_steps(pool, pct):
        bump=st.integers(min_value=1, max_value=50))
 def test_quote_is_monotone_in_fraction_and_pool(pool, pct_low, bump):
     pct_high = min(100, pct_low + bump)
-    assert _ceil_div(pool * pct_low, 100) <= _ceil_div(pool * pct_high, 100)
-    assert _ceil_div(pool * pct_low, 100) <= _ceil_div((pool + 1) * pct_low, 100)
+    assert quote_rule(pool, pct_low) <= quote_rule(pool, pct_high)
+    assert quote_rule(pool, pct_low) <= quote_rule(pool + 1, pct_low)
