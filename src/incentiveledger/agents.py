@@ -29,7 +29,7 @@ class PopulationConfig:
     provider_prob_max: float = 0.05
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_accounts, int) or not isinstance(self.max_providers, int):
+        if type(self.n_accounts) is not int or type(self.max_providers) is not int:  # nor a bool
             raise ConfigError(f"counts must be integers, got {self.n_accounts!r} and {self.max_providers!r}")
         if self.n_accounts < 2:
             raise ConfigError("need at least two accounts")
@@ -37,7 +37,7 @@ class PopulationConfig:
             raise ConfigError("provider count must leave at least one requester")
         if not 0 < self.decay < 1:
             raise ConfigError("decay must lie strictly between 0 and 1")
-        if not PROVIDER_PROB_MIN <= self.provider_prob_max <= 1:
+        if isinstance(self.provider_prob_max, bool) or not PROVIDER_PROB_MIN <= self.provider_prob_max <= 1:
             raise ConfigError(f"provider probability max must lie in [{PROVIDER_PROB_MIN}, 1]")
 
 

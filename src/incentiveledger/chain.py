@@ -152,10 +152,11 @@ class PriceModel:
     _fees: dict[int, tuple[int, int, float]] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0 < self.gas_price_wei < math.inf and round(self.gas_price_wei) > 0):
+        gas_price = self.gas_price_wei  # bool is an int subclass; a JSON true must not pass as 1 wei
+        if isinstance(gas_price, bool) or not (0 < gas_price < math.inf and round(gas_price) > 0):
             raise ConfigError(f"gas price must be finite and at least 1 wei, got {self.gas_price_wei!r} wei")
-        object.__setattr__(self, "gas_price_wei", round(self.gas_price_wei))
-        if not 0 < self.eth_usd < math.inf:
+        object.__setattr__(self, "gas_price_wei", round(gas_price))
+        if isinstance(self.eth_usd, bool) or not 0 < self.eth_usd < math.inf:
             raise ConfigError(f"exchange rate must be positive and finite, got {self.eth_usd!r}")
 
     def fee_wei(self, gas: int) -> int:

@@ -64,7 +64,7 @@ _NO_COMPENSATION = Scenario.NO_COMPENSATION  # bound once: reading an Enum membe
 
 def check_pct(name: str, value: int, bounds: tuple[int, int], error: type[Exception] = OutOfRangeError) -> None:
     minimum, maximum = bounds
-    if not isinstance(value, int) or not minimum <= value <= maximum:
+    if type(value) is not int or not minimum <= value <= maximum:  # bool is an int subclass
         raise error(f"{name} must be an integer in [{minimum}, {maximum}], got {value!r}")
 
 

@@ -20,9 +20,11 @@ Determinism: a single seeded generator drives every draw, in a fixed
 order - population generation first, then per period the publish roll
 (the very first publish is forced and consumes no draw), one update roll
 per published provider, the request roll, the target-dataset choice, and
-one renewal roll per expired token in token-id order. No draw depends on
-scenario, margin or fraction parameters, so runs that share a seed share
-their entire action stream across those settings.
+one renewal roll per expired token in token-id order. Each phase draws
+its rolls in that order before any of them books: no roll reads another's
+outcome, and rolls past the last action are dropped unread. No draw
+depends on scenario, margin or fraction parameters, so runs that share a
+seed share their entire action stream across those settings.
 
 Sharing: the registry bootstrap depends on no seed, so a sweep builds its
 start, build_start's (chain, registry) pair, once and settles each run on
@@ -265,15 +267,20 @@ def simulate(cfg: SimConfig) -> Stream:
     # could never request and would hold the queue forever, so they never join it.
     providers = population[: cfg.population.max_providers]
     requesters = [p for p in islice(population, len(providers), None) if p.current_prob > 0.0]
-    # Each request's token as [expiry, holder, dataset ordinal], in request
-    # order, which is the token-id order settle mints in. Nothing burns.
-    roster: list[list] = []
+    # Provider i publishes dataset i; each update's action and its roll's probability, fixed per provider.
+    updates = [((UPDATE, p.address, i), min(1.0, p.base_prob * cfg.update_multiplier)) for i, p in enumerate(providers)]
+    # Slot i of rolling is requester i's token, in the token-id order settle mints in (nothing burns):
+    # its holder while expired, None while cooling down. waking lists the slots that expire in a period.
+    rolling: list[AgentProfile | None] = []
+    waking: dict[int, list[int]] = {}
+    renewals: dict[Address, tuple[int, tuple[str, Address, int]]] = {}  # holder -> (slot, renew action)
     published = 0
     next_requester = 0
 
     while len(actions) < ticker and len(counts) < MAX_PERIODS:
         period = len(counts)
         actions_at_start = len(actions)
+        waking[period + ACCESS_PERIODS] = wake = []  # the slots that this period's actions park
 
         # Publish: the next provider in line rolls; the very first
         # publication of the run happens unconditionally.
@@ -283,13 +290,9 @@ def simulate(cfg: SimConfig) -> Stream:
                 actions.append((PUBLISH, provider.address, published))
                 published += 1
 
-        # Update: every provider with a published dataset rolls;
-        # provider i published dataset i.
-        for ordinal, owner in enumerate(providers[:published]):
-            if len(actions) >= ticker:
-                break
-            if draw() < min(1.0, owner.base_prob * cfg.update_multiplier):
-                actions.append((UPDATE, owner.address, ordinal))
+        # Update: every provider with a published dataset rolls; the hits book in order until the ticker.
+        hits = [update for update, prob in islice(updates, published) if draw() < prob]
+        actions += hits[: ticker - len(actions)]
 
         # Request: the requester in line rolls; on decline the same
         # requester tries again next period. They have never requested,
@@ -299,23 +302,24 @@ def simulate(cfg: SimConfig) -> Stream:
             if draw() < requester.current_prob:
                 ordinal = rng.randrange(published)
                 actions.append((REQUEST, requester.address, ordinal))
-                roster.append([period + ACCESS_PERIODS, requester, ordinal])
+                renewals[requester.address] = (next_requester, (RENEW, requester.address, ordinal))
+                rolling.append(None)
+                wake.append(next_requester)
                 next_requester += 1
 
-        # Renew: each holder of an expired token rolls. A holder's one
-        # token was granted or last renewed by their last action, so its
-        # expiry is their cool-down of ACCESS_PERIODS periods.
+        # Renew: each holder of an expired token rolls; the hits book in order until the ticker. A
+        # holder's one token was granted or last renewed by their last action, so its expiry is their
+        # cool-down of ACCESS_PERIODS periods.
         if len(actions) < ticker:
-            for token in roster:
-                if token[0] > period:
-                    continue
-                holder = token[1]
-                if draw() < holder.current_prob:
-                    token[0] = period + ACCESS_PERIODS
-                    decay_renewal_prob(holder)
-                    actions.append((RENEW, holder.address, token[2]))
-                    if len(actions) >= ticker:
-                        break
+            for slot in waking.pop(period, ()):
+                rolling[slot] = requesters[slot]
+            hits = [h for h in rolling if h is not None and draw() < h.current_prob]
+            for holder in hits[: ticker - len(actions)]:
+                slot, renewal = renewals[holder.address]
+                rolling[slot] = None
+                wake.append(slot)
+                decay_renewal_prob(holder)
+                actions.append(renewal)
 
         counts.append(len(actions) - actions_at_start)
     return stream

@@ -65,6 +65,8 @@ def test_generation_is_deterministic_per_seed():
     {"provider_prob_max": -0.1},
     {"provider_prob_max": 0.005},
     {"provider_prob_max": 1.5},
+    {"max_providers": True},  # bool is an int subclass: True must not pass as one provider
+    {"provider_prob_max": True},
 ])
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(ConfigError):  # on construction: no invalid config exists

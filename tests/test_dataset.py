@@ -100,6 +100,8 @@ def test_publication_pct_validation(market):
         {"access_fraction_pct": 0},
         {"access_fraction_pct": 101},
         {"renew_fraction_pct": 0},
+        {"access_fraction_pct": True},  # bool is an int subclass: True must not charge 1%
+        {"renew_fraction_pct": True},
     ):
         with pytest.raises(OutOfRangeError):
             publish(market, **kwargs)
@@ -181,6 +183,8 @@ def test_setter_validation(published):
         contract.set_profit_margin(published.provider, 99)
     with pytest.raises(OutOfRangeError):
         contract.set_multis(published.provider, 0, 5)
+    with pytest.raises(OutOfRangeError):
+        contract.set_multis(published.provider, 5, True)
     with pytest.raises(OutOfRangeError):
         contract.set_price(published.provider, -1)
     contract.set_price(published.provider, 0)  # a free dataset is allowed

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
 import re
+from collections import Counter
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import report_text
 
@@ -21,10 +25,13 @@ from incentiveledger import (
     Scenario,
     SimConfig,
     break_even_period,
+    decay_renewal_prob,
+    generate_population,
     run_simulation,
     with_seed,
 )
 from incentiveledger import engine, tokens
+from incentiveledger.agents import PROVIDER_PROB_MIN
 from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
 from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
@@ -256,6 +263,121 @@ def test_update_multiplier_saturates_to_an_update_every_period():
     assert full_periods <= update_periods | {result.series[-1].period}
 
 
+def roster_simulate(cfg: SimConfig) -> engine.Stream:
+    """The draw stream's oracle: the per-token roster loop that simulate replaced, which
+    draws each roll and books each hit one at a time, testing every token's expiry."""
+    rng = random.Random(cfg.seed)
+    draw = rng.random
+    population = generate_population(cfg.population, rng)
+    result = engine.Stream(cfg, population, [], [])
+    actions, counts, ticker = result.actions, result.counts, cfg.action_ticker
+    providers = population[: cfg.population.max_providers]
+    requesters = [p for p in population[len(providers):] if p.current_prob > 0.0]
+    roster = []  # [expiry, holder, dataset ordinal] per token, in request order
+    published = next_requester = 0
+    while len(actions) < ticker and len(counts) < engine.MAX_PERIODS:
+        period = len(counts)
+        actions_at_start = len(actions)
+        if published < len(providers):
+            provider = providers[published]
+            if not actions or draw() < provider.current_prob:
+                actions.append((PUBLISH, provider.address, published))
+                published += 1
+        for ordinal, owner in enumerate(providers[:published]):
+            if len(actions) >= ticker:
+                break
+            if draw() < min(1.0, owner.base_prob * cfg.update_multiplier):
+                actions.append((UPDATE, owner.address, ordinal))
+        if len(actions) < ticker and next_requester < len(requesters):
+            requester = requesters[next_requester]
+            if draw() < requester.current_prob:
+                ordinal = rng.randrange(published)
+                actions.append((REQUEST, requester.address, ordinal))
+                roster.append([period + ACCESS_PERIODS, requester, ordinal])
+                next_requester += 1
+        if len(actions) < ticker:
+            for token in roster:
+                if token[0] > period:
+                    continue
+                holder = token[1]
+                if draw() < holder.current_prob:
+                    token[0] = period + ACCESS_PERIODS
+                    decay_renewal_prob(holder)
+                    actions.append((RENEW, holder.address, token[2]))
+                    if len(actions) >= ticker:
+                        break
+        counts.append(len(actions) - actions_at_start)
+    return result
+
+
+def drawn(result: engine.Stream) -> tuple:
+    return result.actions, result.counts, [(p.current_prob, p.renewals) for p in result.population]
+
+
+def population_cfg(accounts: int, providers: int, decay: float, prob_max: float) -> PopulationConfig:
+    return PopulationConfig(n_accounts=accounts, max_providers=min(providers, accounts - 1), decay=decay,
+                            provider_prob_max=prob_max)
+
+
+populations = st.builds(population_cfg, st.integers(2, 60), st.integers(1, 5),
+                        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(PROVIDER_PROB_MIN, 1.0))
+
+# The two benchmark streams, at seed 0.
+BENCHMARK_STREAMS = {
+    "scale-20k": SimConfig(action_ticker=20_000, population=PopulationConfig(n_accounts=20_000, max_providers=2),
+                           price=PriceModel(gas_price_wei=GWEI)),
+    "update-heavy": SimConfig(action_ticker=20_000, population=PopulationConfig(
+        n_accounts=20_000, max_providers=20, provider_prob_max=0.5)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=populations, actions=st.integers(1, 3_000), multiplier=st.integers(1, 10),
+       seed=st.integers(0, 2**32))
+def test_simulate_draws_what_the_roster_loop_draws(population, actions, multiplier, seed):
+    cfg = SimConfig(action_ticker=actions, update_multiplier=multiplier, seed=seed, population=population)
+    assert drawn(simulate(cfg)) == drawn(roster_simulate(cfg))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_STREAMS)
+def test_a_benchmark_stream_is_what_the_roster_loop_draws(name):
+    cfg = BENCHMARK_STREAMS[name]
+    assert drawn(simulate(cfg)) == drawn(roster_simulate(cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=populations, short=st.integers(1, 1_500), extra=st.integers(1, 1_500),
+       multiplier=st.integers(1, 10), seed=st.integers(0, 2**32))
+def test_a_shorter_ticker_draws_a_prefix_of_the_stream(population, short, extra, multiplier, seed):
+    # Rolls drawn past the last action are never read: a longer run only appends.
+    cfg = SimConfig(action_ticker=short + extra, update_multiplier=multiplier, seed=seed, population=population)
+    prefix, whole = simulate(replace(cfg, action_ticker=short)), simulate(cfg)
+    assert prefix.actions == whole.actions[:short]
+    last = len(prefix.counts) - 1
+    assert prefix.counts[:last] == whole.counts[:last] and prefix.counts[last] <= whole.counts[last]
+
+
+def test_each_renewal_decays_its_holder_once(monkeypatch):
+    decayed = []
+
+    def counted(holder):
+        decayed.append(holder.address)
+        decay_renewal_prob(holder)
+
+    whole = simulate(SimConfig(action_ticker=1_000))
+    periods = [period for period, count in enumerate(whole.counts) for _ in range(count)]
+    # A ticker between two renewals of one period leaves a hit past the last action.
+    cut = next(n for n in range(1, 1_000) if periods[n - 1] == periods[n]
+               and whole.actions[n - 1][0] == whole.actions[n][0] == RENEW)
+    monkeypatch.setattr(engine, "decay_renewal_prob", counted)
+    for cfg in (SimConfig(action_ticker=cut), BENCHMARK_STREAMS["scale-20k"]):
+        decayed.clear()
+        result = simulate(cfg)
+        renewals = Counter(actor for kind, actor, _ in result.actions if kind == RENEW)
+        assert len(decayed) == renewals.total() > 0
+        assert Counter(decayed) == renewals == {p.address: p.renewals for p in result.population if p.renewals}
+
+
 def test_ledger_failures_carry_the_engine_position():
     # At 20,000 gwei the authority's prefund still registers all 40
     # accounts, but the first publication costs the provider 136 ether.
@@ -367,18 +489,19 @@ def test_config_validation():
         {"update_multiplier": 2.5},
         {"seed": 1.5},
         {"scenario": 2},  # a Scenario, not its number
-        {"population": PopulationConfig(n_accounts=40, max_providers=True)},
-        {"population": PopulationConfig(n_accounts=40, provider_prob_max=True)},
-        {"price": PriceModel(eth_usd=True)},
         {"profit_margin_pct": 99},
         {"scenario": Scenario.PROFIT, "profit_margin_pct": 100},
         {"scenario": Scenario.COST_RECOVERY, "profit_margin_pct": 150},
     ):
         with pytest.raises(ConfigError):  # on construction: no invalid config exists
             small_cfg(**overrides)
-    for counts in ({"n_accounts": 20.5}, {"max_providers": 1.5}):
-        with pytest.raises(ConfigError):  # a population checks its own counts
+    for counts in ({"n_accounts": 20.5}, {"max_providers": 1.5}, {"n_accounts": True}, {"max_providers": True},
+                   {"provider_prob_max": True}):
+        with pytest.raises(ConfigError):  # a population checks its own settings, and refuses a bool
             PopulationConfig(**counts)
+    for price in ({"eth_usd": True}, {"gas_price_wei": True}, {"gas_price_wei": True, "eth_usd": True}):
+        with pytest.raises(ConfigError):  # and so does a price model
+            PriceModel(**price)
     # A float setting may be given as an int; config.txt writes it back as it was given.
     assert engine.settings(small_cfg(price=PriceModel(eth_usd=1716)))["eth-usd"] == 1716
 
