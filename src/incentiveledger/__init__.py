@@ -21,7 +21,6 @@ from .chain import (
 )
 from .dataset import DatasetContract, Scenario
 from .engine import (
-    ActionRecord,
     PeriodStats,
     SimConfig,
     SimResult,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACCESS_PERIODS",
     "AccessToken",
-    "ActionRecord",
     "Address",
     "AgentProfile",
     "BurnCause",

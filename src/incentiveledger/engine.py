@@ -38,6 +38,7 @@ reports hold the same bytes as a direct run's, which builds its start fresh.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
@@ -53,6 +54,7 @@ from .chain import (
     PriceModel,
     REGISTER_NEW_USER,
     REGISTRY_DEPLOYMENT,
+    TxReceipt,
     WEI_PER_ETH,
     default_gas_schedule,
 )
@@ -79,18 +81,23 @@ _FLOATS = ("decay", "provider-prob-max", "gas-price-gwei", "eth-usd")  # the set
 PUBLISH, UPDATE, REQUEST, RENEW = "publish", "update", "request", "renew"  # the action kinds, as reports print them
 
 
+# What a publication's record points at in place of its five receipts: their summed fee, under receipt field names.
+Publication = namedtuple("Publication", "period caller contract gas_fee_wei usd_cost value_wei", defaults=(0,))
+
+
 @dataclass(slots=True)
-class ActionRecord:
-    period: int
-    kind: str
-    actor: Address
-    dataset: Address
-    tx_gas_fee_wei: int
-    payment_wei: int
-    usd_total: float
-    # Compensation pool of the acted-on contract right after the action;
-    # lets reports plot the running-cost trajectory at action granularity.
-    current_cost_after_wei: int
+class Records:
+    """A run's booked actions, each as three flat entries and no object: its kind, its receipt (a Publication
+    for a publication) and its contract's pool right after it. Iterating yields those triples; len() counts actions."""
+
+    flat: list = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __iter__(self) -> Iterator[tuple[str, TxReceipt | Publication, int]]:
+        entries = iter(self.flat)
+        return zip(entries, entries, entries)
 
 
 @dataclass(slots=True)
@@ -207,10 +214,10 @@ class Stream:
 
 @dataclass(slots=True)
 class SimResult:
-    """A settled run: its action records, their per-period totals (see period_books) and its ledgers."""
+    """A settled run: its action records (see Records), their per-period totals (see period_books) and its ledgers."""
 
     config: SimConfig
-    records: list[ActionRecord]
+    records: Records
     series: list[PeriodStats]
     chain: ChainState
     registry: Registry
@@ -340,19 +347,19 @@ def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | 
         chain = chain.fork()
         registry = registry.fork(chain)
     store = TokenStore()
-    run = SimResult(cfg, [], [], chain, registry, store, stream.population, [])
-    records, datasets, receipts = run.records, run.datasets, chain.receipts
+    run = SimResult(cfg, Records(), [], chain, registry, store, stream.population, [])
+    flat, datasets, receipts = run.records.flat, run.datasets, chain.receipts
     actions = iter(stream.actions)
     try:
         for period, count in enumerate(stream.counts):
             chain.period = period
             for kind, actor, ordinal in islice(actions, count):
-                # Book each action at its receipt's fee, payment and USD cost; a publication at its fees.
+                # Record each action as its kind, its receipt and its pool; a publication as its summed fees.
                 if kind == PUBLISH:
                     contract = _publish_dataset(chain, registry, store, cfg, actor, ordinal + 1)
                     datasets.append(contract)
                     fee = contract.provider_cost_wei
-                    payment, usd = 0, chain.price.wei_to_usd(fee)
+                    receipt = Publication(period, actor, contract.contract_address, fee, chain.price.wei_to_usd(fee))
                 else:
                     contract = datasets[ordinal]
                     if kind == UPDATE:
@@ -364,18 +371,16 @@ def settle(cfg: SimConfig, stream: Stream, start: tuple[ChainState, Registry] | 
                             confirm_compliance(actor, contract)
                         renew_access_time(actor, contract, quote_payment(contract, "renewal"))
                     receipt = receipts[-1]
-                    fee, payment, usd = receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost
-                records.append(ActionRecord(period, kind, actor, contract.contract_address, fee, payment, usd,
-                                            contract.current_cost_wei))
+                flat += kind, receipt, contract.current_cost_wei
         period = len(stream.counts)
-        run.series = [stats for stats, _ in period_books(records, stream.counts)]
-        if len(records) < cfg.action_ticker:
+        run.series = [stats for stats, _ in period_books(run.records, stream.counts)]
+        if len(run.records) < cfg.action_ticker:
             raise EngineError(f"no progress after {period} periods")
     except LedgerError as exc:
         raise EngineError(
             f"seed {cfg.seed}, scenario {cfg.scenario.value}, margin {cfg.resolved_margin_pct}, "
             f"access fraction {cfg.access_fraction_pct}, renew fraction {cfg.renew_fraction_pct}, "
-            f"period {period}, action {len(records)}: {exc}"
+            f"period {period}, action {len(run.records)}: {exc}"
         ) from exc
     return run
 
@@ -385,26 +390,26 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     return settle(cfg, simulate(cfg))
 
 
-def period_books(records: list[ActionRecord], counts: Iterable[int]) -> Iterator[tuple[PeriodStats, Iterable[list]]]:
+def period_books(records: Records, counts: Iterable[int]) -> Iterator[tuple[PeriodStats, Iterable[list]]]:
     """Fold records, counts[k] of them in period k, into each period's totals and its contracts' rows [address,
     pool, cost, earnings, tokens, version] in publication order, which later periods change in place. Settle
     never burns, withdraws, destroys or relicenses, so a contract changes only at its own actions."""
     rows, records, pool, cost, earnings, tokens = {}, iter(records), 0, 0, 0, 0
     for period, count in enumerate(counts):
-        for r in islice(records, count):
-            row = rows.get(r.dataset) or rows.setdefault(r.dataset, [r.dataset, 0, 0, 0, 0, 0])  # its publication
-            if r.kind == PUBLISH or r.kind == UPDATE:
-                row[2] += r.tx_gas_fee_wei
-                row[5] += r.kind == UPDATE
-                cost += r.tx_gas_fee_wei
+        for kind, r, after in islice(records, count):
+            row = rows.get(r.contract) or rows.setdefault(r.contract, [r.contract, 0, 0, 0, 0, 0])  # its publication
+            if kind == PUBLISH or kind == UPDATE:
+                row[2] += r.gas_fee_wei
+                row[5] += kind == UPDATE
+                cost += r.gas_fee_wei
             else:
-                row[3] += r.payment_wei
-                earnings += r.payment_wei
-                if r.kind == REQUEST:
+                row[3] += r.value_wei
+                earnings += r.value_wei
+                if kind == REQUEST:
                     row[4] += 1
                     tokens += 1
-            pool += r.current_cost_after_wei - row[1]
-            row[1] = r.current_cost_after_wei
+            pool += after - row[1]
+            row[1] = after
         yield PeriodStats(period, pool, cost, earnings, earnings - cost, tokens, count), rows.values()
 
 

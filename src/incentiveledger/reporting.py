@@ -107,10 +107,10 @@ def reconcile(result: SimResult) -> None:
             f"replayed balance of {addr} is {replayed.get(addr)} wei, it holds {chain.accounts.get(addr)}"
         )
     final_cc, payments, fees = {}, 0, 0  # one walk of the action records: last pool per contract, payments, fees
-    for r in result.records:
-        final_cc[r.dataset] = r.current_cost_after_wei
-        payments += r.payment_wei
-        fees += r.tx_gas_fee_wei
+    for _, r, pool in result.records:
+        final_cc[r.contract] = pool
+        payments += r.value_wei
+        fees += r.gas_fee_wei
     for c in result.datasets:
         expected = replayed_ledgers[c.contract_address]
         actual = (c.current_cost_wei, c.provider_cost_wei, c.provider_earnings_wei)
@@ -133,8 +133,8 @@ def reconcile(result: SimResult) -> None:
         raise ReconciliationFailureError(
             f"{payments} wei paid by requesters, {earnings} wei booked as earnings"
         )
-    # Agents spend only through the four actions and receive only contract payouts, so
-    # their combined outflow plus those payouts is exactly what the action records say they spent.
+    # Agents spend only through the four actions and receive only contract payouts, so their outflow plus those
+    # payouts is exactly what the action records say they spent: an agent receipt no record points at fails here.
     addresses = [p.address for p in result.population]
     outflow = sum(map(chain.funding.__getitem__, addresses)) - sum(map(chain.accounts.__getitem__, addresses))
     outflow += sum(payouts.get(address, 0) for address in addresses) if payouts else 0
@@ -190,16 +190,15 @@ class RunTotals:
         self.usd_samples = samples = {}  # kind -> USD total of each action, in record order
         self.requester_kinds = requester_kinds = {}  # request and renew: [actions, gas fees, payments]
         self.provider_actions = provider_actions = {}  # publishes plus updates
-        for r in result.records:
-            kind = r.kind
-            samples.setdefault(kind, []).append(r.usd_total)
+        for kind, r, _ in result.records:
+            samples.setdefault(kind, []).append(r.usd_cost)
             if kind == REQUEST or kind == RENEW:
-                row = requester_kinds.setdefault((r.actor, kind), [0, 0, 0])
+                row = requester_kinds.setdefault((r.caller, kind), [0, 0, 0])
                 row[0] += 1
-                row[1] += r.tx_gas_fee_wei
-                row[2] += r.payment_wei
+                row[1] += r.gas_fee_wei
+                row[2] += r.value_wei
             else:
-                provider_actions[r.actor] = provider_actions.get(r.actor, 0) + 1
+                provider_actions[r.caller] = provider_actions.get(r.caller, 0) + 1
         spend: dict[Address, tuple[Address, int, int]] = {}  # (requester, actions, total wei spent)
         for (address, _), (n, fees, paid) in requester_kinds.items():
             _, actions, total = spend.get(address, (address, 0, 0))
@@ -253,9 +252,8 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
 
 def actions_csv(result: SimResult) -> Iterator[str]:
     return csv_text("index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei", (
-        f"{index},{r.period},{r.kind},{r.actor},{r.dataset},"
-        f"{r.tx_gas_fee_wei},{r.payment_wei},{r.usd_total:.2f},{r.current_cost_after_wei}"
-        for index, r in enumerate(result.records)
+        f"{index},{r.period},{kind},{r.caller},{r.contract},{r.gas_fee_wei},{r.value_wei},{r.usd_cost:.2f},{pool}"
+        for index, (kind, r, pool) in enumerate(result.records)
     ))
 
 
@@ -297,9 +295,8 @@ def cost_overlay_csv(result: SimResult) -> Iterator[str]:
         price = result.chain.price
         records = iter(result.records)  # in period order, as period_books reads them
         for s in result.series:
-            for r in islice(records, s.actions_this_period):
-                yield (f"action,{r.period},{r.kind},{r.dataset},{r.usd_total:.2f},"
-                       f"{r.current_cost_after_wei},{price.wei_to_usd(r.current_cost_after_wei):.2f}")
+            for kind, r, pool in islice(records, s.actions_this_period):
+                yield f"action,{r.period},{kind},{r.contract},{r.usd_cost:.2f},{pool},{price.wei_to_usd(pool):.2f}"
             yield f"cost,{s.period},,,,{s.current_cost_wei},{price.wei_to_usd(s.current_cost_wei):.2f}"
 
     return csv_text("rowType,period,kind,dataset,usdTotal,currentCostWei,currentCostUsd", rows())

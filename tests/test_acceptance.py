@@ -219,8 +219,8 @@ def test_criterion_5_scenario_break_even_distribution(batch30):
     orderings = 0
     for result in s2_runs:
         counts = {kind: 0 for kind in (PUBLISH, UPDATE, REQUEST, RENEW)}
-        for record in result.records:
-            counts[record.kind] += 1
+        for kind, _, _ in result.records:
+            counts[kind] += 1
         assert sum(counts.values()) == 500 == len(result.records)
         if counts[RENEW] > counts[REQUEST] > counts[UPDATE]:
             orderings += 1
@@ -286,13 +286,13 @@ def test_criterion_7_property_suites(batch30):
     # payments never grow.
     for result in runs:
         last_payment: dict = {}
-        for record in result.records:
-            if record.kind in (PUBLISH, UPDATE):
-                last_payment.pop(record.dataset, None)
-            elif record.payment_wei > 0:
-                if record.dataset in last_payment:
-                    assert record.payment_wei <= last_payment[record.dataset]
-                last_payment[record.dataset] = record.payment_wei
+        for kind, receipt, _ in result.records:
+            if kind in (PUBLISH, UPDATE):
+                last_payment.pop(receipt.contract, None)
+            elif receipt.value_wei > 0:
+                if receipt.contract in last_payment:
+                    assert receipt.value_wei <= last_payment[receipt.contract]
+                last_payment[receipt.contract] = receipt.value_wei
 
     # Determinism: regenerating seed 0 reproduces the action log bytes.
     again = run_simulation(default_cfg(Scenario.COST_RECOVERY, 0))

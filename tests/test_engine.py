@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
 from types import SimpleNamespace
@@ -32,7 +34,9 @@ from incentiveledger import (
 )
 from incentiveledger import engine, tokens
 from incentiveledger.agents import PROVIDER_PROB_MIN
-from incentiveledger.chain import GWEI, UPDATE_DATA, PriceModel, account_address, default_gas_schedule
+from incentiveledger.chain import (ADD_DATA_REQUESTER, DEPLOYMENT, GWEI, PUBLISH_DATA, RENEW_TOKEN, SET_MULTIS,
+                                   SET_PROFIT_MARGIN, SET_REGISTRY_ADDRESS, UPDATE_DATA, PriceModel, account_address,
+                                   default_gas_schedule)
 from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
 from incentiveledger.reporting import actions_csv, write_population, write_report, write_run_reports
@@ -49,7 +53,7 @@ def small_cfg(**overrides) -> SimConfig:
 
 
 def stream(result):
-    return [(r.kind, r.actor, r.dataset, r.period) for r in result.records]
+    return [(kind, r.caller, r.contract, r.period) for kind, r, _ in result.records]
 
 
 def test_the_population_ledger_and_registry_share_each_address():
@@ -66,10 +70,10 @@ def test_the_population_ledger_and_registry_share_each_address():
 def test_run_starts_with_a_forced_publication():
     result = run_simulation(small_cfg(action_ticker=1))
     assert len(result.records) == 1
-    only = result.records[0]
-    assert only.kind == PUBLISH
+    [(kind, only, _)] = result.records
+    assert kind == PUBLISH
     assert only.period == 0 and report_text(actions_csv(result)).splitlines()[1].startswith("0,0,publish,")
-    assert only.actor == result.population[0].address
+    assert only.caller == result.population[0].address
     assert len(result.series) == 1
     assert result.series[0].actions_this_period == 1
 
@@ -80,7 +84,7 @@ def test_run_stops_exactly_at_the_action_ticker():
     assert [line.split(",")[0] for line in report_text(actions_csv(result)).splitlines()[1:]] == [
         str(index) for index in range(60)]
     assert sum(s.actions_this_period for s in result.series) == 60
-    periods = [r.period for r in result.records]
+    periods = [r.period for _, r, _ in result.records]
     assert periods == sorted(periods)
     assert periods[-1] == result.series[-1].period
 
@@ -89,7 +93,7 @@ def test_same_seed_reproduces_the_run_exactly():
     a = run_simulation(small_cfg())
     b = run_simulation(small_cfg())
     assert stream(a) == stream(b)
-    assert [r.payment_wei for r in a.records] == [r.payment_wei for r in b.records]
+    assert [r.value_wei for _, r, _ in a.records] == [r.value_wei for _, r, _ in b.records]
     assert a.chain.accounts == b.chain.accounts
     c = run_simulation(with_seed(small_cfg(), 4))
     assert stream(a) != stream(c)
@@ -115,15 +119,14 @@ def test_economics_change_payments_only():
         scenario=Scenario.PROFIT, profit_margin_pct=250, access_fraction_pct=10, renew_fraction_pct=7,
         price=replace(a.config.price, gas_price_wei=30 * 10**9),
     ))
-    assert [r.payment_wei for r in a.records] != [r.payment_wei for r in b.records]
-    assert [(r.period, r.kind, r.actor, r.dataset) for r in a.records] == \
-           [(r.period, r.kind, r.actor, r.dataset) for r in b.records]
+    assert [r.value_wei for _, r, _ in a.records] != [r.value_wei for _, r, _ in b.records]
+    assert stream(a) == stream(b)
     assert report_text(a.token_store.table_csv()) == report_text(b.token_store.table_csv())
     assert a.token_store.events == b.token_store.events
     assert [r.gas_used for r in a.chain.receipts] == [r.gas_used for r in b.chain.receipts]
     pa, pb = a.config.price.gas_price_wei, b.config.price.gas_price_wei
     fees = [
-        ([r.gas_fee_wei for r in x.chain.receipts], [r.tx_gas_fee_wei for r in x.records],
+        ([r.gas_fee_wei for r in x.chain.receipts], [r.gas_fee_wei for _, r, _ in x.records],
          [s.provider_cost_wei for s in x.series],
          [row[2] for _, rows in engine.period_books(x.records, [s.actions_this_period for s in x.series])
           for row in rows])
@@ -143,7 +146,7 @@ def test_the_period_fold_matches_live_contracts_at_each_period_end(scenario):
                     population=PopulationConfig(n_accounts=30, max_providers=3))
     full = run_simulation(cfg)
     counts = [s.actions_this_period for s in full.series]
-    assert {r.kind for r in full.records} == {PUBLISH, UPDATE, REQUEST, RENEW} and len(full.datasets) == 3
+    assert {kind for kind, _, _ in full.records} == {PUBLISH, UPDATE, REQUEST, RENEW} and len(full.datasets) == 3
     booked = 0
     books = engine.period_books(full.records, counts)
     for (stats, rows), count, series in zip(books, counts, full.series, strict=True):
@@ -158,6 +161,49 @@ def test_the_period_fold_matches_live_contracts_at_each_period_end(scenario):
         assert totals == [stats.current_cost_wei, stats.provider_cost_wei, stats.provider_earnings_wei,
                           stats.active_requesters], stats.period
     assert booked == len(full.records)
+
+
+def test_each_record_points_at_its_own_receipt():
+    """A record copies no receipt field: an update, request or renewal record references the very
+    receipt object at its own log position, and a publication's holds its five calls' summed fee."""
+    cfg = small_cfg(action_ticker=120, seed=10, population=PopulationConfig(n_accounts=30, max_providers=3))
+    start = build_start(cfg)
+    position = len(start[0].receipts)  # the actions' receipts follow the bootstrap's
+    result = settle(cfg, simulate(cfg), start)
+    receipts, price = result.chain.receipts, result.config.price
+    functions = {UPDATE: UPDATE_DATA, REQUEST: ADD_DATA_REQUESTER, RENEW: RENEW_TOKEN}
+    assert {kind for kind, _, _ in result.records} == {PUBLISH, *functions}
+    for kind, r, pool in result.records:
+        if kind == PUBLISH:
+            five = receipts[position:position + 5]
+            assert [x.function for x in five] == [DEPLOYMENT, PUBLISH_DATA, SET_REGISTRY_ADDRESS, SET_PROFIT_MARGIN,
+                                                  SET_MULTIS]
+            fee = sum(x.gas_fee_wei for x in five)
+            assert r == (five[0].period, five[0].caller, five[0].contract, fee, price.wei_to_usd(fee), 0)
+            position += 5
+        else:
+            assert r is receipts[position] and r.function == functions[kind], position
+            position += 1
+    assert position == len(receipts)
+
+
+def test_the_records_cost_at_most_32_bytes_per_action():
+    """A record is three references in one flat list. tracemalloc charges settle's own lines, the
+    records among them, at most 32 B per action of a 2,000-action run; an object per action cost
+    about 105 B. The pool ints a record points at are charged to the contract that computes them."""
+    cfg = SimConfig(action_ticker=2_000, seed=0)
+    stream, start = simulate(cfg), build_start(cfg)
+    lines, first = inspect.getsourcelines(engine.settle)
+    tracemalloc.start()
+    try:
+        result = settle(cfg, stream, start)
+        snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, engine.__file__)])
+    finally:
+        tracemalloc.stop()
+    charged = sum(stat.size for stat in snapshot.statistics("lineno")
+                  if first <= stat.traceback[0].lineno < first + len(lines))
+    assert len(result.records) == 2_000
+    assert charged <= 32 * 2_000, charged / 2_000
 
 
 def test_a_trace_settles_only_runs_of_its_own_stream():
@@ -179,7 +225,7 @@ def test_a_start_settles_only_runs_of_its_own_price_and_gas_schedule():
 
 def test_no_compensation_scenario_never_collects_payments():
     result = run_simulation(small_cfg(scenario=Scenario.NO_COMPENSATION))
-    assert all(r.payment_wei == 0 for r in result.records)
+    assert all(r.value_wei == 0 for _, r, _ in result.records)
     assert all(s.provider_earnings_wei == 0 for s in result.series)
     assert break_even_period(result) is None
 
@@ -216,29 +262,29 @@ def test_renewals_respect_cooldown_and_expiry():
     first_request: dict = {}
     last_renewal: dict = {}
     saw_renewal = False
-    for r in result.records:
-        if r.kind == RENEW:
+    for kind, r, _ in result.records:
+        if kind == RENEW:
             saw_renewal = True
             # Cool-down: a renewal never follows the same actor's previous
             # action by fewer than ACCESS_PERIODS periods.
-            assert r.period - last_action[r.actor] >= ACCESS_PERIODS
-            key = (r.actor, r.dataset)
+            assert r.period - last_action[r.caller] >= ACCESS_PERIODS
+            key = (r.caller, r.contract)
             start = last_renewal.get(key, first_request[key])
             # Expiry: each renewal starts after the previous window ended.
             assert r.period >= start + ACCESS_PERIODS
             last_renewal[key] = r.period
-        elif r.kind == REQUEST:
-            first_request.setdefault((r.actor, r.dataset), r.period)
-        last_action[r.actor] = r.period
+        elif kind == REQUEST:
+            first_request.setdefault((r.caller, r.contract), r.period)
+        last_action[r.caller] = r.period
     assert saw_renewal
 
 
 def test_requesters_enter_in_account_order_providers_publish_once():
     result = run_simulation(small_cfg(action_ticker=100, population=PopulationConfig(n_accounts=120), seed=9))
-    requesters = [r.actor for r in result.records if r.kind == REQUEST]
+    requesters = [r.caller for kind, r, _ in result.records if kind == REQUEST]
     assert requesters == sorted(requesters)
     assert len(set(requesters)) == len(requesters)
-    publishers = [r.actor for r in result.records if r.kind == PUBLISH]
+    publishers = [r.caller for kind, r, _ in result.records if kind == PUBLISH]
     assert len(set(publishers)) == len(publishers)
     assert len(result.datasets) == len(publishers)
 
@@ -248,7 +294,7 @@ def test_a_zero_probability_requester_does_not_hold_the_queue():
     # 0.0; at default settings seed 2 reaches them after 31 requests.
     result = run_simulation(with_seed(SimConfig(), 2))
     [stuck] = [p.address for p in result.population if p.base_prob == 0.0]
-    requesters = [r.actor for r in result.records if r.kind == REQUEST]
+    requesters = [r.caller for kind, r, _ in result.records if kind == REQUEST]
     assert stuck not in requesters and max(requesters) > stuck
     assert len(requesters) > 31
     assert len(result.series) < 200
@@ -258,7 +304,7 @@ def test_update_multiplier_saturates_to_an_update_every_period():
     # Provider probability is at least 0.01; multiplied by 100 the update
     # roll always succeeds once something is published.
     result = run_simulation(small_cfg(update_multiplier=100))
-    update_periods = {r.period for r in result.records if r.kind == UPDATE}
+    update_periods = {r.period for kind, r, _ in result.records if kind == UPDATE}
     full_periods = {s.period for s in result.series[:-1]}  # last one may be cut mid-phase
     assert full_periods <= update_periods | {result.series[-1].period}
 
@@ -457,7 +503,7 @@ def test_a_settled_run_quotes_each_payment_once(monkeypatch):
     monkeypatch.setattr(engine, "quote_payment", quote_payment)
     monkeypatch.setattr(tokens, "quote_payment", quote_payment)
     monkeypatch.setattr(DatasetContract, "quote", counted("quote", DatasetContract.quote))
-    payments = sum(r.kind in (REQUEST, RENEW) for r in run_simulation(SimConfig()).records)
+    payments = sum(kind in (REQUEST, RENEW) for kind, _, _ in run_simulation(SimConfig()).records)
     assert payments > 0
     assert calls == {"quote_payment": payments, "quote": 2 * payments}
 
@@ -614,7 +660,8 @@ def test_a_new_draw_brings_its_own_population_and_registry(tmp_path):
 # One record of each per-event or per-account kind that a run keeps, and each ledger object.
 RECORDS = {
     "TxReceipt": lambda run: run.chain.receipts[-1],
-    "ActionRecord": lambda run: run.records[-1],
+    "Records": lambda run: run.records,
+    "Publication": lambda run: run.records.flat[1],
     "PeriodStats": lambda run: run.series[-1],
     "AccessToken": lambda run: next(iter(run.token_store.tokens.values())),
     "TokenEvent": lambda run: run.token_store.events[-1],

@@ -6,7 +6,7 @@ import math
 import statistics
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -16,7 +16,6 @@ from conftest import report_text
 
 from incentiveledger import (
     DEFAULT_LICENSE,
-    ActionRecord,
     AgentProfile,
     ChainState,
     DatasetContract,
@@ -35,6 +34,7 @@ from incentiveledger.agents import PROVIDER, REQUESTER
 from incentiveledger.chain import (
     ADD_DATA_REQUESTER,
     Address,
+    CHECK_USER,
     DEPLOYMENT,
     GWEI,
     MINER_ADDRESS,
@@ -43,7 +43,7 @@ from incentiveledger.chain import (
     TxReceipt,
     UPDATE_DATA,
 )
-from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE
+from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE, Publication, Records
 from incentiveledger.errors import ReconciliationFailureError
 from incentiveledger.reporting import (
     ACCRUING_FUNCTIONS,
@@ -84,7 +84,7 @@ def empty_result() -> SimResult:
     authority = chain.create_named_account("authority", 10**18)
     cfg = SimConfig(population=PopulationConfig(n_accounts=2))
     return SimResult(
-        config=cfg, records=[], series=[],
+        config=cfg, records=Records(), series=[],
         chain=chain, registry=Registry(chain, authority),
         token_store=TokenStore(), population=[], datasets=[],
     )
@@ -138,25 +138,53 @@ def test_reconcile_names_first_diverging_balance(run):
     reconcile(run)
 
 
+def receipt_slots(result: SimResult) -> range:
+    """The positions in result.records.flat that hold each action's receipt, in action order."""
+    return range(1, len(result.records.flat), 3)
+
+
 def test_reconcile_catches_tampered_payment(run):
-    paid = [r for r in run.records if r.payment_wei > 0][0]
-    paid.payment_wei += 1
+    # The first paid record points at a copy of its receipt that pays 1 wei more.
+    flat = run.records.flat
+    slot = next(i for i in receipt_slots(run) if flat[i].value_wei > 0)
+    paid = flat[slot]
+    flat[slot] = replace(paid, value_wei=paid.value_wei + 1)
     try:
         with pytest.raises(ReconciliationFailureError, match="paid by requesters"):
             reconcile(run)
     finally:
-        paid.payment_wei -= 1
+        flat[slot] = paid
+    reconcile(run)
 
 
 def test_reconcile_catches_a_tampered_action_fee(run):
-    # Payments and pools still agree; only the agents' outflow gives it away.
-    action = run.records[-1]
-    action.tx_gas_fee_wei += 1
+    # The last record points at a copy of its receipt with 1 wei more gas fee. Payments and
+    # pools still agree; only the agents' outflow gives it away.
+    flat = run.records.flat
+    action = flat[-2]
+    flat[-2] = replace(action, gas_fee_wei=action.gas_fee_wei + 1)
     try:
         with pytest.raises(ReconciliationFailureError, match="agents spent"):
             reconcile(run)
     finally:
-        action.tx_gas_fee_wei -= 1
+        flat[-2] = action
+    reconcile(run)
+
+
+@pytest.mark.parametrize("settled", [True, False], ids=["settled", "recorded"])
+def test_reconcile_catches_an_agent_receipt_outside_every_action(market, settled):
+    """A record points at its receipt, so it cannot misstate it; that no agent receipt lies outside
+    every action is the half of the agents-spent check that stays a check."""
+    if settled:
+        result = run_simulation(SimConfig(action_ticker=40, population=PopulationConfig(n_accounts=30), seed=4))
+        agent = result.population[-1].address
+    else:
+        result, _ = recorded_run(market)
+        agent = market.users[0]
+    reconcile(result)
+    result.chain.execute(agent, CHECK_USER)  # a metered call that no record points at
+    with pytest.raises(ReconciliationFailureError, match="agents spent"):
+        reconcile(result)
 
 
 def test_reconcile_catches_tampered_pool(run):
@@ -180,13 +208,15 @@ def test_reconcile_catches_tampered_period_totals(run):
 
 
 def test_reconcile_catches_tampered_action_trail(run):
-    last = [r for r in run.records if r.dataset == run.datasets[0].contract_address][-1]
-    last.current_cost_after_wei += 1
+    flat = run.records.flat
+    pool = max(i for i in receipt_slots(run) if flat[i].contract == run.datasets[0].contract_address) + 1
+    flat[pool] += 1
     try:
         with pytest.raises(ReconciliationFailureError, match="last action"):
             reconcile(run)
     finally:
-        last.current_cost_after_wei -= 1
+        flat[pool] -= 1
+    reconcile(run)
 
 
 def ledgers(c: DatasetContract) -> tuple[int, int, int]:
@@ -203,7 +233,7 @@ def publish(market, margin: int = 100) -> DatasetContract:
 def hand_built(market, datasets: list[DatasetContract]) -> SimResult:
     """A result around the market's chain with no action records and no agents."""
     return SimResult(
-        config=SimConfig(population=PopulationConfig(n_accounts=2)), records=[], series=[],
+        config=SimConfig(population=PopulationConfig(n_accounts=2)), records=Records(), series=[],
         chain=market.chain, registry=market.registry,
         token_store=TokenStore(), population=[], datasets=datasets,
     )
@@ -244,12 +274,11 @@ def recorded_run(market) -> tuple[SimResult, DatasetContract]:
                          AgentProfile(user, REQUESTER, 0.5, 0.5, 0.75)]
     c = publish(market)
     result.datasets.append(c)
-    result.records.append(ActionRecord(chain.period, PUBLISH, provider, c.contract_address,
-                                       c.provider_cost_wei, 0, 0.0, c.current_cost_wei))
+    fee = c.provider_cost_wei
+    result.records.flat += PUBLISH, Publication(chain.period, provider, c.contract_address, fee,
+                                                chain.price.wei_to_usd(fee)), c.current_cost_wei
     request_access(user, c, quote_payment(c, "access"))
-    receipt = chain.receipts[-1]
-    result.records.append(ActionRecord(chain.period, REQUEST, user, c.contract_address,
-                                       receipt.gas_fee_wei, receipt.value_wei, receipt.usd_cost, c.current_cost_wei))
+    result.records.flat += REQUEST, chain.receipts[-1], c.current_cost_wei
     return result, c
 
 
@@ -259,11 +288,9 @@ def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
     its last recorded pool is gone, and its payout to the provider flows back to an agent."""
     result, c = recorded_run(market)
     c.update_data(market.provider)
-    receipt = market.chain.receipts[-1]
-    result.records.append(ActionRecord(receipt.period, UPDATE, market.provider, c.contract_address,
-                                       receipt.gas_fee_wei, 0, receipt.usd_cost, c.current_cost_wei))
+    result.records.flat += UPDATE, market.chain.receipts[-1], c.current_cost_wei
     c.destroy(market.provider)
-    assert market.chain.receipts[-1].value_wei == result.records[1].payment_wei > 0
+    assert market.chain.receipts[-1].value_wei == result.records.flat[4].value_wei > 0  # the request's payment
     assert replay(market.chain)[1][c.contract_address] == (0, 0, 0)
     reconcile(result)
     setattr(c, field, 1)
@@ -274,7 +301,7 @@ def test_a_destroyed_contract_replays_to_zeroed_ledgers(market, field):
 def test_a_withdrawal_flows_back_to_its_agent(market):
     result, c = recorded_run(market)
     c.withdraw(market.provider)
-    assert market.chain.receipts[-1].value_wei == result.records[1].payment_wei > 0
+    assert market.chain.receipts[-1].value_wei == result.records.flat[4].value_wei > 0  # the request's payment
     reconcile(result)
     market.chain.transfer(market.authority, market.provider, 1, "gift")  # an inflow no payout explains
     with pytest.raises(ReconciliationFailureError, match="agents spent"):
@@ -311,7 +338,7 @@ def test_summary_counts_and_frequencies_add_up(run):
     assert summary.periods == len(run.series)
     assert summary.freq_update == pytest.approx(summary.updates / summary.periods)
     assert summary.profit_wei == summary.provider_earnings_wei - summary.provider_cost_wei
-    assert summary.total_payment_wei == sum(r.payment_wei for r in run.records)
+    assert summary.total_payment_wei == sum(r.value_wei for _, r, _ in run.records)
     assert summary.miner_take_wei == run.chain.balance(MINER_ADDRESS)
     usd = [u for _, u in summary.top_requesters]
     assert usd == sorted(usd, reverse=True)
@@ -327,21 +354,27 @@ def test_summary_of_an_empty_run_is_all_zero():
     assert report_text(profit_series_csv(empty_result())) == "period,scenario,profitWei,profitUsd\n"
 
 
+def action_fields(result: SimResult) -> list[tuple]:
+    """Each action read through its record, as its actions.csv row but the index."""
+    return [(r.period, kind, r.caller, r.contract, r.gas_fee_wei, r.value_wei, r.usd_cost, pool)
+            for kind, r, pool in result.records]
+
+
 def test_builders_are_pure(run):
-    before = [astuple(r) for r in run.records]
+    before = action_fields(run)
     first = report_text(actions_csv(run))
     assert report_text(actions_csv(run)) == first
     assert report_text(periods_csv(run)) == report_text(periods_csv(run))
-    assert [astuple(r) for r in run.records] == before
+    assert action_fields(run) == before
 
 
 def test_actions_csv_mirrors_records(run):
     lines = report_text(actions_csv(run)).splitlines()
     assert lines[0] == "index,period,kind,actor,dataset,gasFeeWei,paymentWei,usdTotal,currentCostAfterWei"
     assert len(lines) == len(run.records) + 1
-    first = run.records[0]
+    kind, first, _ = next(iter(run.records))
     assert lines[1].split(",")[:4] == [
-        "0", str(first.period), first.kind, first.actor,
+        "0", str(first.period), kind, first.caller,
     ]
     # Each row is numbered by its record's position.
     assert [line.split(",")[0] for line in lines[1:]] == [str(index) for index in range(len(run.records))]
@@ -387,10 +420,10 @@ def test_requester_costs_split_gas_from_payments(run):
         actions += int(fields[2])
         gas += int(fields[3])
         payment += int(fields[4])
-    requester_records = [r for r in run.records if r.kind in (REQUEST, RENEW)]
+    requester_records = [r for kind, r, _ in run.records if kind in (REQUEST, RENEW)]
     assert actions == len(requester_records)
-    assert gas == sum(r.tx_gas_fee_wei for r in requester_records)
-    assert payment == sum(r.payment_wei for r in requester_records)
+    assert gas == sum(r.gas_fee_wei for r in requester_records)
+    assert payment == sum(r.value_wei for r in requester_records)
 
 
 def test_top_requesters_lists_provider_rows_first(run):

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from incentiveledger import agents, engine
+from incentiveledger.chain import TxReceipt
 from incentiveledger.reporting import actions_csv
 
 MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "incentiveledger").glob("*.py")
@@ -224,10 +225,12 @@ def test_one_chain_method_builds_each_receipt_complete():
 
 def test_a_log_entry_is_numbered_by_its_position():
     """Neither a receipt nor an action record declares an index: its number is its position in
-    chain.receipts or result.records. So _move builds one TxReceipt for any count, with no loop."""
-    for module, record in (("chain", "TxReceipt"), ("engine", "ActionRecord")):
-        declared = [f.name for f in fields(getattr(importlib.import_module(f"incentiveledger.{module}"), record))]
-        assert "index" not in declared, (record, declared)
+    chain.receipts or result.records, whose only field is the flat list of every record's kind, receipt
+    and pool. So _move builds one TxReceipt for any count, with no loop."""
+    declared = {"TxReceipt": [f.name for f in fields(TxReceipt)], "Publication": engine.Publication._fields,
+                "Records": [f.name for f in fields(engine.Records)]}
+    assert "index" not in {*declared["TxReceipt"], *declared["Publication"]}, declared
+    assert declared["Records"] == ["flat"], declared
     move = functions_of("chain.py")["_move"]
     built = [node for node in ast.walk(move) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TxReceipt"]
@@ -300,7 +303,7 @@ def test_record_tags_are_plain_strings():
     assert not [p.name for p in MODULES[0].parent.glob("*.py") if "._value_" in p.read_text(encoding="utf-8")]
     population = agents.PopulationConfig(n_accounts=30, max_providers=3)
     result = engine.run_simulation(engine.SimConfig(action_ticker=60, seed=10, population=population))
-    kinds = [r.kind for r in result.records]
+    kinds = [kind for kind, _, _ in result.records]
     assert {type(kind) for kind in kinds} == {str}
     assert set(kinds) == {engine.PUBLISH, engine.UPDATE, engine.REQUEST, engine.RENEW}
     assert {type(p.role) for p in result.population} == {str}
