@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
+from math import cos, log, sin, sqrt, tau
 from typing import Iterator
 
 from .chain import Address, account_addresses, csv_text
@@ -51,13 +52,23 @@ class AgentProfile:
     renewals: int = 0
 
 
+def normal_samples(n: int, rng: random.Random) -> list[float]:
+    """[rng.gauss(0.0, 0.1) for _ in range(n)] bit for bit, leaving rng in the same state, from Random.gauss's
+    own Box-Muller arithmetic with both halves of each pair used: cosine half first, sine half second."""
+    draw = rng.random
+    samples = [rng.gauss(0.0, 0.1)] if n and rng.gauss_next is not None else []  # a pending sine half first
+    pairs = [(draw() * tau, sqrt(-2.0 * log(1.0 - draw()))) for _ in range((n - len(samples)) // 2)]
+    samples += [0.0 + f(x2pi) * g2rad * 0.1 for x2pi, g2rad in pairs for f in (cos, sin)]
+    return samples + [rng.gauss(0.0, 0.1) for _ in range(n - len(samples))]  # an odd remainder: its sine pends
+
+
 def generate_population(cfg: PopulationConfig, rng: random.Random) -> list[AgentProfile]:
     """Create one profile per account, providers first, drawing from rng.
 
     Draw order is fixed for reproducibility: all normal samples first, then
     one uniform redraw per provider slot.
     """
-    samples = [rng.gauss(0.0, 0.1) for _ in range(cfg.n_accounts)]
+    samples = normal_samples(cfg.n_accounts, rng)
     lo, hi = min(samples), max(samples)
     probs = [0.5] * len(samples) if hi == lo else [(x - lo) / (hi - lo) for x in samples]
     addresses, k, decay, uniform = account_addresses(cfg.n_accounts), cfg.max_providers, cfg.decay, rng.uniform

@@ -289,7 +289,9 @@ class ChainState:
               contract: Address | None = None, margin_pct: int | None = None, count: int = 1) -> TxReceipt:
         """The one value-moving path, atomic: bill gas and move value for count calls; log one receipt for all."""
         gas, fee, usd = self.price.fee_and_usd(gas)  # the memo's gas int: receipts share one per amount
-        fees, values = fee * count, value_wei * count
+        fees, values = fee, value_wei
+        if count != 1:  # a batch; a single call skips the two big-int products
+            fees, values = fee * count, value_wei * count
         try:
             caller_balance = self.accounts[caller]
         except KeyError:

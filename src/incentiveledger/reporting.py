@@ -14,6 +14,7 @@ whole; the sweep's tables are built here.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, fields
@@ -42,6 +43,7 @@ from .engine import (PUBLISH, RENEW, REQUEST, UPDATE, PeriodStats, SimConfig, Si
 from .errors import ReconciliationFailureError
 
 TOP_REQUESTERS = 3  # how many of the most-spending requesters summaries name
+REQUESTER_COLUMNS = {REQUEST: 0, RENEW: 3}  # where a kind's actions, gas fees and payments start in a requester's row
 
 # Owner calls whose fees feed the requester-compensation pool.
 ACCRUING_FUNCTIONS = frozenset(
@@ -69,27 +71,31 @@ def replay(chain: ChainState) -> tuple[dict[Address, int], dict[Address, tuple[i
     any other call pays the contract and drains its pool, and a contract's
     destroy receipt retires its earnings and zeroes its ledgers.
     """
-    balances, ledgers, retired, payouts = dict(chain.funding), {}, 0, {}
+    balances, ledgers, retired, payouts, mined = dict(chain.funding), {}, 0, {}, 0  # mined: the miner's take
     for index, r in enumerate(chain.receipts):
         balances[r.caller] -= r.gas_fee_wei + r.value_wei
-        balances[MINER_ADDRESS] += r.gas_fee_wei
+        mined += r.gas_fee_wei
         if r.recipient is not None:
             balances[r.recipient] += r.value_wei
-        if balances[r.caller] < 0:
-            raise ReconciliationFailureError(f"receipt {index} drives {r.caller} to {balances[r.caller]} wei")
-        if r.contract is not None:
-            books = ledgers.setdefault(r.contract, [0, 0, 0])
+        if balances[r.caller] < 0:  # a paying miner holds its take so far: book it, then check again
+            balances[MINER_ADDRESS], mined = balances[MINER_ADDRESS] + mined, 0
+            if balances[r.caller] < 0:
+                raise ReconciliationFailureError(f"receipt {index} drives {r.caller} to {balances[r.caller]} wei")
+        if (contract := r.contract) is not None:
+            books = ledgers.get(contract) or ledgers.setdefault(contract, [0, 0, 0])  # new at its first receipt
             if r.function in ACCRUING_FUNCTIONS:
                 books[0] += r.gas_fee_wei * r.margin_pct // 100
                 books[1] += r.gas_fee_wei
             else:
-                books[0] = max(0, books[0] - r.value_wei)
-                books[2] += r.value_wei
+                pool, value = books[0], r.value_wei
+                books[0] = pool - value if pool > value else 0
+                books[2] += value
         elif r.caller in ledgers:  # a contract pays its balance out, by withdraw or destroy
             payouts[r.recipient] = payouts.get(r.recipient, 0) + r.value_wei
             if r.function == DESTROY:
                 retired += ledgers[r.caller][2]
                 ledgers[r.caller] = [0, 0, 0]
+    balances[MINER_ADDRESS] += mined
     return balances, {addr: tuple(v) for addr, v in ledgers.items()}, retired, payouts
 
 
@@ -182,28 +188,27 @@ class RunSummary:
 
 
 class RunTotals:
-    """What the report builders count, from one pass over a run's records."""
+    """What the report builders count, from one pass over a run's records: each kind's USD samples, each
+    provider's action count, one row of six counters per requester (see REQUESTER_COLUMNS) and the
+    TOP_REQUESTERS highest-spending requesters, ranked, as (address, actions, total wei spent)."""
 
-    __slots__ = ("usd_samples", "requester_kinds", "provider_actions", "ranked")
+    __slots__ = ("usd_samples", "requesters", "provider_actions", "ranked")
 
     def __init__(self, result: SimResult) -> None:
         self.usd_samples = samples = {}  # kind -> USD total of each action, in record order
-        self.requester_kinds = requester_kinds = {}  # request and renew: [actions, gas fees, payments]
+        self.requesters = requesters = {}  # address -> [requests, gas fees, payments, renewals, gas fees, payments]
         self.provider_actions = provider_actions = {}  # publishes plus updates
         for kind, r, _ in result.records:
             samples.setdefault(kind, []).append(r.usd_cost)
-            if kind == REQUEST or kind == RENEW:
-                row = requester_kinds.setdefault((r.caller, kind), [0, 0, 0])
-                row[0] += 1
-                row[1] += r.gas_fee_wei
-                row[2] += r.value_wei
-            else:
+            if (j := REQUESTER_COLUMNS.get(kind)) is None:
                 provider_actions[r.caller] = provider_actions.get(r.caller, 0) + 1
-        spend: dict[Address, tuple[Address, int, int]] = {}  # (requester, actions, total wei spent)
-        for (address, _), (n, fees, paid) in requester_kinds.items():
-            _, actions, total = spend.get(address, (address, 0, 0))
-            spend[address] = (address, actions + n, total + fees + paid)
-        self.ranked = sorted(spend.values(), key=lambda t: (-t[2], t[0]))  # highest spend first
+            else:
+                row = requesters.get(r.caller) or requesters.setdefault(r.caller, [0] * 6)
+                row[j] += 1
+                row[j + 1] += r.gas_fee_wei
+                row[j + 2] += r.value_wei
+        spend = ((address, row[0] + row[3], row[1] + row[2] + row[4] + row[5]) for address, row in requesters.items())
+        self.ranked = heapq.nsmallest(TOP_REQUESTERS, spend, key=lambda t: (-t[2], t[0]))  # highest spend first
 
 
 def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
@@ -215,7 +220,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     periods = len(result.series)
     per_period = max(1, periods)  # an empty run still gets zero frequencies
     last = result.series[-1] if result.series else PeriodStats(0, 0, 0, 0, 0, 0, 0)  # reconcile checks these
-    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked[:TOP_REQUESTERS])
+    top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked)
     miner_take = result.chain.balance(MINER_ADDRESS)  # every gas fee, as reconcile's balance replay proves
     return RunSummary(
         seed=result.config.seed,
@@ -234,7 +239,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
         freq_request=counts[REQUEST] / per_period,
         freq_renew=counts[RENEW] / per_period,
         datasets_published=len(result.datasets),
-        distinct_requesters=sum(1 for _, kind in totals.requester_kinds if kind == REQUEST),
+        distinct_requesters=sum(1 for row in totals.requesters.values() if row[0]),
         active_tokens_at_end=sum(1 for _ in result.token_store.live_tokens()),
         provider_cost_wei=last.provider_cost_wei,
         provider_cost_usd=price.wei_to_usd(last.provider_cost_wei),
@@ -244,7 +249,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
         current_cost_wei=last.current_cost_wei,
         break_even_period=break_even_period(result),
         total_gas_fee_wei=miner_take,
-        total_payment_wei=sum(paid for _, _, paid in totals.requester_kinds.values()),
+        total_payment_wei=sum(row[2] + row[5] for row in totals.requesters.values()),
         miner_take_wei=miner_take,
         top_requesters=top,
     )
@@ -305,10 +310,12 @@ def cost_overlay_csv(result: SimResult) -> Iterator[str]:
 def requester_costs_csv(result: SimResult, totals: RunTotals) -> Iterator[str]:
     """Base gas cost vs additional compensation payment, per requester and kind."""
     price = result.chain.price
+    rows = ((address, kind, *row[j:j + 3]) for address, row in sorted(totals.requesters.items())
+            for kind, j in sorted(REQUESTER_COLUMNS.items()) if row[j])  # kinds in text order
     return csv_text("address,kind,actions,gasFeeWei,paymentWei,gasFeeUsd,paymentUsd,totalUsd", (
         f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},"
         f"{price.wei_to_usd(paid):.2f},{price.wei_to_usd(fees + paid):.2f}"
-        for (address, kind), (n, fees, paid) in sorted(totals.requester_kinds.items())
+        for address, kind, n, fees, paid in rows
     ))
 
 
@@ -324,7 +331,7 @@ def top_requesters_csv(result: SimResult, totals: RunTotals) -> Iterator[str]:
         for addr, total in sorted(provider_spend.items())
     ]
     rows += (f"{REQUESTER},{addr},{n},{total},{price.wei_to_usd(total):.2f}"
-             for addr, n, total in totals.ranked[:TOP_REQUESTERS])
+             for addr, n, total in totals.ranked)
     return csv_text("role,address,actions,totalWei,totalUsd", rows)
 
 

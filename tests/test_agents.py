@@ -16,7 +16,7 @@ from incentiveledger import (
     decay_renewal_prob,
     generate_population,
 )
-from incentiveledger.agents import PROVIDER, REQUESTER, population_csv
+from incentiveledger.agents import PROVIDER, REQUESTER, normal_samples, population_csv
 from incentiveledger.chain import account_address
 from incentiveledger.errors import ConfigError
 
@@ -42,6 +42,20 @@ def test_provider_probability_drawn_within_bounds():
         pop = generate_population(cfg, random.Random(seed))
         for p in pop[:5]:
             assert 0.01 <= p.base_prob <= 0.05
+
+
+def test_normal_samples_repeat_random_gauss_bit_for_bit():
+    """The paired draw yields gauss's own samples, signed zeros included, and leaves the generator where
+    gauss would: a pending sine half after an odd count, and a half pending at the start is used first."""
+    for seed in range(4):
+        for n in (*range(0, 41), 999, 1_000, 1_001):
+            for primed in (False, True):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                if primed:
+                    ours.gauss(), theirs.gauss()
+                expected = [theirs.gauss(0.0, 0.1) for _ in range(n)]
+                assert [x.hex() for x in normal_samples(n, ours)] == [x.hex() for x in expected], (seed, n, primed)
+                assert ours.getstate() == theirs.getstate(), (seed, n, primed)
 
 
 def test_generation_is_deterministic_per_seed():

@@ -48,6 +48,7 @@ from incentiveledger.errors import ReconciliationFailureError
 from incentiveledger.reporting import (
     ACCRUING_FUNCTIONS,
     REPORT_NAMES,
+    TOP_REQUESTERS,
     RunTotals,
     _median,
     _quartiles,
@@ -455,6 +456,71 @@ def test_requester_ranking_breaks_spend_ties_by_lower_address():
     rows = [line.split(",") for line in report_text(top_requesters_csv(result, RunTotals(result))).splitlines()]
     assert [(row[1], int(row[3])) for row in rows if row[0] == "requester"] == ranked
     assert [addr for addr, _ in summarize(result).top_requesters] == [addr for addr, _ in ranked]
+
+
+def requester_reports_from_records(result: SimResult) -> tuple[list[str], list[str]]:
+    """requester_costs.csv's rows and top_requesters.csv's requester rows, summed straight from the records
+    per (requester, kind) and ranked over every requester by spend, then address."""
+    price, per_kind, spend = result.chain.price, {}, {}
+    for kind, r, _ in result.records:
+        if kind in (REQUEST, RENEW):
+            n, fees, paid = per_kind.get((r.caller, kind), (0, 0, 0))
+            per_kind[r.caller, kind] = (n + 1, fees + r.gas_fee_wei, paid + r.value_wei)
+            n, total = spend.get(r.caller, (0, 0))
+            spend[r.caller] = (n + 1, total + r.gas_fee_wei + r.value_wei)
+    costs = [f"{address},{kind},{n},{fees},{paid},{price.wei_to_usd(fees):.2f},{price.wei_to_usd(paid):.2f},"
+             f"{price.wei_to_usd(fees + paid):.2f}" for (address, kind), (n, fees, paid) in sorted(per_kind.items())]
+    ranked = sorted(spend.items(), key=lambda item: (-item[1][1], item[0]))[:TOP_REQUESTERS]
+    top = [f"{REQUESTER},{address},{n},{total},{price.wei_to_usd(total):.2f}" for address, (n, total) in ranked]
+    return costs, top
+
+
+@pytest.mark.parametrize("settings", [
+    dict(action_ticker=80, population=PopulationConfig(n_accounts=60), seed=11),
+    dict(scenario=Scenario.NO_COMPENSATION, action_ticker=8, population=PopulationConfig(n_accounts=30), seed=0),
+    dict(scenario=Scenario.PROFIT, action_ticker=300, population=PopulationConfig(n_accounts=200, max_providers=3)),
+], ids=["default", "tie", "profit"])
+def test_requester_reports_match_the_records(settings):
+    """One row per requester in RunTotals prints what a (requester, kind) sum of the records prints,
+    for a requester that only requested as for one that also renewed, and ranks spend ties by address."""
+    result = run_simulation(SimConfig(**settings))
+    totals = RunTotals(result)
+    costs, top = requester_reports_from_records(result)
+    assert report_text(requester_costs_csv(result, totals)).splitlines()[1:] == costs
+    assert [line for line in report_text(top_requesters_csv(result, totals)).splitlines()
+            if line.startswith(REQUESTER)] == top
+    kinds_of = {}
+    for address, kind, *_ in (line.split(",") for line in costs):
+        kinds_of.setdefault(address, set()).add(kind)
+    assert {"request"} in kinds_of.values() and {"request", "renew"} in kinds_of.values()
+    assert summarize(result, totals).distinct_requesters == sum(1 for row in totals.requesters.values() if row[0])
+
+
+def test_only_the_named_requesters_are_ranked():
+    seen = set()
+    for actions in range(1, 9):
+        result = run_simulation(SimConfig(action_ticker=actions, population=PopulationConfig(n_accounts=30), seed=0))
+        requesters = {r.caller for kind, r, _ in result.records if kind in (REQUEST, RENEW)}
+        assert len(RunTotals(result).ranked) == min(TOP_REQUESTERS, len(requesters))
+        seen.add(len(requesters))
+    assert {0, 1, 2, 4} <= seen, seen
+    assert RunTotals(empty_result()).ranked == []
+
+
+def test_run_totals_hold_at_most_400_bytes_per_requester():
+    """A requester's six counters share one row; a row per (requester, kind) pair, with every requester
+    ranked, cost 526 B per requester of this run, and one row with the top three ranked costs 343 B."""
+    result = run_simulation(SimConfig(action_ticker=2_000, seed=0))
+    requesters = {r.caller for kind, r, _ in result.records if kind in (REQUEST, RENEW)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        totals = RunTotals(result)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 400 * len(requesters), held / len(requesters)
+    assert len(totals.requesters) == len(requesters) > 100
 
 
 def test_cost_distribution_quartiles_are_ordered(run):
