@@ -9,8 +9,9 @@ back as a config file and reproduces the run, given the same --gas-table:
 settings carry no gas table.
 
 A sweep's seeds run in worker processes, one per usable CPU and no more
-than there are seeds. Each worker holds one seed at a time, and the report
-bytes and failure lines are those of a serial sweep.
+than there are seeds. Each worker holds one seed at a time and writes its
+run directories, and once into seed-S/ the population.csv and tokens.csv
+they share. The report bytes and failure lines are those of a serial sweep.
 
 `main` runs each command with the cyclic garbage collector off, then restores
 its state: a run's state forms no cycles, so reference counting frees it
@@ -32,8 +33,8 @@ from .chain import GWEI, GasSchedule, PriceModel, default_gas_schedule
 from .dataset import Scenario
 from .engine import SimConfig, build_start, run_simulation, settings, settle, simulate, with_seed
 from .errors import ConfigError, EngineError, LedgerError
-from .reporting import (REPORT_NAMES, SHARED_NAMES, break_even_csv, summary_text, sweep_csv, write_population,
-                        write_report, write_run_reports)
+from .reporting import (REPORT_NAMES, SHARED_NAMES, break_even_csv, summary_text, sweep_csv, write_report,
+                        write_run_reports, write_seed_reports)
 
 OUT_ENV = "INCENTIVELEDGER_OUT"
 
@@ -202,7 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     run_dir = _resolve_out(args, {name: (*REPORT_NAMES, *SHARED_NAMES)}) / name
     result = run_simulation(cfg)
     summary = write_run_reports(result, run_dir)
-    write_population(result.population, run_dir)
+    write_seed_reports(result, run_dir)
     write_report(run_dir / "registry.csv", result.registry.snapshot_csv())
     if not args.quiet:
         sys.stdout.writelines(summary_text(result, summary))
@@ -211,9 +212,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, start: tuple) -> list:
-    """Simulate row's seed once, settle and write each of its cells, then, if any was written, the
-    population.csv they share. Returns, in cell order, each run's RunSummary or the error of a
-    failed run, which names it: seed, grid cell, period and action."""
+    """Simulate row's seed once, settle and write each of its cells and, after the first one written, the
+    population.csv and tokens.csv they share, in seed-S/. Returns, in cell order, each run's RunSummary or
+    the error of a failed run, which names it: seed, grid cell, period and action."""
     stream = simulate(row[0])
     outcomes = []
     for cfg, name in zip(row, names):
@@ -222,10 +223,11 @@ def _sweep_seed(row: list[SimConfig], names: list[str], out: Path, start: tuple)
         except EngineError as exc:
             outcomes.append(str(exc))
             continue
-        outcomes.append(write_run_reports(result, out / name / f"run-{cfg.seed}"))
+        summary = write_run_reports(result, out / name / f"run-{cfg.seed}")
+        if all(isinstance(outcome, str) for outcome in outcomes):  # the seed's first written run
+            write_seed_reports(result, out / f"seed-{cfg.seed}")
+        outcomes.append(summary)
         del result  # freed before the next cell settles, so a worker holds one run at a time
-    if not all(isinstance(outcome, str) for outcome in outcomes):
-        write_population(stream.population, out / f"seed-{row[0].seed}")
     return outcomes
 
 
@@ -283,7 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = [[with_seed(base, seed) for base in cells] for seed in seeds]
     runs = [f"{name}/run-{cfg.seed}" for row in grid for name, cfg in zip(names, row)]
     out = _resolve_out(args, {"": ("registry.csv", "sweep.csv", "break_even.csv"), **dict.fromkeys(names, ()),
-                              **dict.fromkeys(runs, REPORT_NAMES), **{f"seed-{s}": ("population.csv",) for s in seeds}})
+                              **dict.fromkeys(runs, REPORT_NAMES), **{f"seed-{s}": SHARED_NAMES[:2] for s in seeds}})
 
     start = build_start(cells[0])  # the bootstrap every run of the grid forks
     by_cell = [[] for _ in cells]  # each cell's run summaries, in seed order

@@ -167,14 +167,16 @@ class SimConfig:
                 f"prefund of {PREFUND_WEI} wei cannot pay the registry bootstrap "
                 f"of {bootstrap_fee} wei for {self.population.n_accounts} accounts"
             )
-        # The largest wei figure a report converts to USD is the cost pool:
-        # at most every minted wei (agents plus authority) scaled by the margin.
-        most_wei = PREFUND_WEI * (self.population.n_accounts + 1) * margin // 100
+        # The largest wei figures converted to USD are the cost pool, at most every minted wei (agents plus
+        # authority) scaled by the margin, and the fee of the costliest call: an update notifying every account.
+        most_wei = max(PREFUND_WEI * (self.population.n_accounts + 1) * margin // 100, self.price.fee_wei(
+            max(self.schedule.transaction_gas.values())
+            + self.schedule.per_requester_update_gas * self.population.n_accounts))
         try:
             self.price.wei_to_usd(most_wei)
         except OverflowError:
             raise ConfigError(
-                f"exchange rate {self.price.eth_usd!r} overflows the USD value of {most_wei} wei"
+                f"the USD value of {most_wei} wei overflows at exchange rate {self.price.eth_usd!r}"
             ) from None
 
 

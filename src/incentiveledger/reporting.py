@@ -22,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .agents import PROVIDER, REQUESTER, AgentProfile, population_csv
+from .agents import PROVIDER, REQUESTER, population_csv
 from .chain import (
     DEPLOYMENT,
     DESTROY,
@@ -182,8 +182,6 @@ class RunSummary:
     current_cost_wei: int
     break_even_period: int | None
     total_gas_fee_wei: int
-    total_payment_wei: int
-    miner_take_wei: int
     top_requesters: tuple[tuple[str, float], ...]  # (address, total USD), best first
 
 
@@ -221,7 +219,6 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
     per_period = max(1, periods)  # an empty run still gets zero frequencies
     last = result.series[-1] if result.series else PeriodStats(0, 0, 0, 0, 0, 0, 0)  # reconcile checks these
     top = tuple((addr, price.wei_to_usd(total)) for addr, _, total in totals.ranked)
-    miner_take = result.chain.balance(MINER_ADDRESS)  # every gas fee, as reconcile's balance replay proves
     return RunSummary(
         seed=result.config.seed,
         scenario=result.config.scenario.value,
@@ -248,9 +245,7 @@ def summarize(result: SimResult, totals: RunTotals | None = None) -> RunSummary:
         profit_wei=last.profit_wei,
         current_cost_wei=last.current_cost_wei,
         break_even_period=break_even_period(result),
-        total_gas_fee_wei=miner_take,
-        total_payment_wei=sum(row[2] + row[5] for row in totals.requesters.values()),
-        miner_take_wei=miner_take,
+        total_gas_fee_wei=result.chain.balance(MINER_ADDRESS),  # every gas fee, as reconcile's balance replay proves
         top_requesters=top,
     )
 
@@ -433,12 +428,10 @@ def config_text(result: SimResult) -> list[str]:
 
 
 # The files of every run directory, in the order write_run_reports writes them.
-REPORT_NAMES = (
-    "requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "actions.csv", "periods.csv", "contracts.csv",
-    "transactions.csv", "tokens.csv", "summary.txt", "summary.csv", "config.txt",
-)
-# Shared by runs: a direct run writes both, a sweep population.csv once per seed and registry.csv once.
-SHARED_NAMES = ("population.csv", "registry.csv")
+REPORT_NAMES = ("requester_costs.csv", "top_requesters.csv", "cost_distribution.csv", "actions.csv", "periods.csv",
+                "contracts.csv", "transactions.csv", "summary.txt", "summary.csv", "config.txt")
+# Shared by runs: a direct run writes all three, a sweep the first two once per seed and registry.csv once.
+SHARED_NAMES = ("population.csv", "tokens.csv", "registry.csv")
 
 
 def write_report(path: Path, blocks: Iterable[str]) -> None:
@@ -467,14 +460,14 @@ def write_run_reports(result: SimResult, out_dir: Path) -> RunSummary:
     write(periods_csv(result))
     write(contracts_csv(result))
     write(result.chain.log_csv())
-    write(result.token_store.table_csv())
     write(summary_text(result, summary))
     write(summary_csv(summary))
     write(config_text(result))
     return summary
 
 
-def write_population(population: list[AgentProfile], out_dir: Path) -> None:
-    """population.csv: a direct run's, or the one copy a sweep writes for each seed."""
+def write_seed_reports(result: SimResult, out_dir: Path) -> None:
+    """population.csv and tokens.csv, which follow from the seed alone: a direct run's, or a sweep's one per seed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(out_dir / "population.csv", population_csv(population))
+    write_report(out_dir / "population.csv", population_csv(result.population))
+    write_report(out_dir / "tokens.csv", result.token_store.table_csv())

@@ -13,6 +13,7 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from incentiveledger.chain import GWEI, default_gas_schedule
 from incentiveledger.engine import SimConfig, run_simulation
 from incentiveledger.errors import ConfigError, EngineError, ReconciliationFailureError
 from incentiveledger.reporting import REPORT_NAMES, SHARED_NAMES, write_run_reports
-from incentiveledger.tokens import ACCESS_PERIODS
+from incentiveledger.tokens import ACCESS_PERIODS, TokenStore
 
 SMALL = ["--accounts", "30", "--actions", "25"]
 
@@ -174,8 +175,8 @@ CELL = "scenario-2_fraction-5_margin-100"
 
 # A file is the report directory, lies above it, or takes a directory that a
 # run would write: the run's own, a sweep cell's, a cell's second seed's, or
-# the directory of that seed's shared population.csv. Or a directory takes a
-# report file's path: a run's, a sweep run's, a sweep table's, or a shared one.
+# the directory of that seed's shared tables. Or a directory takes a report
+# file's path: a run's, a sweep run's, a sweep table's, or a shared one.
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize(("command", "where"), [
     *(pytest.param(command, where, id=f"{command[0]}-{where}")
@@ -191,6 +192,7 @@ CELL = "scenario-2_fraction-5_margin-100"
     pytest.param(SWEEP, "break_even.csv", id="sweep-break-even"),
     pytest.param(SWEEP, "registry.csv", id="sweep-registry"),
     pytest.param(SWEEP, "seed-1/population.csv", id="sweep-seed-population"),
+    pytest.param(SWEEP, "seed-1/tokens.csv", id="sweep-seed-tokens"),
 ])
 def test_an_out_that_cannot_be_a_directory_exits_2_before_simulating(tmp_path, monkeypatch, capsys,
                                                                       command, where, via):
@@ -367,8 +369,10 @@ def test_unfunded_registry_bootstrap_exits_2_before_simulating(tmp_path, capsys)
 # actions are renewals). actions.csv, periods.csv and tokens.csv were
 # computed before the renew phase moved to a mint-ordered roster; they pin
 # the renewal draw order: one roll per eligible token, in token-id order.
-# The other ten were computed before accounts became plain strings and
-# quotes plain wei; they pin how accounts and payments are formatted.
+# Nine of the other ten were computed before accounts became plain strings
+# and quotes plain wei; they pin how accounts and payments are formatted.
+# summary.csv was re-pinned when it dropped totalPaymentWei and
+# minerTakeWei; PARENT_TREES["renewal-heavy"] rebuilds its older bytes.
 GOLDEN_RENEWAL_HEAVY = {
     "actions.csv": "83baefc9095099bfdbe1eea8dfbb3817a1aed0dea06420fbd446f940fcb25324",
     "config.txt": "46cd9097a31d9ef0547ccb4117a7292d83fc74e3d5e47441e03a821eb256dd10",
@@ -378,7 +382,7 @@ GOLDEN_RENEWAL_HEAVY = {
     "population.csv": "e62b2c50ffcbe76fd952465a995c11f905bd88662b8005a5ddbd853c19d88ac8",
     "registry.csv": "75534430a9f47a696ae8a451ec6a8866ef196346109b542b8640a6afce97ace3",
     "requester_costs.csv": "2a0dffd897c5b3d341c1efbb97e3d2eef02c90ba496a39dba67263f3996f4fde",
-    "summary.csv": "d8696fb1b9a4accaf1b01c2d8b011d32a69fb993abd7372bb2c97f9b2750155c",
+    "summary.csv": "af6ac3b5a9e9c4afea8892ef72164b54731e539f28341ace36945d162184d575",
     "summary.txt": "d50b5c47ed717def91eae16505c325a10304927e5f926d563702aca7dc2a56b1",
     "tokens.csv": "225abbf23f3f6940d36cc97fc8f814d3c67874f764ef2a07fa362dec8bfc3e89",
     "top_requesters.csv": "daa29dd0efac8771516654a0862649d0e4f1cd5a2d0d75aed533ed0bdc2014b3",
@@ -473,7 +477,7 @@ def test_sweep_lays_out_grid_cells(tmp_path, capsys):
         for run in ("run-0", "run-1"):
             assert sorted(p.name for p in (tmp_path / cell / run).iterdir()) == sorted(REPORT_NAMES)
     for seed in ("seed-0", "seed-1"):
-        assert [p.name for p in (tmp_path / seed).iterdir()] == ["population.csv"]
+        assert sorted(p.name for p in (tmp_path / seed).iterdir()) == ["population.csv", "tokens.csv"]
     sweep_rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(sweep_rows) == 1 + 4
     even = (tmp_path / "break_even.csv").read_text().splitlines()
@@ -539,11 +543,12 @@ def test_sweep_prints_break_even_then_where_its_reports_are(tmp_path, capsys):
 
 def sweep_run_reports(run_dir: Path) -> dict[str, bytes]:
     """A sweep run's reports as a direct run of it writes them: the run directory's own,
-    its seed's population.csv and the sweep's registry.csv."""
+    its seed's population.csv and tokens.csv, and the sweep's registry.csv."""
     sweep = run_dir.parent.parent
     reports = {p.name: p.read_bytes() for p in run_dir.iterdir()}
     assert sorted(reports) == sorted(REPORT_NAMES)
-    reports["population.csv"] = (sweep / f"seed-{run_dir.name.removeprefix('run-')}" / "population.csv").read_bytes()
+    seed_dir = sweep / f"seed-{run_dir.name.removeprefix('run-')}"
+    reports.update((name, (seed_dir / name).read_bytes()) for name in ("population.csv", "tokens.csv"))
     reports["registry.csv"] = (sweep / "registry.csv").read_bytes()
     return reports
 
@@ -576,24 +581,27 @@ def test_every_sweep_run_matches_a_direct_run(tmp_path, providers):
 
 
 def test_population_csv_is_formatted_once_per_simulated_seed(tmp_path, monkeypatch):
-    # A seed's settled cells share its trace's population, and the sweep
-    # writes its population.csv once; a direct run formats its own.
+    # A seed's settled cells share its trace's population and mint the same
+    # tokens, and the sweep writes its population.csv and tokens.csv once;
+    # a direct run formats its own.
     calls = []
-    real = reporting.population_csv
-    monkeypatch.setattr(reporting, "population_csv", lambda profiles: calls.append(1) or real(profiles))
+    real, real_tokens = reporting.population_csv, TokenStore.table_csv
+    monkeypatch.setattr(reporting, "population_csv", lambda profiles: calls.append("population") or real(profiles))
+    monkeypatch.setattr(TokenStore, "table_csv", lambda store: calls.append("tokens") or real_tokens(store))
     pin_cpus(monkeypatch, 1)  # the calls are counted in this process, so the sweep runs in it
     sweep = tmp_path / "sweep"
     assert run_cli("sweep", *SMALL, "--seeds", "2", "--scenarios", "1,2,3",
                    "--out", str(sweep), "--quiet") == 0
-    assert len(calls) == 2
+    assert sorted(calls) == ["population", "population", "tokens", "tokens"]
     for seed in ("0", "1"):
         calls.clear()
         assert run_cli("run", *SMALL, "--seed", seed, "--out", str(tmp_path / "direct"), "--quiet") == 0
-        assert len(calls) == 1
-        direct = (tmp_path / "direct" / f"run-{seed}" / "population.csv").read_bytes()
-        copies = [p for p in sweep.rglob("population.csv") if p.parent.name.endswith(f"-{seed}")]
-        assert copies == [sweep / f"seed-{seed}" / "population.csv"]
-        assert copies[0].read_bytes() == direct
+        assert sorted(calls) == ["population", "tokens"]
+        for name in ("population.csv", "tokens.csv"):
+            direct = (tmp_path / "direct" / f"run-{seed}" / name).read_bytes()
+            copies = [p for p in sweep.rglob(name) if p.parent.name.endswith(f"-{seed}")]
+            assert copies == [sweep / f"seed-{seed}" / name]
+            assert copies[0].read_bytes() == direct
 
 
 def test_sweep_profit_margin_falls_back_to_defaults_across_scenarios(tmp_path):
@@ -709,7 +717,7 @@ def test_sweep_tree_is_the_same_at_one_and_two_workers(tmp_path, monkeypatch, po
                        "--out", str(tmp_path / str(cpus)), "--quiet") == 0
         digests.append(tree_digest(tmp_path / str(cpus)))
     assert pools == [2]
-    assert digests == ["368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358"] * 2
+    assert digests == ["fca2a75119e296d1941fe3828970ec55400ea4d27759c553f85111bfc8fddba5"] * 2
 
 
 # The failing sweeps of the three tests above, run at three seeds so that two
@@ -911,11 +919,12 @@ def tree_digest(root) -> str:
 def test_sweep_tree_matches_golden_digest(tmp_path):
     # The 182 files of the sweep that collected each cell's results before
     # writing them, with the copies of registry.csv and of each seed's
-    # population.csv collapsed into one: 162 files, and 138 without each run's
-    # profit.csv and cost_overlay.csv.
+    # population.csv collapsed into one: 162 files, 138 without each run's
+    # profit.csv and cost_overlay.csv, and 129 with tokens.csv written once
+    # per seed (see PARENT_TREES).
     assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10",
                    "--seeds", "3", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358"
+    assert tree_digest(tmp_path) == "fca2a75119e296d1941fe3828970ec55400ea4d27759c553f85111bfc8fddba5"
 
 
 # The byte oracle: each tree below is pinned by the digest of its whole --out
@@ -924,15 +933,15 @@ def test_sweep_tree_matches_golden_digest(tmp_path):
 def test_paper_grid_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30",
                    "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 2673
-    assert tree_digest(tmp_path) == "143cab99b66718c30f12f0af775cc375a1e5e680f999a3adc7ce8cbd6037e40c"
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 2463
+    assert tree_digest(tmp_path) == "fdc2d43fe9deafc4aa728a3bcf5a096f73ba4fe9504deb6d0d47aa835a2a0566"
 
 
 def test_three_scenario_sweep_tree_matches_golden_digest(tmp_path):
     assert run_cli("sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
                    "--max-providers", "2", "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 271
-    assert tree_digest(tmp_path) == "6246a07e53c318db3d99e5be2fd40ebd932a7a1370f2b2af809dcbd7cdebfd26"
+    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 251
+    assert tree_digest(tmp_path) == "56374585d37da55a90440de8a5c79dd27f778d92149f6aa9756331bd2b591c3e"
 
 
 DEFAULT_RUN_STDOUT = """\
@@ -953,31 +962,83 @@ def test_default_run_tree_and_stdout_match_golden(tmp_path, capsys):
     assert run_cli("run", "--out", str(tmp_path)) == 0
     assert capsys.readouterr().out.replace(str(tmp_path / "run-0"), "OUT") == DEFAULT_RUN_STDOUT
     assert len(list((tmp_path / "run-0").iterdir())) == 13
-    assert tree_digest(tmp_path) == "51d873b02d281dcf8a5adc928e52a7163304b49c3ffe23d526c5564d13d86eb8"
+    assert tree_digest(tmp_path) == "3cc8c138447cb0ecfbd926c77d056ea8734d13fec9441acea12da69880207c4d"
 
 
 def test_scale_20k_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
                    "--gas-price-gwei", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "4dbf2df4a6172029f6a8de9f83d5239cd9f516bf48b53a2b049895a2e1de1008"
+    assert tree_digest(tmp_path) == "73f7ed4e872b4f20bf1f26d3c05d75841933d4f31e1fdaf1ea2a1158c1b9b7d4"
 
 
 def test_update_heavy_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
                    "--provider-prob-max", "0.5", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "9cba87b6f07c7cbe27e8770d5492251045ef3638b51b29b2fcca21c378653f1a"
+    assert tree_digest(tmp_path) == "a1aeefebf9d9999147032f484ca930d463cac4e8464c901a460aa20c184e2087"
 
 
 def test_scale_20k_seed_1_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
                    "--gas-price-gwei", "1", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "c324f051971a4fcf0568b82a41a5f12303352842f58980225ac10a2b091ac5ab"
+    assert tree_digest(tmp_path) == "7ec59af4bd985fb66ff64b89fdbaf4436cef3d10425ef066cecc48a35957ff68"
 
 
 def test_update_heavy_seed_1_tree_matches_golden_digest(tmp_path):
     assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
                    "--provider-prob-max", "0.5", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "f64b2211bea424b90623070f513e3cb8920a21d334cf6efaf3f0fc6f35d32563"
+    assert tree_digest(tmp_path) == "baa1e80edb42c602a811bfe7dcbf7c7b93741f34f795fb2d22ef91a217ff6bfd"
+
+
+# The parent layout's oracle: each golden tree's digest as written while every
+# sweep run held its own tokens.csv and summary.csv and sweep.csv ended in
+# totalPaymentWei and minerTakeWei. All but renewal-heavy's were pinned above
+# then; renewal-heavy's covers the 13 files that GOLDEN_RENEWAL_HEAVY pinned.
+SCALE_20K = ["--actions", "20000", "--accounts", "20000", "--max-providers", "2", "--gas-price-gwei", "1"]
+UPDATE_HEAVY = ["--actions", "20000", "--accounts", "20000", "--max-providers", "20", "--provider-prob-max", "0.5"]
+PARENT_TREES = {
+    "default": (["run"], "51d873b02d281dcf8a5adc928e52a7163304b49c3ffe23d526c5564d13d86eb8"),
+    "renewal-heavy": (["run", "--actions", "3000", "--accounts", "3000", "--max-providers", "2"],
+                      "b4443c9a99ce87da35796cd988f0eda310fcdba9a3a0e8902ebf0610e77ea832"),
+    "scale-20k": (["run", *SCALE_20K], "4dbf2df4a6172029f6a8de9f83d5239cd9f516bf48b53a2b049895a2e1de1008"),
+    "scale-20k-seed-1": (["run", *SCALE_20K, "--seed", "1"],
+                         "c324f051971a4fcf0568b82a41a5f12303352842f58980225ac10a2b091ac5ab"),
+    "update-heavy": (["run", *UPDATE_HEAVY], "9cba87b6f07c7cbe27e8770d5492251045ef3638b51b29b2fcca21c378653f1a"),
+    "update-heavy-seed-1": (["run", *UPDATE_HEAVY, "--seed", "1"],
+                            "f64b2211bea424b90623070f513e3cb8920a21d334cf6efaf3f0fc6f35d32563"),
+    "small-sweep": (["sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10", "--seeds", "3"],
+                    "368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358"),
+    "three-scenario": (["sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
+                        "--max-providers", "2"], "6246a07e53c318db3d99e5be2fd40ebd932a7a1370f2b2af809dcbd7cdebfd26"),
+    "paper-grid": (["sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30"],
+                   "143cab99b66718c30f12f0af775cc375a1e5e680f999a3adc7ce8cbd6037e40c"),
+}
+
+
+def rebuild_parent_layout(root: Path) -> None:
+    """Turn a report tree, in place, into the older layout by README's recipe: each seed-S/tokens.csv copied
+    into every run-S/ of the sweep and removed from seed-S/, and each summary.csv and sweep.csv row given back
+    totalPaymentWei and minerTakeWei, which repeated its providerEarningsWei and totalGasFeeWei."""
+    for tokens in root.glob("seed-*/tokens.csv"):
+        for run_dir in root.glob(f"*/run-{tokens.parent.name.removeprefix('seed-')}"):
+            shutil.copyfile(tokens, run_dir / "tokens.csv")
+        tokens.unlink()
+    for table in [*root.rglob("summary.csv"), *root.glob("sweep.csv")]:
+        header, *rows = table.read_text().splitlines()
+        columns = header.split(",")
+        earnings, fees = columns.index("providerEarningsWei"), columns.index("totalGasFeeWei")
+        lines = [f"{header},totalPaymentWei,minerTakeWei"]
+        lines += (f"{row},{cells[earnings]},{cells[fees]}" for row in rows for cells in [row.split(",")])
+        table.write_text("".join(f"{line}\n" for line in lines))
+
+
+@pytest.mark.parametrize("case", PARENT_TREES)
+def test_the_parent_layout_rebuilds_from_the_written_reports(tmp_path, case):
+    # The re-pinned golden digests above are the parent trees with only
+    # tokens.csv moved and summary.csv's two repeated columns dropped.
+    argv, parent_digest = PARENT_TREES[case]
+    assert run_cli(*argv, "--out", str(tmp_path), "--quiet") == 0
+    rebuild_parent_layout(tmp_path)
+    assert tree_digest(tmp_path) == parent_digest
 
 
 def test_build_sim_config_round_trips_parse(tmp_path):
@@ -1057,6 +1118,8 @@ _GAS_TABLES = st.none() | st.fixed_dictionaries({}, optional={
 @example(values={"accounts": 30, "actions": 25, "eth-usd": 1e307}, gas_table=None)
 @example(values={"accounts": 30, "actions": 25}, gas_table={"perRequesterUpdateGas": 0})
 @example(values={"accounts": 30, "actions": 25}, gas_table={"transactionGas": {"updateData": True}})
+@example(values={"accounts": 30, "actions": 25}, gas_table={"transactionGas": {"updateData": 10**330}})
+@example(values={"accounts": 30, "actions": 25}, gas_table={"perRequesterUpdateGas": 10**330})
 @example(values={"accounts": 2, "actions": 1, "seed": -1, "gas-price-gwei": 20_000.0}, gas_table=None)
 def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_table):
     # Each run either completes with a reconciled report set, fails inside

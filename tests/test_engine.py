@@ -39,7 +39,7 @@ from incentiveledger.chain import (ADD_DATA_REQUESTER, DEPLOYMENT, GWEI, PUBLISH
                                    default_gas_schedule)
 from incentiveledger.engine import PUBLISH, RENEW, REQUEST, UPDATE, build_start, settle, simulate
 from incentiveledger.errors import ConfigError, EngineError, InsufficientFundsError
-from incentiveledger.reporting import actions_csv, write_population, write_report, write_run_reports
+from incentiveledger.reporting import actions_csv, write_report, write_run_reports, write_seed_reports
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -566,7 +566,7 @@ def test_with_seed_rewires_engine_and_population_seeds():
 
 def report_bytes(result, out) -> dict[str, bytes]:
     write_run_reports(result, out)
-    write_population(result.population, out)
+    write_seed_reports(result, out)
     write_report(out / "registry.csv", result.registry.snapshot_csv())
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 

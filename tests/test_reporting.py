@@ -65,9 +65,9 @@ from incentiveledger.reporting import (
     summary_csv,
     summary_text,
     top_requesters_csv,
-    write_population,
     write_report,
     write_run_reports,
+    write_seed_reports,
 )
 
 
@@ -339,8 +339,8 @@ def test_summary_counts_and_frequencies_add_up(run):
     assert summary.periods == len(run.series)
     assert summary.freq_update == pytest.approx(summary.updates / summary.periods)
     assert summary.profit_wei == summary.provider_earnings_wei - summary.provider_cost_wei
-    assert summary.total_payment_wei == sum(r.value_wei for _, r, _ in run.records)
-    assert summary.miner_take_wei == run.chain.balance(MINER_ADDRESS)
+    assert summary.provider_earnings_wei == sum(r.value_wei for _, r, _ in run.records)
+    assert summary.total_gas_fee_wei == run.chain.balance(MINER_ADDRESS)
     usd = [u for _, u in summary.top_requesters]
     assert usd == sorted(usd, reverse=True)
     assert len(summary.top_requesters) <= 3
@@ -594,7 +594,7 @@ def test_write_run_reports_emits_the_full_set(run, tmp_path):
     summary = write_run_reports(run, tmp_path / "run-11")
     assert summary == summarize(run)
     assert sorted(p.name for p in (tmp_path / "run-11").iterdir()) == sorted(REPORT_NAMES)
-    write_population(run.population, tmp_path / "run-11")
+    write_seed_reports(run, tmp_path / "run-11")
     write_report(tmp_path / "run-11" / "registry.csv", run.registry.snapshot_csv())
     names = sorted(p.name for p in (tmp_path / "run-11").iterdir())
     assert names == sorted([
@@ -666,4 +666,5 @@ def test_no_compensation_reports_zero_payment_columns():
     for line in report_text(requester_costs_csv(result, RunTotals(result))).splitlines()[1:]:
         assert line.split(",")[4] == "0"
     summary = summarize(result)
-    assert summary.provider_earnings_wei == 0 and summary.total_payment_wei == 0
+    assert summary.provider_earnings_wei == 0 and not any(r.value_wei for _, r, _ in result.records)
+    assert summary.total_gas_fee_wei == sum(r.gas_fee_wei for r in result.chain.receipts) > 0
