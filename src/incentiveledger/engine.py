@@ -38,6 +38,7 @@ reports hold the same bytes as a direct run's, which builds its start fresh.
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -142,8 +143,8 @@ class SimConfig:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if self.action_ticker < 1:
             raise ConfigError("action ticker must be at least 1")
-        if self.update_multiplier < 1:
-            raise ConfigError("update multiplier must be at least 1")
+        if not 1 <= self.update_multiplier <= sys.float_info.max:  # simulate scales a float probability by it
+            raise ConfigError(f"update multiplier must be in [1, {sys.float_info.max!r}], got {self.update_multiplier}")
         margin = self.resolved_margin_pct
         # The contract's own bounds, checked here so that a run the
         # contract would refuse at its first publication never starts.

@@ -13,7 +13,6 @@ import math
 import multiprocessing
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import GOLDEN, PINS, golden_config, pins_entry, tree_digest, tree_files
 from incentiveledger import cli, engine, reporting
 from incentiveledger.agents import PopulationConfig
 from incentiveledger.cli import build_sim_config, main, parse_config_file
@@ -292,7 +292,7 @@ def test_emitted_config_reproduces_a_gas_table_run_with_the_same_table(tmp_path)
     config = str(first / "run-0" / "config.txt")
     assert run_cli("run", "--config", config, "--gas-table", str(table), "--out", str(again), "--quiet") == 0
     assert run_cli("run", "--config", config, "--out", str(without), "--quiet") == 0
-    assert tree_digest(again) == tree_digest(first) != tree_digest(without)
+    assert tree_files(again) == tree_files(first) != tree_files(without)
 
 
 def test_bad_gas_tables_exit_2(tmp_path, capsys):
@@ -332,6 +332,7 @@ def test_bad_gas_tables_exit_2(tmp_path, capsys):
     ["--eth-usd", "inf"],
     ["--eth-usd", "1e307"],
     ["--seed", "-1"],
+    pytest.param(["--update-multiplier", str(10**309)], id="--update-multiplier 10**309"),
 ], ids=" ".join)
 def test_bad_settings_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -365,52 +366,14 @@ def test_unfunded_registry_bootstrap_exits_2_before_simulating(tmp_path, capsys)
     assert not (tmp_path / "c").exists()
 
 
-# sha256 of all 13 report files of one renewal-heavy run (2,615 of its 3,000
-# actions are renewals). actions.csv, periods.csv and tokens.csv were
-# computed before the renew phase moved to a mint-ordered roster; they pin
-# the renewal draw order: one roll per eligible token, in token-id order.
-# Nine of the other ten were computed before accounts became plain strings
-# and quotes plain wei; they pin how accounts and payments are formatted.
-# summary.csv was re-pinned when it dropped totalPaymentWei and
-# minerTakeWei; PARENT_TREES["renewal-heavy"] rebuilds its older bytes.
-GOLDEN_RENEWAL_HEAVY = {
-    "actions.csv": "83baefc9095099bfdbe1eea8dfbb3817a1aed0dea06420fbd446f940fcb25324",
-    "config.txt": "46cd9097a31d9ef0547ccb4117a7292d83fc74e3d5e47441e03a821eb256dd10",
-    "contracts.csv": "bfff2644e08df8bebf42e43d4574a663ab5368103a20398d5c8e9543ec0850c4",
-    "cost_distribution.csv": "c5303a70429b7418ad8bf7bd82f85fb5f433e0e1db8b74713e4b8db2a9cdce30",
-    "periods.csv": "efa02bc2a620698028c4fdb63b0032ca227637cdd802eefc1e30caee1f5323ff",
-    "population.csv": "e62b2c50ffcbe76fd952465a995c11f905bd88662b8005a5ddbd853c19d88ac8",
-    "registry.csv": "75534430a9f47a696ae8a451ec6a8866ef196346109b542b8640a6afce97ace3",
-    "requester_costs.csv": "2a0dffd897c5b3d341c1efbb97e3d2eef02c90ba496a39dba67263f3996f4fde",
-    "summary.csv": "af6ac3b5a9e9c4afea8892ef72164b54731e539f28341ace36945d162184d575",
-    "summary.txt": "d50b5c47ed717def91eae16505c325a10304927e5f926d563702aca7dc2a56b1",
-    "tokens.csv": "225abbf23f3f6940d36cc97fc8f814d3c67874f764ef2a07fa362dec8bfc3e89",
-    "top_requesters.csv": "daa29dd0efac8771516654a0862649d0e4f1cd5a2d0d75aed533ed0bdc2014b3",
-    "transactions.csv": "e224f3f7ea4a3d4bcc72cc820050dda379ca69fcc006024512931c7597e4e647",
-}
-
-
-def test_renewal_heavy_run_matches_golden_digests(tmp_path):
-    assert run_cli("run", "--actions", "3000", "--accounts", "3000", "--max-providers", "2",
-                   "--seed", "0", "--out", str(tmp_path), "--quiet") == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / "run-0" / name).read_bytes()).hexdigest()
-        for name in GOLDEN_RENEWAL_HEAVY
-    }
-    assert digests == GOLDEN_RENEWAL_HEAVY
-
-
 # The rebuild's oracle: sha256 of the last profit.csv and cost_overlay.csv
-# that each run wrote, at seed 0.
+# that each golden run wrote.
 REBUILT_TABLES = {
-    "renewal-heavy": (["--actions", "3000", "--accounts", "3000", "--max-providers", "2"],
-                      "17930a6a42cb160e2177e5cd503b4309223d7a1f92fef3bd86ae3a9b2a93d8c1",
+    "renewal-heavy": ("17930a6a42cb160e2177e5cd503b4309223d7a1f92fef3bd86ae3a9b2a93d8c1",
                       "991d6dcc32059d13b71bd3022bea4841a634ec8c0a46fca934905dd904b839a0"),
-    "default": ([],
-                "d24f5840f958a7cd72516e893bf2cfe3c4ce6ac6caafbb86ee881f4839334a40",
+    "default": ("d24f5840f958a7cd72516e893bf2cfe3c4ce6ac6caafbb86ee881f4839334a40",
                 "89e8cecbcc52a2a1677a15f5f44a9d865517f1240c0fadd82f4f841b54d23542"),
-    "scale-20k": (["--actions", "20000", "--accounts", "20000", "--max-providers", "2", "--gas-price-gwei", "1"],
-                  "2360cb774049bc89659556727aa589e67edc4a3a4e6177615489106743d38205",
+    "scale-20k": ("2360cb774049bc89659556727aa589e67edc4a3a4e6177615489106743d38205",
                   "fcbd0fcabda60c3d37826562046de5f78147550c9f8d35cbfbc4f674e8349255"),
 }
 
@@ -443,23 +406,14 @@ def rebuild_profit_and_cost_overlay(run_dir: Path) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize("case", REBUILT_TABLES)
-def test_profit_and_cost_overlay_rebuild_from_the_written_reports(tmp_path, monkeypatch, case):
-    argv, profit_digest, overlay_digest = REBUILT_TABLES[case]
-    results = []
-    real = cli.write_run_reports
-
-    def write_run_reports(result, out_dir):
-        results.append(result)
-        return real(result, out_dir)
-
-    monkeypatch.setattr(cli, "write_run_reports", write_run_reports)
-    assert run_cli("run", *argv, "--seed", "0", "--out", str(tmp_path), "--quiet") == 0
-    run_dir = tmp_path / "run-0"
+def test_profit_and_cost_overlay_rebuild_from_the_written_reports(golden_tree, case):
+    profit_digest, overlay_digest = REBUILT_TABLES[case]
+    run_dir = golden_tree(case)[0] / "run-0"
     assert not (run_dir / "profit.csv").exists() and not (run_dir / "cost_overlay.csv").exists()
     profit, overlay = rebuild_profit_and_cost_overlay(run_dir)
     assert hashlib.sha256(profit.encode()).hexdigest() == profit_digest
     assert hashlib.sha256(overlay.encode()).hexdigest() == overlay_digest
-    [result] = results
+    result = run_simulation(golden_config(case))  # what cli.main simulated for the tree
     assert profit == "".join(reporting.profit_series_csv(result))
     assert overlay == "".join(reporting.cost_overlay_csv(result))
 
@@ -709,15 +663,12 @@ def test_a_stalled_stream_fails_every_cell_of_its_seed(tmp_path, monkeypatch, ca
 
 
 def test_sweep_tree_is_the_same_at_one_and_two_workers(tmp_path, monkeypatch, pools):
-    # The sweep of test_sweep_tree_matches_golden_digest, in this process and in two workers.
-    digests = []
+    # The golden small sweep, in this process and in two workers.
     for cpus in (1, 2):
         pin_cpus(monkeypatch, cpus)
-        assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10", "--seeds", "3",
-                       "--out", str(tmp_path / str(cpus)), "--quiet") == 0
-        digests.append(tree_digest(tmp_path / str(cpus)))
+        assert run_cli(*GOLDEN["small-sweep"], "--out", str(tmp_path / str(cpus)), "--quiet") == 0
+        check_pins("small-sweep", tmp_path / str(cpus))
     assert pools == [2]
-    assert digests == ["fca2a75119e296d1941fe3828970ec55400ea4d27759c553f85111bfc8fddba5"] * 2
 
 
 # The failing sweeps of the three tests above, run at three seeds so that two
@@ -743,7 +694,7 @@ def test_failed_runs_are_logged_alike_at_one_and_two_workers(tmp_path, monkeypat
         caplog.clear()
         with caplog.at_level(logging.ERROR, logger="incentiveledger.cli"):
             code = run_cli("sweep", *argv, "--seeds", "3", "--out", str(tmp_path / str(cpus)), "--quiet")
-        seen.append((code, [entry.getMessage() for entry in caplog.records], tree_digest(tmp_path / str(cpus))))
+        seen.append((code, [entry.getMessage() for entry in caplog.records], tree_files(tmp_path / str(cpus))))
     assert pools == [2]
     assert seen[0] == seen[1]
     code, lines, _ = seen[0]
@@ -908,137 +859,67 @@ def test_reports_follow_the_renewal_rule(tmp_path):
     assert len({row["dataset"] for row in actions}) > 1 and renewals > len(requests)
 
 
-def tree_digest(root) -> str:
-    """sha256 over every file's relative path and bytes, in sorted path order."""
-    h = hashlib.sha256()
-    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
-        h.update(rel.encode() + b"\0" + (root / rel).read_bytes() + b"\0")
-    return h.hexdigest()
+def check_pins(name: str, root: Path) -> None:
+    """Fail unless the tree at root matches golden.json's entry for name, naming each report whose digest
+    moved and each file under no pinned report name, and giving the tree's entry, ready to paste."""
+    files = tree_files(root)
+    entry, pinned = pins_entry(files), PINS[name]["reports"]
+    if entry != PINS[name]:
+        moved = sorted(n for n in entry["reports"].keys() | pinned.keys() if entry["reports"].get(n) != pinned.get(n))
+        unpinned = [rel for rel in files if rel.rsplit("/", 1)[-1] not in pinned]
+        pytest.fail(f"{name} ({PINS[name]['files']} -> {entry['files']} files): moved {moved}; under no pinned name "
+                    f"{unpinned}; its golden.json entry is now:\n"
+                    + json.dumps({name: entry}, indent=2)[2:-2], pytrace=False)
 
 
-def test_sweep_tree_matches_golden_digest(tmp_path):
-    # The 182 files of the sweep that collected each cell's results before
-    # writing them, with the copies of registry.csv and of each seed's
-    # population.csv collapsed into one: 162 files, 138 without each run's
-    # profit.csv and cost_overlay.csv, and 129 with tokens.csv written once
-    # per seed (see PARENT_TREES).
-    assert run_cli("sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10",
-                   "--seeds", "3", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "fca2a75119e296d1941fe3828970ec55400ea4d27759c553f85111bfc8fddba5"
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_tree_matches_its_pins(golden_tree, name):
+    check_pins(name, golden_tree(name)[0])
 
 
-# The byte oracle: each tree below is pinned by the digest of its whole --out
-# directory, so any report byte that changes fails one of these tests.
-
-def test_paper_grid_tree_matches_golden_digest(tmp_path):
-    assert run_cli("sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30",
-                   "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 2463
-    assert tree_digest(tmp_path) == "fdc2d43fe9deafc4aa728a3bcf5a096f73ba4fe9504deb6d0d47aa835a2a0566"
-
-
-def test_three_scenario_sweep_tree_matches_golden_digest(tmp_path):
-    assert run_cli("sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
-                   "--max-providers", "2", "--out", str(tmp_path), "--quiet") == 0
-    assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 251
-    assert tree_digest(tmp_path) == "56374585d37da55a90440de8a5c79dd27f778d92149f6aa9756331bd2b591c3e"
-
-
-DEFAULT_RUN_STDOUT = """\
-seed 0, scenario 2, margin 100%, fractions 5%/5%
-500 actions over 173 periods: 1 publish, 51 update, 57 request, 391 renew
-per-period frequencies: publish 0.01, update 0.29, request 0.33, renew 2.26
-1 dataset(s), 57 distinct requesters, 57 live tokens at end
-provider cost $2530.08, earnings $2460.49, profit $-69.60
-open compensation pool $69.60
-break even: never
-top requesters: acct-0003 $322.71, acct-0002 $268.94, acct-0005 $257.92
-gas fees $13782.36 (8029243944000000000 wei to the miner)
-reports in OUT
-"""
-
-
-def test_default_run_tree_and_stdout_match_golden(tmp_path, capsys):
-    assert run_cli("run", "--out", str(tmp_path)) == 0
-    assert capsys.readouterr().out.replace(str(tmp_path / "run-0"), "OUT") == DEFAULT_RUN_STDOUT
-    assert len(list((tmp_path / "run-0").iterdir())) == 13
-    assert tree_digest(tmp_path) == "3cc8c138447cb0ecfbd926c77d056ea8734d13fec9441acea12da69880207c4d"
-
-
-def test_scale_20k_tree_matches_golden_digest(tmp_path):
-    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
-                   "--gas-price-gwei", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "73f7ed4e872b4f20bf1f26d3c05d75841933d4f31e1fdaf1ea2a1158c1b9b7d4"
-
-
-def test_update_heavy_tree_matches_golden_digest(tmp_path):
-    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
-                   "--provider-prob-max", "0.5", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "a1aeefebf9d9999147032f484ca930d463cac4e8464c901a460aa20c184e2087"
-
-
-def test_scale_20k_seed_1_tree_matches_golden_digest(tmp_path):
-    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "2",
-                   "--gas-price-gwei", "1", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "7ec59af4bd985fb66ff64b89fdbaf4436cef3d10425ef066cecc48a35957ff68"
-
-
-def test_update_heavy_seed_1_tree_matches_golden_digest(tmp_path):
-    assert run_cli("run", "--actions", "20000", "--accounts", "20000", "--max-providers", "20",
-                   "--provider-prob-max", "0.5", "--seed", "1", "--out", str(tmp_path), "--quiet") == 0
-    assert tree_digest(tmp_path) == "baa1e80edb42c602a811bfe7dcbf7c7b93741f34f795fb2d22ef91a217ff6bfd"
+def test_default_run_prints_its_pinned_summary_txt(golden_tree):
+    root, stdout = golden_tree("default")
+    assert stdout == (root / "run-0" / "summary.txt").read_text() + f"reports in {root / 'run-0'}\n"
 
 
 # The parent layout's oracle: each golden tree's digest as written while every
 # sweep run held its own tokens.csv and summary.csv and sweep.csv ended in
-# totalPaymentWei and minerTakeWei. All but renewal-heavy's were pinned above
-# then; renewal-heavy's covers the 13 files that GOLDEN_RENEWAL_HEAVY pinned.
-SCALE_20K = ["--actions", "20000", "--accounts", "20000", "--max-providers", "2", "--gas-price-gwei", "1"]
-UPDATE_HEAVY = ["--actions", "20000", "--accounts", "20000", "--max-providers", "20", "--provider-prob-max", "0.5"]
+# totalPaymentWei and minerTakeWei.
 PARENT_TREES = {
-    "default": (["run"], "51d873b02d281dcf8a5adc928e52a7163304b49c3ffe23d526c5564d13d86eb8"),
-    "renewal-heavy": (["run", "--actions", "3000", "--accounts", "3000", "--max-providers", "2"],
-                      "b4443c9a99ce87da35796cd988f0eda310fcdba9a3a0e8902ebf0610e77ea832"),
-    "scale-20k": (["run", *SCALE_20K], "4dbf2df4a6172029f6a8de9f83d5239cd9f516bf48b53a2b049895a2e1de1008"),
-    "scale-20k-seed-1": (["run", *SCALE_20K, "--seed", "1"],
-                         "c324f051971a4fcf0568b82a41a5f12303352842f58980225ac10a2b091ac5ab"),
-    "update-heavy": (["run", *UPDATE_HEAVY], "9cba87b6f07c7cbe27e8770d5492251045ef3638b51b29b2fcca21c378653f1a"),
-    "update-heavy-seed-1": (["run", *UPDATE_HEAVY, "--seed", "1"],
-                            "f64b2211bea424b90623070f513e3cb8920a21d334cf6efaf3f0fc6f35d32563"),
-    "small-sweep": (["sweep", *SMALL, "--scenarios", "2,3", "--access-fractions", "1,10", "--seeds", "3"],
-                    "368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358"),
-    "three-scenario": (["sweep", "--scenarios", "1,2,3", "--access-fractions", "1,25", "--seeds", "4",
-                        "--max-providers", "2"], "6246a07e53c318db3d99e5be2fd40ebd932a7a1370f2b2af809dcbd7cdebfd26"),
-    "paper-grid": (["sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30"],
-                   "143cab99b66718c30f12f0af775cc375a1e5e680f999a3adc7ce8cbd6037e40c"),
+    "default": "51d873b02d281dcf8a5adc928e52a7163304b49c3ffe23d526c5564d13d86eb8",
+    "renewal-heavy": "b4443c9a99ce87da35796cd988f0eda310fcdba9a3a0e8902ebf0610e77ea832",
+    "scale-20k": "4dbf2df4a6172029f6a8de9f83d5239cd9f516bf48b53a2b049895a2e1de1008",
+    "scale-20k-seed-1": "c324f051971a4fcf0568b82a41a5f12303352842f58980225ac10a2b091ac5ab",
+    "update-heavy": "9cba87b6f07c7cbe27e8770d5492251045ef3638b51b29b2fcca21c378653f1a",
+    "update-heavy-seed-1": "f64b2211bea424b90623070f513e3cb8920a21d334cf6efaf3f0fc6f35d32563",
+    "small-sweep": "368a29bcc8fc77b89c07ba52be2951d49e7a4cf18913d8ef958cb094e50ed358",
+    "three-scenario": "6246a07e53c318db3d99e5be2fd40ebd932a7a1370f2b2af809dcbd7cdebfd26",
+    "paper-grid": "143cab99b66718c30f12f0af775cc375a1e5e680f999a3adc7ce8cbd6037e40c",
 }
 
 
-def rebuild_parent_layout(root: Path) -> None:
-    """Turn a report tree, in place, into the older layout by README's recipe: each seed-S/tokens.csv copied
-    into every run-S/ of the sweep and removed from seed-S/, and each summary.csv and sweep.csv row given back
-    totalPaymentWei and minerTakeWei, which repeated its providerEarningsWei and totalGasFeeWei."""
-    for tokens in root.glob("seed-*/tokens.csv"):
-        for run_dir in root.glob(f"*/run-{tokens.parent.name.removeprefix('seed-')}"):
-            shutil.copyfile(tokens, run_dir / "tokens.csv")
-        tokens.unlink()
-    for table in [*root.rglob("summary.csv"), *root.glob("sweep.csv")]:
-        header, *rows = table.read_text().splitlines()
+def rebuild_parent_layout(root: Path) -> dict[str, bytes]:
+    """The tree at root in the older layout by README's recipe, as tree_files gives a tree: each seed-S/tokens.csv
+    copied into every run-S/ of the sweep and dropped from seed-S/, and each summary.csv and sweep.csv row given
+    back totalPaymentWei and minerTakeWei, which repeated its providerEarningsWei and totalGasFeeWei."""
+    files = tree_files(root)
+    for rel in [rel for rel in files if re.fullmatch(r"seed-\d+/tokens\.csv", rel)]:
+        tokens = files.pop(rel)
+        files.update((f"{run_dir.relative_to(root).as_posix()}/tokens.csv", tokens)
+                     for run_dir in root.glob(f"*/run-{rel.split('/')[0].removeprefix('seed-')}"))
+    for rel in [rel for rel in files if rel.rsplit("/", 1)[-1] in ("summary.csv", "sweep.csv")]:
+        header, *rows = files[rel].decode().splitlines()
         columns = header.split(",")
         earnings, fees = columns.index("providerEarningsWei"), columns.index("totalGasFeeWei")
         lines = [f"{header},totalPaymentWei,minerTakeWei"]
         lines += (f"{row},{cells[earnings]},{cells[fees]}" for row in rows for cells in [row.split(",")])
-        table.write_text("".join(f"{line}\n" for line in lines))
+        files[rel] = "".join(f"{line}\n" for line in lines).encode()
+    return files
 
 
 @pytest.mark.parametrize("case", PARENT_TREES)
-def test_the_parent_layout_rebuilds_from_the_written_reports(tmp_path, case):
-    # The re-pinned golden digests above are the parent trees with only
-    # tokens.csv moved and summary.csv's two repeated columns dropped.
-    argv, parent_digest = PARENT_TREES[case]
-    assert run_cli(*argv, "--out", str(tmp_path), "--quiet") == 0
-    rebuild_parent_layout(tmp_path)
-    assert tree_digest(tmp_path) == parent_digest
+def test_the_parent_layout_rebuilds_from_the_written_reports(golden_tree, case):
+    assert tree_digest(rebuild_parent_layout(golden_tree(case)[0])) == PARENT_TREES[case]
 
 
 def test_build_sim_config_round_trips_parse(tmp_path):
@@ -1065,13 +946,6 @@ def test_build_sim_config_round_trips_parse(tmp_path):
     assert cfg.seed == 12
     with pytest.raises(ConfigError, match="scenario must be"):
         build_sim_config({**defaults, **values, "scenario": 7}, default_gas_schedule())
-
-
-REPORT_FILES = {
-    "actions.csv", "periods.csv", "contracts.csv", "requester_costs.csv", "top_requesters.csv",
-    "cost_distribution.csv", "transactions.csv", "tokens.csv", "population.csv", "registry.csv",
-    "summary.txt", "summary.csv", "config.txt",
-}
 
 
 def _edge_floats(*extra: float) -> st.SearchStrategy:
@@ -1121,6 +995,7 @@ _GAS_TABLES = st.none() | st.fixed_dictionaries({}, optional={
 @example(values={"accounts": 30, "actions": 25}, gas_table={"transactionGas": {"updateData": 10**330}})
 @example(values={"accounts": 30, "actions": 25}, gas_table={"perRequesterUpdateGas": 10**330})
 @example(values={"accounts": 2, "actions": 1, "seed": -1, "gas-price-gwei": 20_000.0}, gas_table=None)
+@example(values={"accounts": 30, "actions": 25, "update-multiplier": 10**309}, gas_table=None)
 def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_table):
     # Each run either completes with a reconciled report set, fails inside
     # the simulation naming its settings, period and action, or is
@@ -1139,7 +1014,7 @@ def test_every_accepted_config_completes_or_exits_2_before_writing(values, gas_t
         if code == 0:
             assert err == ""
             [run_dir] = out.iterdir()
-            assert {p.name for p in run_dir.iterdir()} == REPORT_FILES
+            assert {p.name for p in run_dir.iterdir()} == PINS["default"]["reports"].keys()
             summary = (run_dir / "summary.csv").read_text().splitlines()
             assert dict(zip(summary[0].split(","), summary[1].split(",")))["actions"] == str(values["actions"])
         elif code == 1:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import report_text
+from conftest import golden_config, report_text
 
 from incentiveledger import (
     ACCESS_PERIODS,
@@ -369,12 +369,7 @@ populations = st.builds(population_cfg, st.integers(2, 60), st.integers(1, 5),
                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(PROVIDER_PROB_MIN, 1.0))
 
 # The two benchmark streams, at seed 0.
-BENCHMARK_STREAMS = {
-    "scale-20k": SimConfig(action_ticker=20_000, population=PopulationConfig(n_accounts=20_000, max_providers=2),
-                           price=PriceModel(gas_price_wei=GWEI)),
-    "update-heavy": SimConfig(action_ticker=20_000, population=PopulationConfig(
-        n_accounts=20_000, max_providers=20, provider_prob_max=0.5)),
-}
+BENCHMARK_STREAMS = {name: golden_config(name) for name in ("scale-20k", "update-heavy")}
 
 
 @settings(max_examples=60, deadline=None)

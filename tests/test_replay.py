@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import golden_config
 from incentiveledger import ChainState, DatasetContract, DEFAULT_LICENSE, PopulationConfig, Scenario, SimConfig
 from incentiveledger import quote_payment, request_access, run_simulation
-from incentiveledger.chain import (DESTROY, GWEI, MINER_ADDRESS, RENEW_TOKEN, UPDATE_DATA, WITHDRAW, PriceModel,
-                                   TxReceipt)
+from incentiveledger.chain import DESTROY, MINER_ADDRESS, RENEW_TOKEN, UPDATE_DATA, WITHDRAW, TxReceipt
 from incentiveledger.errors import ReconciliationFailureError
 from incentiveledger.reporting import ACCRUING_FUNCTIONS, replay
 
@@ -59,22 +59,17 @@ def assert_same(chain: ChainState):
     return expected
 
 
-GOLDEN = {  # the settings of the golden-digest runs
-    "default": SimConfig(),
-    "renewal-heavy": SimConfig(action_ticker=3_000, population=PopulationConfig(n_accounts=3_000, max_providers=2)),
+REAL_RUNS = {  # four golden direct runs, and a run of scenario 1 and of scenario 3 that no golden tree pins
+    **{name: golden_config(name) for name in ("default", "renewal-heavy", "scale-20k", "update-heavy")},
     "no-compensation": SimConfig(scenario=Scenario.NO_COMPENSATION, seed=3),
     "profit": SimConfig(scenario=Scenario.PROFIT, access_fraction_pct=25, seed=2,
                         population=PopulationConfig(max_providers=2)),
-    "scale-20k": SimConfig(action_ticker=20_000, price=PriceModel(gas_price_wei=GWEI),
-                           population=PopulationConfig(n_accounts=20_000, max_providers=2)),
-    "update-heavy": SimConfig(action_ticker=20_000,
-                              population=PopulationConfig(n_accounts=20_000, max_providers=20, provider_prob_max=0.5)),
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN)
+@pytest.mark.parametrize("name", REAL_RUNS)
 def test_a_real_run_replays_as_the_reference_does(name):
-    chain = run_simulation(GOLDEN[name]).chain
+    chain = run_simulation(REAL_RUNS[name]).chain
     balances, ledgers, _, _ = assert_same(chain)
     assert balances == chain.accounts and ledgers
 

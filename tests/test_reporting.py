@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import report_text
+from conftest import PINS, golden_config, report_text
 
 from incentiveledger import (
     DEFAULT_LICENSE,
@@ -36,9 +36,7 @@ from incentiveledger.chain import (
     Address,
     CHECK_USER,
     DEPLOYMENT,
-    GWEI,
     MINER_ADDRESS,
-    PriceModel,
     RENEW_TOKEN,
     TxReceipt,
     UPDATE_DATA,
@@ -597,13 +595,7 @@ def test_write_run_reports_emits_the_full_set(run, tmp_path):
     write_seed_reports(run, tmp_path / "run-11")
     write_report(tmp_path / "run-11" / "registry.csv", run.registry.snapshot_csv())
     names = sorted(p.name for p in (tmp_path / "run-11").iterdir())
-    assert names == sorted([
-        "actions.csv", "periods.csv", "contracts.csv",
-        "requester_costs.csv", "top_requesters.csv",
-        "cost_distribution.csv", "transactions.csv", "tokens.csv",
-        "population.csv", "registry.csv", "summary.txt", "summary.csv",
-        "config.txt",
-    ])
+    assert names == sorted(PINS["default"]["reports"])
     for name in names:
         raw = (tmp_path / "run-11" / name).read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw
@@ -639,10 +631,7 @@ def test_writing_reports_holds_about_one_copy_of_the_largest(tmp_path):
 def test_writing_one_report_holds_about_two_blocks(tmp_path):
     # A block in memory is its row strings, then its joined text; its encoded bytes go to the
     # file. Each report is written as its blocks are built, so no report is ever held whole.
-    result = run_simulation(SimConfig(
-        action_ticker=20_000, price=PriceModel(gas_price_wei=GWEI),
-        population=PopulationConfig(n_accounts=20_000, max_providers=2),
-    ))
+    result = run_simulation(golden_config("scale-20k"))
     for build in (lambda: actions_csv(result), result.chain.log_csv):
         blocks = list(build())
         block = max(sum(map(sys.getsizeof, text.split("\n"))) + sys.getsizeof(text) for text in blocks[1:])

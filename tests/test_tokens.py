@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quote_rule, report_text
+from conftest import golden_config, quote_rule, report_text
 
 from incentiveledger import (
     ACCESS_PERIODS,
@@ -28,9 +28,8 @@ from incentiveledger import (
     renew_access_time,
     request_access,
 )
-from incentiveledger.agents import PopulationConfig
-from incentiveledger.chain import ADD_DATA_REQUESTER, GWEI, NULL_ADDRESS, RENEW_TOKEN, PriceModel
-from incentiveledger.engine import SimConfig, run_simulation
+from incentiveledger.chain import ADD_DATA_REQUESTER, NULL_ADDRESS, RENEW_TOKEN
+from incentiveledger.engine import run_simulation
 from incentiveledger.errors import (
     AlreadyBurnedError,
     ComplianceRequiredError,
@@ -266,23 +265,15 @@ def test_update_entries_expand_to_the_per_holder_trail(published):
 # The expanded trail of the two benchmark runs at seed 0, one line
 # "kind,period,token_id,user" per event. Neither run burns a token.
 GOLDEN_EVENT_TRAILS = {
-    "scale-20k": (
-        SimConfig(action_ticker=20_000, population=PopulationConfig(n_accounts=20_000, max_providers=2),
-                  price=PriceModel(gas_price_wei=GWEI)),
-        192_246, "a99527b5bd00acdfd0159ec422cad6b6a16dff9907019972089cd6a816f0dc69",
-    ),
-    "update-heavy": (
-        SimConfig(action_ticker=20_000,
-                  population=PopulationConfig(n_accounts=20_000, max_providers=20, provider_prob_max=0.5)),
-        152_409, "45f8bfb2230a1555021e52f4b9e181fc6744d178aa03f00fea780d3dcb86d9b7",
-    ),
+    "scale-20k": (192_246, "a99527b5bd00acdfd0159ec422cad6b6a16dff9907019972089cd6a816f0dc69"),
+    "update-heavy": (152_409, "45f8bfb2230a1555021e52f4b9e181fc6744d178aa03f00fea780d3dcb86d9b7"),
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_EVENT_TRAILS)
 def test_token_event_trail_matches_golden_digest(name):
-    cfg, count, digest = GOLDEN_EVENT_TRAILS[name]
-    events = run_simulation(cfg).token_store.events
+    count, digest = GOLDEN_EVENT_TRAILS[name]
+    events = run_simulation(golden_config(name)).token_store.events
     trail = "".join(f"{e.kind},{e.period},{e.token_id},{e.user}\n" for e in events)
     assert (len(events), hashlib.sha256(trail.encode()).hexdigest()) == (count, digest)
 
@@ -316,7 +307,7 @@ def test_the_token_log_holds_four_references_per_entry():
     # TokenEvent per entry (64-72 B) it freed 2,456,262 B here, against a bound of 1,275,836 B.
     tracemalloc.start()
     try:
-        result = run_simulation(GOLDEN_EVENT_TRAILS["scale-20k"][0])
+        result = run_simulation(golden_config("scale-20k"))
         log = result.token_store._log
         assert len(log) % 4 == 0 and {type(field) for field in log} <= {str, int, type(None)}
         entries, held = len(log) // 4, tracemalloc.get_traced_memory()[0]
