@@ -94,7 +94,7 @@ GOLDEN = {
                        "--max-providers", "2"],
     "paper-grid": ["sweep", "--scenarios", "2,3", "--access-fractions", "1,5,10,25", "--seeds", "30"],
 }
-PINS = json.loads((Path(__file__).with_name("golden.json")).read_text(encoding="utf-8"))
+PINS = json.loads(Path(__file__).with_name("golden.json").read_text(encoding="utf-8"))
 
 
 def golden_config(name: str) -> SimConfig:
